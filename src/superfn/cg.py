@@ -38,7 +38,7 @@ from itertools import product as _iproduct
 from typing import Optional
 
 from .grading import Dims
-from .linalg import SparseEchelon
+from .linalg import LinComb, SparseEchelon, add_term
 from .scalar import Scalar, ZERO, ONE, sign_pow
 from .superpoly import (
     Monomial,
@@ -88,10 +88,6 @@ class CG:
     @staticmethod
     def from_scalar(dims: Dims, c) -> "CG":
         return CG(dims, Poly.from_scalar(c))
-
-    @staticmethod
-    def from_poly(dims: Dims, poly: Poly) -> "CG":
-        return CG(dims, poly)
 
     def is_zero_poly(self) -> bool:
         """Whether the representative is the zero polynomial (not mod J)."""
@@ -203,7 +199,7 @@ def _omega_spec(dims: Dims) -> StarSpec:
     return spec
 
 
-class TensorCG:
+class TensorCG(LinComb):
     """An element of a tensor power of the function algebra.
 
     Terms map tuples of monomials (one per slot) to scalars.  Multiplication
@@ -211,53 +207,28 @@ class TensorCG:
     the left-hand slots after it.
     """
 
-    __slots__ = ("dims", "slots", "terms")
+    __slots__ = ("dims", "slots")
 
     def __init__(self, dims: Dims, slots: int, terms: Optional[dict] = None):
         self.dims = dims
         self.slots = slots
         self.terms = terms if terms is not None else {}
 
+    def _like(self, terms: dict) -> "TensorCG":
+        return TensorCG(self.dims, self.slots, terms)
+
+    def _shape(self):
+        return self.slots
+
     @staticmethod
     def unit(dims: Dims, slots: int) -> "TensorCG":
         return TensorCG(dims, slots, {((),) * slots: ONE})
 
-    def _add(self, key: tuple, c: Scalar):
-        cur = self.terms.get(key)
-        tot = c if cur is None else cur + c
-        if tot:
-            self.terms[key] = tot
-        elif cur is not None:
-            del self.terms[key]
-
-    def __add__(self, other: "TensorCG") -> "TensorCG":
-        out = TensorCG(self.dims, self.slots, dict(self.terms))
-        for k, c in other.terms.items():
-            out._add(k, c)
-        return out
-
-    def __sub__(self, other: "TensorCG") -> "TensorCG":
-        out = TensorCG(self.dims, self.slots, dict(self.terms))
-        for k, c in other.terms.items():
-            out._add(k, -c)
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorCG)
-            and self.slots == other.slots
-            and self.terms == other.terms
-        )
-
     def __mul__(self, other: "TensorCG") -> "TensorCG":
         from .superpoly import _merge_monomials
 
-        if self.slots != other.slots:
-            raise ValueError("tensor slot mismatch")
-        out = TensorCG(self.dims, self.slots)
+        self._check(other)
+        out = {}
         for ms, c1 in self.terms.items():
             apar = [monomial_parity(m) for m in ms]
             suffix = [0] * (self.slots + 1)
@@ -283,34 +254,31 @@ class TensorCG:
                         coeff = -coeff
                     key.append(mono)
                 if not dead:
-                    out._add(tuple(key), coeff)
-        return out
+                    add_term(out, tuple(key), coeff)
+        return TensorCG(self.dims, self.slots, out)
 
     def expand(self, slot: int) -> "TensorCG":
         """Apply the coproduct to one slot, yielding slots+1 slots."""
-        out = TensorCG(self.dims, self.slots + 1)
+        out = {}
         for key, c in self.terms.items():
             inner = _delta_monomial(self.dims, key[slot])
             for (m1, m2), c2 in inner.terms.items():
                 new_key = key[:slot] + (m1, m2) + key[slot + 1:]
-                out._add(new_key, c * c2)
-        return out
-
-    def slot_cg(self, key_index: int, key: tuple) -> CG:
-        return CG(self.dims, Poly({key[key_index]: ONE}))
+                add_term(out, new_key, c * c2)
+        return TensorCG(self.dims, self.slots + 1, out)
 
 
 def _delta_gen(dims: Dims, s) -> TensorCG:
     tag, a, b, _ = s
-    out = TensorCG(dims, 2)
+    out = {}
     for c in dims.indices():
         sgn = sign_pow(
             (dims.par(c) + dims.par(a)) * (dims.par(c) + dims.par(b))
         )
         m1 = ((_gen_symbol(dims, tag, a, c), 1),)
         m2 = ((_gen_symbol(dims, tag, c, b), 1),)
-        out._add((m1, m2), sgn)
-    return out
+        add_term(out, (m1, m2), sgn)
+    return TensorCG(dims, 2, out)
 
 
 def _delta_monomial(dims: Dims, mono: Monomial) -> TensorCG:
@@ -324,12 +292,11 @@ def _delta_monomial(dims: Dims, mono: Monomial) -> TensorCG:
 
 def delta(f: CG) -> TensorCG:
     """The coproduct, as a two-slot tensor."""
-    out = TensorCG(f.dims, 2)
+    out = {}
     for mono, c in f.poly.terms.items():
-        part = _delta_monomial(f.dims, mono)
-        for key, cc in part.terms.items():
-            out._add(key, c * cc)
-    return out
+        for key, cc in _delta_monomial(f.dims, mono).terms.items():
+            add_term(out, key, c * cc)
+    return TensorCG(f.dims, 2, out)
 
 
 def antipode_convolution(f: CG, side: str = "left") -> CG:
@@ -393,7 +360,7 @@ def pair_word(f: CG, word: tuple) -> Scalar:
             continue
         kinds, rows, cols, sign = _monomial_pair_data(dims, mono)
         acted = TVec.basis(dims, kinds, cols).act_word(word)
-        val = acted.comps.get(rows)
+        val = acted.terms.get(rows)
         if val is None:
             continue
         if sign:
@@ -449,7 +416,7 @@ def _pair_factors(dims: Dims, factors: list, word: tuple) -> Scalar:
         # matrix element of the word in the generator's own module
         tag, a, b, _ = factors[0]
         vec = TVec.basis(dims, (_module_kind(tag),), (b,)).act_word(word)
-        return vec.comps.get((a,), ZERO)
+        return vec.terms.get((a,), ZERO)
     head, rest = factors[0], factors[1:]
     rest_par = sum(s[3] for s in rest) & 1
     total = ZERO
@@ -591,8 +558,8 @@ def pairing_certificate(f: CG) -> bool:
             col = {}
             for idx in basis_list:
                 vec = TVec.basis(dims, sh, idx).act_letter(*letter)
-                if vec.comps:
-                    col[idx] = list(vec.comps.items())
+                if vec.terms:
+                    col[idx] = list(vec.terms.items())
             tab[letter] = col
         tables.append(tab)
     ident = {}
@@ -612,13 +579,7 @@ def pairing_certificate(f: CG) -> bool:
                 if col is None:
                     continue
                 for new_out, coeff in col:
-                    key = (si, new_out, in_idx)
-                    cur = new.get(key)
-                    tot = coeff * c if cur is None else cur + coeff * c
-                    if tot:
-                        new[key] = tot
-                    elif cur is not None:
-                        del new[key]
+                    add_term(new, (si, new_out, in_idx), coeff * c)
             if not new:
                 continue
             new_word = (letter,) + word
@@ -635,7 +596,7 @@ def omega_star_delta(f: CG) -> TensorCG:
     """(omega (*) omega) applied to Delta(f): slots swap-free, with the
     Koszul sign (-1)^{[f_(1)][f_(2)]} of a graded tensor-square map."""
     two = delta(f)
-    out = TensorCG(f.dims, 2)
+    out = {}
     for (m1, m2), c in two.terms.items():
         sgn = monomial_parity(m1) & monomial_parity(m2)
         w1 = CG(f.dims, Poly({m1: ONE})).omega()
@@ -645,8 +606,8 @@ def omega_star_delta(f: CG) -> TensorCG:
             coeff = -coeff
         for mm1, c1 in w1.poly.terms.items():
             for mm2, c2 in w2.poly.terms.items():
-                out._add((mm1, mm2), coeff * c1 * c2)
-    return out
+                add_term(out, (mm1, mm2), coeff * c1 * c2)
+    return TensorCG(f.dims, 2, out)
 
 
 def _all_generators(dims: Dims) -> list:
@@ -658,13 +619,25 @@ def _all_generators(dims: Dims) -> list:
     return out
 
 
-def _case(name: str, passed: bool, verdict: Optional[Verdict] = None) -> dict:
+def _case(name: str, passed: bool, verdict: Optional[Verdict] = None,
+          **extra) -> dict:
+    """One suite case: its name, pass flag, the oracle verdict it rests on
+    (if any) and any extra witness fields."""
     out = {"name": name, "passed": bool(passed)}
     if verdict is not None:
         out["verdict"] = verdict.verdict
         out["mode"] = verdict.mode
         out["failure_bound"] = verdict.failure_bound
+    out.update(extra)
     return out
+
+
+def _report(suite: str, cases: list) -> dict:
+    return {
+        "suite": suite,
+        "cases": cases,
+        "passed": all(c["passed"] for c in cases),
+    }
 
 
 def verify_hopf(dims: Dims, seed: int = 0, trials: int = 3,
@@ -743,8 +716,4 @@ def verify_hopf(dims: Dims, seed: int = 0, trials: int = 3,
     ok = lhs == rhs
     cases.append(_case("antipode is a graded anti-automorphism (sample)", ok))
 
-    return {
-        "suite": "hopf",
-        "cases": cases,
-        "passed": all(c["passed"] for c in cases),
-    }
+    return _report("hopf", cases)

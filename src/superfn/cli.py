@@ -27,10 +27,10 @@ import re
 import sys
 
 from .actions import act, is_invariant
-from .cg import CG, DimCapError, is_zero_mod_j, verify_hopf
+from .cg import CG, DimCapError, _case, _report, is_zero_mod_j, verify_hopf
 from .grading import Dims
 from .grassmann import verify_group
-from .scalar import Scalar, I, ONE
+from .scalar import Scalar, I, _rat_str
 from .spherical import (
     LeviProfile,
     c_block,
@@ -46,6 +46,7 @@ from .spherical import (
     z,
     zbar,
 )
+from .superpoly import render_terms
 from .tensorinv import verify_fft
 from .ugl import DegreeCapError, UEl
 
@@ -232,22 +233,10 @@ def parse_expr(text: str):
 
 def _scalar_literal(c: Scalar) -> str:
     if c.im == 0:
-        q = c.re
-        neg = q < 0
-        q = -q if neg else q
-        body = str(q.numerator) if q.denominator == 1 else \
-            f"{q.numerator}/{q.denominator}"
-        return ("-" if neg else "") + body
+        return _rat_str(c.re)
     if c.re != 0:
         raise ValueError("scalar literals are pure rational or imaginary")
-    q = c.im
-    if q == 1:
-        return "i"
-    neg = q < 0
-    q = -q if neg else q
-    body = str(q.numerator) if q.denominator == 1 else \
-        f"{q.numerator}/{q.denominator}"
-    return ("-" if neg else "") + body + "i"
+    return "i" if c.im == 1 else _rat_str(c.im) + "i"
 
 
 def print_expr(node) -> str:
@@ -431,33 +420,8 @@ class ExprContext:
 
 def u_pretty(u: UEl) -> str:
     """Render an enveloping-algebra element in the expression grammar."""
-    if not u.terms:
-        return "0"
-    from .superpoly import _scalar_body
-
-    parts = []
-    for w in sorted(u.terms, key=lambda ww: (len(ww), ww)):
-        c = u.terms[w]
-        factors = [f"E[{a},{b}]" for a, b in w]
-        if not factors:
-            neg, body = _scalar_body(c)
-        elif c == ONE:
-            neg, body = False, "*".join(factors)
-        elif c == -ONE:
-            neg, body = True, "*".join(factors)
-        else:
-            neg, cbody = _scalar_body(c)
-            body = "*".join([cbody] + factors)
-        parts.append((neg, body))
-    first_neg, first_body = parts[0]
-    if first_neg:
-        out = "-" + first_body if first_body[0].isdigit() \
-            else "-1*" + first_body
-    else:
-        out = first_body
-    for neg, body in parts[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+    return render_terms(u.terms, lambda w: (len(w), w),
+                        lambda w: [f"E[{a},{b}]" for a, b in w])
 
 
 # ---------------------------------------------------------------------------
@@ -598,12 +562,9 @@ def _cmd_laplacian(args, ctx: ExprContext) -> int:
         + rk1.scale(Scalar(k * k))
     v = is_zero_mod_j(image - predicted, mode=args.mode, trials=args.trials,
                       seed=args.seed)
-    case = {"name": f"radial Laplacian power identity at k={k}",
-            "passed": v.is_zero, "verdict": v.verdict, "mode": v.mode,
-            "failure_bound": v.failure_bound, "pretty": image.pretty()}
-    return _emit_report(
-        {"suite": "laplacian", "cases": [case],
-         "passed": case["passed"]}, args.json)
+    case = _case(f"radial Laplacian power identity at k={k}", v.is_zero, v,
+                 pretty=image.pretty())
+    return _emit_report(_report("laplacian", [case]), args.json)
 
 
 def _cmd_theta(args, ctx: ExprContext) -> int:
@@ -612,24 +573,18 @@ def _cmd_theta(args, ctx: ExprContext) -> int:
     if k < 0:
         raise CliError("--k must be nonnegative")
     if not theta_exists(dims, k):
-        case = {"name": f"no radial eigenfunction of degree {k} exists "
-                        f"at (m,n)=({dims.m},{dims.n})",
-                "passed": True, "exists": False}
-        return _emit_report(
-            {"suite": "theta", "cases": [case], "passed": True}, args.json)
+        case = _case(f"no radial eigenfunction of degree {k} exists "
+                     f"at (m,n)=({dims.m},{dims.n})", True, exists=False)
+        return _emit_report(_report("theta", [case]), args.json)
     th = theta(dims, k)
     lam = theta_eigenvalue(dims, k)
     defect = laplacian_apply(th) - th.scale(lam)
     v = is_zero_mod_j(defect, mode=args.mode, trials=args.trials,
                       seed=args.seed)
-    case = {"name": f"Laplacian eigenfunction of degree {k}, "
-                    f"eigenvalue {lam}",
-            "passed": v.is_zero, "verdict": v.verdict, "mode": v.mode,
-            "failure_bound": v.failure_bound, "exists": True,
-            "pretty": th.pretty(), "eigenvalue": str(lam)}
-    return _emit_report(
-        {"suite": "theta", "cases": [case], "passed": case["passed"]},
-        args.json)
+    case = _case(f"Laplacian eigenfunction of degree {k}, eigenvalue {lam}",
+                 v.is_zero, v, exists=True, pretty=th.pretty(),
+                 eigenvalue=str(lam))
+    return _emit_report(_report("theta", [case]), args.json)
 
 
 def _cmd_sergeev(args, ctx: ExprContext) -> int:
@@ -667,11 +622,10 @@ def _cmd_verify(args, ctx: ExprContext) -> int:
             list(range(1, min(dims.m, dims.n) + 1))
         cases = []
         for k in ks:
-            sub = verify_maxrank(dims, k, seed=args.seed,
-                                 trials=args.trials)
-            cases.extend(sub["cases"])
-        rep = {"suite": "maxrank", "cases": cases,
-               "passed": all(c["passed"] for c in cases)}
+            cases += verify_maxrank(dims, k, seed=args.seed,
+                                    trials=args.trials,
+                                    mode=args.mode)["cases"]
+        rep = _report("maxrank", cases)
     elif args.suite == "invariance":
         if args.profile is not None:
             profiles = [LeviProfile.parse(dims, args.profile)]

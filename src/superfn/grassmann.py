@@ -23,19 +23,26 @@ from fractions import Fraction
 from typing import Optional
 
 from .grading import Dims
-from .scalar import Scalar, ZERO, ONE, I, sign_pow
+from .linalg import LinComb, add_term
+from .scalar import Scalar, ZERO, ONE, I, _rat_str, sign_pow
 
 _BODY_BOUND = 2 ** 20
 
 
-class GEl:
+class GEl(LinComb):
     """An element of the Grassmann algebra on n generators over Q(i)."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms: Optional[dict] = None):
         self.n = n
         self.terms = terms if terms is not None else {}
+
+    def _like(self, terms: dict) -> "GEl":
+        return GEl(self.n, terms)
+
+    def _shape(self):
+        return self.n
 
     @staticmethod
     def scalar(n: int, c) -> "GEl":
@@ -48,9 +55,6 @@ class GEl:
         if not 1 <= j <= n:
             raise ValueError(f"generator index {j} out of range 1..{n}")
         return GEl(n, {1 << (j - 1): ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def body(self) -> Scalar:
         return self.terms.get(0, ZERO)
@@ -69,44 +73,9 @@ class GEl:
             return -1
         return max(bin(m).count("1") for m in self.terms)
 
-    def _add(self, mask: int, c: Scalar):
-        cur = self.terms.get(mask)
-        tot = c if cur is None else cur + c
-        if tot:
-            self.terms[mask] = tot
-        elif cur is not None:
-            del self.terms[mask]
-
-    def _check(self, other: "GEl"):
-        if self.n != other.n:
-            raise ValueError("mismatched Grassmann algebra sizes")
-
-    def __add__(self, other: "GEl") -> "GEl":
-        self._check(other)
-        out = GEl(self.n, dict(self.terms))
-        for m, c in other.terms.items():
-            out._add(m, c)
-        return out
-
-    def __sub__(self, other: "GEl") -> "GEl":
-        self._check(other)
-        out = GEl(self.n, dict(self.terms))
-        for m, c in other.terms.items():
-            out._add(m, -c)
-        return out
-
-    def __neg__(self) -> "GEl":
-        return GEl(self.n, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c) -> "GEl":
-        c = c if isinstance(c, Scalar) else Scalar(c)
-        if not c:
-            return GEl(self.n)
-        return GEl(self.n, {m: cc * c for m, cc in self.terms.items()})
-
     def __mul__(self, other: "GEl") -> "GEl":
         self._check(other)
-        out = GEl(self.n)
+        out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 if m1 & m2:
@@ -114,8 +83,8 @@ class GEl:
                 c = c1 * c2
                 if _cross_sign(m1, m2):
                     c = -c
-                out._add(m1 | m2, c)
-        return out
+                add_term(out, m1 | m2, c)
+        return GEl(self.n, out)
 
     def __pow__(self, k: int) -> "GEl":
         out = GEl.scalar(self.n, 1)
@@ -123,22 +92,12 @@ class GEl:
             out = out * self
         return out
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GEl)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
     def conj(self) -> "GEl":
-        out = GEl(self.n)
+        out = {}
         for m, c in self.terms.items():
             k = bin(m).count("1")
-            cc = c.conj()
-            if (k * (k - 1) // 2) & 1:
-                cc = -cc
-            out._add(m, cc)
-        return out
+            out[m] = -c.conj() if (k * (k - 1) // 2) & 1 else c.conj()
+        return GEl(self.n, out)
 
     def to_json(self) -> list:
         out = []
@@ -164,11 +123,6 @@ class GEl:
                 )
                 bits.append(f"({c})*{gens}")
         return "GEl(" + " + ".join(bits) + ")"
-
-
-def _rat_str(q) -> str:
-    num, den = q.numerator, q.denominator
-    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _cross_sign(m1: int, m2: int) -> int:
@@ -572,17 +526,10 @@ def real_sample_points(dims: Dims, count: int = 5) -> list:
     return points
 
 
-def _case(name: str, passed: bool, extra=None) -> dict:
-    out = {"name": name, "passed": bool(passed)}
-    if extra:
-        out.update(extra)
-    return out
-
-
 def verify_group(dims: Dims, count: int = 20, seed: int = 0) -> dict:
     """The supergroup suite: point construction, convolution vs matrix
     product, inverses via the antipode, and the real-form duality."""
-    from .cg import CG
+    from .cg import CG, _case, _report
 
     rng = random.Random(seed)
     cases = []
@@ -598,8 +545,7 @@ def verify_group(dims: Dims, count: int = 20, seed: int = 0) -> dict:
             break
         mats.append(mat)
     cases.append(
-        _case("random supermatrices define group points", ok,
-              {"count": count})
+        _case("random supermatrices define group points", ok, count=count)
     )
 
     ok = True
@@ -661,7 +607,7 @@ def verify_group(dims: Dims, count: int = 20, seed: int = 0) -> dict:
     ok = ok and all(p.theta_dual() == p.inverse_point() for p in reals)
     cases.append(
         _case("conjugate dual inverts the constructed real points", ok,
-              {"points": len(reals)})
+              points=len(reals))
     )
 
     bad = GroupPoint.from_matrix(
@@ -669,8 +615,4 @@ def verify_group(dims: Dims, count: int = 20, seed: int = 0) -> dict:
     )
     cases.append(_case("non-unitary diagonal is not real", not bad.is_real()))
 
-    return {
-        "suite": "group",
-        "cases": cases,
-        "passed": all(c["passed"] for c in cases),
-    }
+    return _report("group", cases)

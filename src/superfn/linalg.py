@@ -1,6 +1,10 @@
-"""Exact sparse linear algebra over Q(i) used by the oracles.
+"""Exact sparse linear algebra over Q(i): linear combinations and echelon.
 
 Vectors are dicts mapping orderable keys to nonzero :class:`Scalar` values.
+:func:`add_term` is the one accumulation step on such dicts, and
+:class:`LinComb` wraps one with the vector-space operations shared by every
+sparse container of the package (polynomials, PBW elements, tensor-module
+vectors, coproduct tensors and Grassmann elements).
 """
 
 from __future__ import annotations
@@ -8,6 +12,70 @@ from __future__ import annotations
 from typing import Optional
 
 from .scalar import Scalar, ONE
+
+
+def add_term(terms: dict, key, c: Scalar):
+    """Add c into terms[key], dropping the key when the sum is zero."""
+    cur = terms.get(key)
+    tot = c if cur is None else cur + c
+    if tot:
+        terms[key] = tot
+    elif cur is not None:
+        del terms[key]
+
+
+class LinComb:
+    """A finite Scalar-linear combination held as ``terms``: key -> Scalar.
+
+    Subclasses supply ``_like(terms)``, a copy of themselves around a new
+    dict, and ``_shape()``, the state two operands must share to be added
+    or compared.
+    """
+
+    __slots__ = ("terms",)
+
+    def _like(self, terms: dict):
+        raise NotImplementedError
+
+    def _shape(self):
+        return ()
+
+    def _check(self, other: "LinComb"):
+        if self._shape() != other._shape():
+            raise ValueError(f"mismatched {type(self).__name__} operands")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            add_term(terms, k, c)
+        return self._like(terms)
+
+    def __sub__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            add_term(terms, k, -c)
+        return self._like(terms)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = c if isinstance(c, Scalar) else Scalar(c)
+        if not c:
+            return self._like({})
+        return self._like({k: cc * c for k, cc in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._shape() == other._shape()
+            and self.terms == other.terms
+        )
 
 
 class SparseEchelon:
@@ -31,14 +99,9 @@ class SparseEchelon:
             row = self.rows.get(piv)
             if row is None:
                 return v
-            c = v[piv]
+            c = -v[piv]
             for k, rv in row.items():
-                cur = v.get(k)
-                nxt = (cur if cur is not None else Scalar(0)) - c * rv
-                if nxt:
-                    v[k] = nxt
-                elif cur is not None:
-                    del v[k]
+                add_term(v, k, c * rv)
         return v
 
     def insert(self, vec: dict, payload=None) -> Optional[object]:

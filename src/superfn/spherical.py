@@ -34,11 +34,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .actions import act, invariant_letters, is_invariant
-from .cg import CG, is_zero_mod_j
+from .actions import act, is_invariant
+from .cg import CG, _case, _report, is_zero_mod_j
 from .grading import Dims
 from .scalar import Scalar, sign_pow
-from .ugl import UEl, laplacian
+from .ugl import laplacian
 
 
 class LeviProfile:
@@ -247,17 +247,6 @@ def laplacian_apply(f: CG) -> CG:
 # ------------------------------------------------------------------- suites
 
 
-def _case(name: str, passed: bool, verdict=None, extra=None) -> dict:
-    out = {"name": name, "passed": bool(passed)}
-    if verdict is not None:
-        out["verdict"] = verdict.verdict
-        out["mode"] = verdict.mode
-        out["failure_bound"] = verdict.failure_bound
-    if extra:
-        out.update(extra)
-    return out
-
-
 def verify_t51(dims: Dims, seed: int = 0, trials: int = 3,
                mode: str = "generic") -> dict:
     """Nilpotency of 1 - r at n = 1 and nonvanishing of r-powers."""
@@ -274,11 +263,7 @@ def verify_t51(dims: Dims, seed: int = 0, trials: int = 3,
     for k in range(1, 6):
         v = is_zero_mod_j(r_func(dims) ** k, mode, trials, seed)
         cases.append(_case(f"r^{k} survives", not v.is_zero, v))
-    return {
-        "suite": "t51",
-        "cases": cases,
-        "passed": all(c["passed"] for c in cases),
-    }
+    return _report("t51", cases)
 
 
 def _rank_block(dims: Dims, side: str, k: int):
@@ -306,8 +291,8 @@ def corner_trace(dims: Dims, side: str, k: int) -> CG:
     return out
 
 
-def verify_maxrank(dims: Dims, k: int, seed: int = 0,
-                   trials: int = 3) -> dict:
+def verify_maxrank(dims: Dims, k: int, seed: int = 0, trials: int = 3,
+                   mode: str = "generic") -> dict:
     """Nilpotency orders of the corner-block invariants at rank k.
 
     On the n-side (odd corner rows), C_ab with [a] = [b] = 0 is nilpotent of
@@ -331,15 +316,15 @@ def verify_maxrank(dims: Dims, k: int, seed: int = 0,
             _case(
                 f"{name}: nilpotent-class C^{k + 1} = 0 structurally",
                 structural,
-                extra={"parity_class": nil_par},
+                parity_class=nil_par,
             )
         )
-        v = is_zero_mod_j(c_nil ** k, "generic", trials, seed)
+        v = is_zero_mod_j(c_nil ** k, mode, trials, seed)
         cases.append(
             _case(f"{name}: nilpotent-class C^{k} survives", not v.is_zero, v)
         )
         for j in range(1, k + 2):
-            v = is_zero_mod_j(c_poly ** j, "generic", trials, seed)
+            v = is_zero_mod_j(c_poly ** j, mode, trials, seed)
             cases.append(
                 _case(
                     f"{name}: polynomial-class C^{j} survives",
@@ -355,15 +340,11 @@ def verify_maxrank(dims: Dims, k: int, seed: int = 0,
         )
         trace = corner_trace(dims, side, k)
         for j in range(1, k + 2):
-            v = is_zero_mod_j(trace ** j, "generic", trials, seed)
+            v = is_zero_mod_j(trace ** j, mode, trials, seed)
             cases.append(
                 _case(f"{name}: spherical trace^{j} survives", not v.is_zero, v)
             )
-    return {
-        "suite": "maxrank",
-        "cases": cases,
-        "passed": all(c["passed"] for c in cases),
-    }
+    return _report("maxrank", cases)
 
 
 def verify_invariance(dims: Dims, profiles=None, seed: int = 0,
@@ -415,8 +396,4 @@ def verify_invariance(dims: Dims, profiles=None, seed: int = 0,
                                  seed)
         cases.append(_case(f"[{label}] control z_1 not invariant",
                            not ok_neg))
-    return {
-        "suite": "invariance",
-        "cases": cases,
-        "passed": all(c["passed"] for c in cases),
-    }
+    return _report("invariance", cases)

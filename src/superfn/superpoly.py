@@ -14,9 +14,10 @@ the symbols.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
-from .scalar import Scalar, ZERO, ONE
+from .linalg import LinComb, add_term
+from .scalar import Scalar, ZERO, ONE, _rat_str
 
 Symbol = tuple  # (tag, row, col, par)
 Monomial = tuple  # ((symbol, exp), ...)
@@ -73,13 +74,16 @@ def monomial_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-class Poly:
+class Poly(LinComb):
     """Sparse supercommutative polynomial with exact coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Optional[dict] = None):
         self.terms = terms if terms is not None else {}
+
+    def _like(self, terms: dict) -> "Poly":
+        return Poly(terms)
 
     @staticmethod
     def zero() -> "Poly":
@@ -97,9 +101,6 @@ class Poly:
     @staticmethod
     def from_symbol(sym: Symbol) -> "Poly":
         return Poly({((sym, 1),): ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -124,40 +125,8 @@ class Poly:
     def coeff(self, m: Monomial) -> Scalar:
         return self.terms.get(m, ZERO)
 
-    def constant_term(self) -> Scalar:
-        return self.terms.get((), ZERO)
-
-    def _add_term(self, m: Monomial, c: Scalar):
-        cur = self.terms.get(m)
-        tot = c if cur is None else cur + c
-        if tot:
-            self.terms[m] = tot
-        elif cur is not None:
-            del self.terms[m]
-
-    def __add__(self, other: "Poly") -> "Poly":
-        out = Poly(dict(self.terms))
-        for m, c in other.terms.items():
-            out._add_term(m, c)
-        return out
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        out = Poly(dict(self.terms))
-        for m, c in other.terms.items():
-            out._add_term(m, -c)
-        return out
-
-    def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
-
-    def scale(self, c) -> "Poly":
-        c = c if isinstance(c, Scalar) else Scalar(c)
-        if not c:
-            return Poly()
-        return Poly({m: cc * c for m, cc in self.terms.items()})
-
     def __mul__(self, other: "Poly") -> "Poly":
-        out = Poly()
+        out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 merged = _merge_monomials(m1, m2)
@@ -167,8 +136,8 @@ class Poly:
                 c = c1 * c2
                 if sgn:
                     c = -c
-                out._add_term(mono, c)
-        return out
+                add_term(out, mono, c)
+        return Poly(out)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -178,17 +147,8 @@ class Poly:
             out = out * self
         return out
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def map_coeffs(self, fn) -> "Poly":
-        out = Poly()
-        for m, c in self.terms.items():
-            out._add_term(m, fn(c))
-        return out
 
     def pretty(self) -> str:
         return pretty(self)
@@ -215,7 +175,7 @@ class DerivationSpec:
         self.images = images
 
     def apply(self, p: Poly) -> Poly:
-        out = Poly()
+        out = {}
         for m, c in p.terms.items():
             prefix_par = 0
             for idx in range(len(m)):
@@ -230,9 +190,9 @@ class DerivationSpec:
                         rest = ((s, e - 1),) + rest
                     term = Poly({m[:idx]: coeff}) * img * Poly({rest: ONE})
                     for mm, cc in term.terms.items():
-                        out._add_term(mm, cc)
+                        add_term(out, mm, cc)
                 prefix_par ^= (e & 1) & s[3]
-        return out
+        return Poly(out)
 
 
 class StarSpec:
@@ -249,7 +209,7 @@ class StarSpec:
         self.images = images
 
     def apply(self, p: Poly) -> Poly:
-        out = Poly()
+        out = {}
         for m, c in p.terms.items():
             prod = Poly.from_scalar(c.conj())
             for s, e in reversed(m):
@@ -259,54 +219,38 @@ class StarSpec:
                 for _ in range(e):
                     prod = prod * img
             for mm, cc in prod.terms.items():
-                out._add_term(mm, cc)
-        return out
+                add_term(out, mm, cc)
+        return Poly(out)
 
 
 def _scalar_body(c: Scalar):
     """Render a Scalar as (negative?, body-string) in CLI grammar."""
     if c.im == 0:
-        neg = c.re < 0
-        q = -c.re if neg else c.re
-        return neg, _rat_body(q)
+        return c.re < 0, _rat_str(abs(c.re))
+    im_body = "i" if abs(c.im) == 1 else f"{_rat_str(abs(c.im))}*i"
     if c.re == 0:
-        neg = c.im < 0
-        b = -c.im if neg else c.im
-        if b == 1:
-            return neg, "i"
-        return neg, f"{_rat_body(b)}*i"
+        return c.im < 0, im_body
     # both parts nonzero: parenthesized sum, never negated from outside
-    re_neg = c.re < 0
-    re_q = -c.re if re_neg else c.re
-    im_neg = c.im < 0
-    im_q = -c.im if im_neg else c.im
-    im_body = "i" if im_q == 1 else f"{_rat_body(im_q)}*i"
-    head = f"-{_rat_body(re_q)}" if re_neg else _rat_body(re_q)
-    op = "-" if im_neg else "+"
-    return False, f"({head} {op} {im_body})"
+    return False, f"({_rat_str(c.re)} {'-' if c.im < 0 else '+'} {im_body})"
 
 
-def _rat_body(q) -> str:
-    num, den = q.numerator, q.denominator
-    return str(num) if den == 1 else f"{num}/{den}"
+def render_terms(terms: dict, order, factor_names) -> str:
+    """Render a linear combination in the CLI expression grammar.
 
-
-def pretty(p: Poly) -> str:
-    """Render a Poly in the CLI expression grammar (re-parseable)."""
-    if not p.terms:
+    ``order`` is the sort key of the terms' keys and ``factor_names(key)``
+    lists the printed factors of one key (none for the constant term).
+    """
+    if not terms:
         return "0"
     parts = []
-    for m in sorted(p.terms, key=lambda mm: (monomial_degree(mm), mm)):
-        c = p.terms[m]
-        factors = []
-        for s, e in m:
-            name = f"{s[0]}[{s[1]},{s[2]}]"
-            factors.append(name if e == 1 else f"{name}^{e}")
+    for key in sorted(terms, key=order):
+        c = terms[key]
+        factors = factor_names(key)
         if not factors:
             neg, body = _scalar_body(c)
-        elif c == Scalar(1):
+        elif c == ONE:
             neg, body = False, "*".join(factors)
-        elif c == Scalar(-1):
+        elif c == -ONE:
             neg, body = True, "*".join(factors)
         else:
             neg, cbody = _scalar_body(c)
@@ -321,3 +265,16 @@ def pretty(p: Poly) -> str:
     for neg, body in parts[1:]:
         out += (" - " if neg else " + ") + body
     return out
+
+
+def _monomial_factors(m: Monomial) -> list:
+    return [
+        f"{s[0]}[{s[1]},{s[2]}]" + ("" if e == 1 else f"^{e}") for s, e in m
+    ]
+
+
+def pretty(p: Poly) -> str:
+    """Render a Poly in the CLI expression grammar (re-parseable)."""
+    return render_terms(
+        p.terms, lambda m: (monomial_degree(m), m), _monomial_factors
+    )

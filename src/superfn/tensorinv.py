@@ -16,12 +16,13 @@ k != l carry no invariants at all (the grading element acts by k - l).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import permutations, product as _iproduct
 
-from .cg import DimCapError
+from .cg import DimCapError, _case, _report
 from .grading import Dims
-from .linalg import SparseEchelon, kernel_dense
-from .scalar import Scalar, ZERO, ONE
+from .linalg import SparseEchelon, add_term, kernel_dense
+from .scalar import Scalar, ONE
 from .ugl import TVec
 
 SUBSPACE_CAP = 10000
@@ -38,14 +39,14 @@ def _check_subspace_cap(dims: Dims, slots: int):
 def swap_slots(tv: TVec, i: int) -> TVec:
     """Graded swap of slots i, i+1 (0-based); both slots must be V."""
     dims = tv.dims
-    out = TVec(dims, tv.factors)
-    for idx, c in tv.comps.items():
+    out = {}
+    for idx, c in tv.terms.items():
         new = idx[:i] + (idx[i + 1], idx[i]) + idx[i + 2:]
         coeff = c
         if dims.par(idx[i]) and dims.par(idx[i + 1]):
             coeff = -coeff
-        out._add(new, coeff)
-    return out
+        add_term(out, new, coeff)
+    return TVec(dims, tv.factors, out)
 
 
 def _adjacent_factorization(sigma: tuple) -> list:
@@ -98,13 +99,13 @@ def sergeev_invariant(dims: Dims, sigma, d: int) -> TVec:
         raise ValueError(f"{sigma!r} is not a permutation of 1..{d}")
     _check_subspace_cap(dims, 2 * d)
     factors = ("v",) * d + ("vb",) * d
-    out = TVec(dims, factors)
+    out = {}
     for a in _iproduct(dims.indices(), repeat=d):
         pars = tuple(dims.par(x) for x in a)
         sgn = sergeev_sign(sigma0, pars)
         idx = tuple(a[sigma0[p]] for p in range(d)) + tuple(reversed(a))
-        out._add(idx, Scalar(-1) if sgn else ONE)
-    return out
+        add_term(out, idx, Scalar(-1) if sgn else ONE)
+    return TVec(dims, factors, out)
 
 
 def invariant_subspace(dims: Dims, k: int, l: int) -> list:
@@ -119,13 +120,13 @@ def invariant_subspace(dims: Dims, k: int, l: int) -> list:
             outputs: dict = {}
             for idx in basis:
                 acted = TVec.basis(dims, factors, idx).act_letter(a, b)
-                for out_idx, c in acted.comps.items():
+                for out_idx, c in acted.terms.items():
                     outputs.setdefault(out_idx, {})[pos[idx]] = c
             rows.extend(outputs.values())
     vectors = []
     for sol in kernel_dense(rows, len(basis)):
-        comps = {basis[i]: c for i, c in enumerate(sol) if c}
-        vectors.append(TVec(dims, factors, comps))
+        terms = {basis[i]: c for i, c in enumerate(sol) if c}
+        vectors.append(TVec(dims, factors, terms))
     return vectors
 
 
@@ -133,15 +134,15 @@ def span_rank(vectors) -> int:
     """Rank of a list of TVec over Q(i)."""
     ech = SparseEchelon()
     for v in vectors:
-        ech.insert(dict(v.comps))
+        ech.insert(dict(v.terms))
     return ech.rank
 
 
 def contains_vector(vectors, target: TVec) -> bool:
     ech = SparseEchelon()
     for v in vectors:
-        ech.insert(dict(v.comps))
-    return ech.contains(dict(target.comps))
+        ech.insert(dict(v.terms))
+    return ech.contains(dict(target.terms))
 
 
 def _letter_matrix(dims: Dims, factors: tuple, letter: tuple) -> dict:
@@ -149,8 +150,8 @@ def _letter_matrix(dims: Dims, factors: tuple, letter: tuple) -> dict:
     mat = {}
     for idx in _iproduct(dims.indices(), repeat=len(factors)):
         acted = TVec.basis(dims, factors, idx).act_letter(*letter)
-        if acted.comps:
-            mat[idx] = list(acted.comps.items())
+        if acted.terms:
+            mat[idx] = list(acted.terms.items())
     return mat
 
 
@@ -180,27 +181,19 @@ def supercommutant_basis(dims: Dims, d: int) -> list:
         for letter in letters:
             q = dims.letter_par(*letter)
             mat = mats[letter]
-            constraints: dict = {}
-
-            def bump(key, j, c):
-                row = constraints.setdefault(key, {})
-                row[j] = row.get(j, ZERO) + c
-
+            constraints = defaultdict(dict)
             # (pi(E) phi)[o2, i]: picks up phi[o, i] with weight pi(E)[o2, o]
             for (o, i) in unknowns:
                 for o2, c in mat.get(o, ()):
-                    bump((o2, i), upos[(o, i)], c)
+                    add_term(constraints[(o2, i)], upos[(o, i)], c)
             # -(-1)^{qp} (phi pi(E))[o, i2]: pi(E)[i_mid, i2] weights phi[o, i_mid]
             for i2 in basis:
                 for i_mid, c in mat.get(i2, ()):
                     w = c if (q and p) else -c
                     for o in basis:
                         if (par[o] ^ par[i_mid]) == p:
-                            bump((o, i2), upos[(o, i_mid)], w)
-            rows.extend(
-                {j: c for j, c in row.items() if c}
-                for row in constraints.values()
-            )
+                            add_term(constraints[(o, i2)], upos[(o, i_mid)], w)
+            rows.extend(constraints.values())
         for sol in kernel_dense(rows, len(unknowns)):
             op = {unknowns[j]: c for j, c in enumerate(sol) if c}
             out.append(op)
@@ -213,7 +206,7 @@ def rho_operator(dims: Dims, sigma: tuple, d: int) -> dict:
     factors = ("v",) * d
     for idx in _iproduct(dims.indices(), repeat=d):
         moved = rho(sigma, TVec.basis(dims, factors, idx))
-        for out_idx, c in moved.comps.items():
+        for out_idx, c in moved.terms.items():
             op[(out_idx, idx)] = c
     return op
 
@@ -230,30 +223,18 @@ def verify_fft(dims: Dims, dmax: int, mixed_total: int = 4,
             for sigma in permutations(range(1, d + 1))
         ]
         member = all(contains_vector(invs, s) for s in serg)
-        cases.append(
-            {
-                "name": f"d={d}: Sergeev elements are invariant",
-                "passed": member,
-            }
-        )
+        cases.append(_case(f"d={d}: Sergeev elements are invariant", member))
         rank = span_rank(serg)
-        cases.append(
-            {
-                "name": f"d={d}: Sergeev rank {rank} = invariant dim {len(invs)}",
-                "passed": rank == len(invs),
-            }
-        )
+        cases.append(_case(
+            f"d={d}: Sergeev rank {rank} = invariant dim {len(invs)}",
+            rank == len(invs),
+        ))
     for k in range(mixed_total + 1):
         for l in range(mixed_total + 1 - k):
             if k == l or dims.size ** (k + l) > SUBSPACE_CAP:
                 continue
             dim = len(invariant_subspace(dims, k, l))
-            cases.append(
-                {
-                    "name": f"mixed ({k},{l}) invariants vanish",
-                    "passed": dim == 0,
-                }
-            )
+            cases.append(_case(f"mixed ({k},{l}) invariants vanish", dim == 0))
     if commutant_d:
         d = commutant_d
         comm = supercommutant_basis(dims, d)
@@ -266,17 +247,9 @@ def verify_fft(dims: Dims, dmax: int, mixed_total: int = 4,
         for op in comm:
             ech.insert(dict(op))
         equal = len(comm) == rho_rank == ech.rank
-        cases.append(
-            {
-                "name": (
-                    f"d={d}: centralizer dim {len(comm)} = "
-                    f"group-algebra image dim {rho_rank}"
-                ),
-                "passed": equal,
-            }
-        )
-    return {
-        "suite": "fft",
-        "cases": cases,
-        "passed": all(c["passed"] for c in cases),
-    }
+        cases.append(_case(
+            f"d={d}: centralizer dim {len(comm)} = "
+            f"group-algebra image dim {rho_rank}",
+            equal,
+        ))
+    return _report("fft", cases)

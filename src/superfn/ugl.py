@@ -16,6 +16,7 @@ from itertools import product as _iproduct
 from typing import Iterable, Optional
 
 from .grading import Dims
+from .linalg import LinComb, add_term
 from .scalar import Scalar, ZERO, ONE
 
 Letter = tuple  # (row, col)
@@ -56,12 +57,11 @@ def bracket(dims: Dims, x: Letter, y: Letter) -> dict:
     c, d = y
     out = {}
     if b == c:
-        out[(a, d)] = out.get((a, d), ZERO) + ONE
+        add_term(out, (a, d), ONE)
     if a == d:
         sgn = (dims.letter_par(a, b) * dims.letter_par(c, d)) & 1
-        coeff = Scalar(-1) if not sgn else ONE
-        out[(c, b)] = out.get((c, b), ZERO) + coeff
-    return {k: v for k, v in out.items() if v}
+        add_term(out, (c, b), Scalar(-1) if not sgn else ONE)
+    return out
 
 
 _normalize_cache: dict = {}
@@ -92,20 +92,11 @@ def _normalize_word(dims: Dims, word: Word) -> dict:
     swap_coeff = Scalar(-1) if sgn else ONE
     swapped = word[:pivot] + (y, x) + word[pivot + 2:]
     for w, c in _normalize_word(dims, swapped).items():
-        c2 = c * swap_coeff
-        cur = out.get(w, ZERO) + c2
-        if cur:
-            out[w] = cur
-        elif w in out:
-            del out[w]
+        add_term(out, w, c * swap_coeff)
     for letter, bc in bracket(dims, x, y).items():
         shorter = word[:pivot] + (letter,) + word[pivot + 2:]
         for w, c in _normalize_word(dims, shorter).items():
-            cur = out.get(w, ZERO) + c * bc
-            if cur:
-                out[w] = cur
-            elif w in out:
-                del out[w]
+            add_term(out, w, c * bc)
     _normalize_cache[key] = out
     return out
 
@@ -114,14 +105,20 @@ def word_parity(dims: Dims, word: Word) -> int:
     return sum(dims.letter_par(a, b) for a, b in word) & 1
 
 
-class UEl:
+class UEl(LinComb):
     """An element of U(gl(m|n)), stored on the PBW basis."""
 
-    __slots__ = ("dims", "terms")
+    __slots__ = ("dims",)
 
     def __init__(self, dims: Dims, terms: Optional[dict] = None):
         self.dims = dims
         self.terms = terms if terms is not None else {}
+
+    def _like(self, terms: dict) -> "UEl":
+        return UEl(self.dims, terms)
+
+    def _shape(self):
+        return self.dims
 
     @staticmethod
     def zero(dims: Dims) -> "UEl":
@@ -147,21 +144,7 @@ class UEl:
         for a, b in w:
             dims.par(a), dims.par(b)
         _check_cap(len(w))
-        out = UEl(dims)
-        for ww, c in _normalize_word(dims, w).items():
-            out._add_term(ww, c)
-        return out
-
-    def _add_term(self, w: Word, c: Scalar):
-        cur = self.terms.get(w)
-        tot = c if cur is None else cur + c
-        if tot:
-            self.terms[w] = tot
-        elif cur is not None:
-            del self.terms[w]
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return UEl(dims, dict(_normalize_word(dims, w)))
 
     def degree(self) -> int:
         if not self.terms:
@@ -174,39 +157,17 @@ class UEl:
             return pars.pop()
         return None
 
-    def __add__(self, other: "UEl") -> "UEl":
-        self._check_dims(other)
-        out = UEl(self.dims, dict(self.terms))
-        for w, c in other.terms.items():
-            out._add_term(w, c)
-        return out
-
-    def __sub__(self, other: "UEl") -> "UEl":
-        self._check_dims(other)
-        out = UEl(self.dims, dict(self.terms))
-        for w, c in other.terms.items():
-            out._add_term(w, -c)
-        return out
-
-    def __neg__(self) -> "UEl":
-        return UEl(self.dims, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, c) -> "UEl":
-        c = c if isinstance(c, Scalar) else Scalar(c)
-        if not c:
-            return UEl(self.dims)
-        return UEl(self.dims, {w: cc * c for w, cc in self.terms.items()})
-
     def __mul__(self, other: "UEl") -> "UEl":
-        self._check_dims(other)
-        out = UEl(self.dims)
+        self._check(other)
+        if self.terms and other.terms:
+            _check_cap(self.degree() + other.degree())
+        out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                _check_cap(len(w1) + len(w2))
                 c = c1 * c2
                 for w, cc in _normalize_word(self.dims, w1 + w2).items():
-                    out._add_term(w, c * cc)
-        return out
+                    add_term(out, w, c * cc)
+        return UEl(self.dims, out)
 
     def __pow__(self, k: int) -> "UEl":
         if k < 0:
@@ -216,41 +177,30 @@ class UEl:
             out = out * self
         return out
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UEl)
-            and self.dims == other.dims
-            and self.terms == other.terms
-        )
-
     def counit(self) -> Scalar:
         """epsilon: the coefficient of the empty word."""
         return self.terms.get((), ZERO)
 
     def antipode(self) -> "UEl":
         """S(x) = -x on letters, extended as a graded anti-automorphism."""
-        out = UEl(self.dims)
+        out = {}
         for w, c in self.terms.items():
             odd = sum(self.dims.letter_par(a, b) for a, b in w)
             sgn = (len(w) + odd * (odd - 1) // 2) & 1
             coeff = -c if sgn else c
             for ww, cc in _normalize_word(self.dims, tuple(reversed(w))).items():
-                out._add_term(ww, coeff * cc)
-        return out
+                add_term(out, ww, coeff * cc)
+        return UEl(self.dims, out)
 
     def theta_star(self) -> "UEl":
         """The conjugate-linear anti-automorphism with E_ab -> E_ba."""
-        out = UEl(self.dims)
+        out = {}
         for w, c in self.terms.items():
             flipped = tuple((b, a) for a, b in reversed(w))
             coeff = c.conj()
             for ww, cc in _normalize_word(self.dims, flipped).items():
-                out._add_term(ww, coeff * cc)
-        return out
-
-    def _check_dims(self, other: "UEl"):
-        if self.dims != other.dims:
-            raise ValueError("mismatched gl(m|n) dimensions")
+                add_term(out, ww, coeff * cc)
+        return UEl(self.dims, out)
 
     def __repr__(self):
         if not self.terms:
@@ -291,7 +241,7 @@ def split_word(dims: Dims, word: Word, slots: int):
         yield subwords, sign
 
 
-class TVec:
+class TVec(LinComb):
     """An element of a tensor module V^{(x)k} (x) V*^{(x)l}.
 
     ``factors`` is a tuple of ``"v"`` / ``"vb"`` marking each slot as the
@@ -300,12 +250,18 @@ class TVec:
     are stored on the index-tuple basis.
     """
 
-    __slots__ = ("dims", "factors", "comps")
+    __slots__ = ("dims", "factors")
 
-    def __init__(self, dims: Dims, factors: tuple, comps: Optional[dict] = None):
+    def __init__(self, dims: Dims, factors: tuple, terms: Optional[dict] = None):
         self.dims = dims
         self.factors = tuple(factors)
-        self.comps = comps if comps is not None else {}
+        self.terms = terms if terms is not None else {}
+
+    def _like(self, terms: dict) -> "TVec":
+        return TVec(self.dims, self.factors, terms)
+
+    def _shape(self):
+        return self.dims, self.factors
 
     @staticmethod
     def basis(dims: Dims, factors, idx) -> "TVec":
@@ -317,52 +273,13 @@ class TVec:
             dims.par(a)
         return TVec(dims, factors, {idx: ONE})
 
-    def _add(self, idx: tuple, c: Scalar):
-        cur = self.comps.get(idx)
-        tot = c if cur is None else cur + c
-        if tot:
-            self.comps[idx] = tot
-        elif cur is not None:
-            del self.comps[idx]
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __add__(self, other: "TVec") -> "TVec":
-        out = TVec(self.dims, self.factors, dict(self.comps))
-        for idx, c in other.comps.items():
-            out._add(idx, c)
-        return out
-
-    def __sub__(self, other: "TVec") -> "TVec":
-        out = TVec(self.dims, self.factors, dict(self.comps))
-        for idx, c in other.comps.items():
-            out._add(idx, -c)
-        return out
-
-    def scale(self, c) -> "TVec":
-        c = c if isinstance(c, Scalar) else Scalar(c)
-        if not c:
-            return TVec(self.dims, self.factors)
-        return TVec(
-            self.dims, self.factors, {i: cc * c for i, cc in self.comps.items()}
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TVec)
-            and self.dims == other.dims
-            and self.factors == other.factors
-            and self.comps == other.comps
-        )
-
     def act_letter(self, a: int, b: int) -> "TVec":
         """Apply E_ab by the graded Leibniz rule across the slots."""
         dims = self.dims
         xpar = dims.letter_par(a, b)
-        out = TVec(dims, self.factors)
+        out = {}
         vb_coeff = Scalar(-1) if (dims.par(a) * (1 + dims.par(b))) % 2 == 0 else ONE
-        for idx, c in self.comps.items():
+        for idx, c in self.terms.items():
             prefix = 0
             for j, kind in enumerate(self.factors):
                 coeff = c
@@ -370,12 +287,12 @@ class TVec:
                     coeff = -coeff
                 if kind == "v":
                     if idx[j] == b:
-                        out._add(idx[:j] + (a,) + idx[j + 1:], coeff)
+                        add_term(out, idx[:j] + (a,) + idx[j + 1:], coeff)
                 else:
                     if idx[j] == a:
-                        out._add(idx[:j] + (b,) + idx[j + 1:], coeff * vb_coeff)
+                        add_term(out, idx[:j] + (b,) + idx[j + 1:], coeff * vb_coeff)
                 prefix ^= dims.par(idx[j])
-        return out
+        return TVec(dims, self.factors, out)
 
     def act_word(self, word: Word) -> "TVec":
         """Apply a word outermost-first: the last letter acts first."""
@@ -387,23 +304,19 @@ class TVec:
     def act(self, u: UEl) -> "TVec":
         if u.dims != self.dims:
             raise ValueError("mismatched gl(m|n) dimensions")
-        out = TVec(self.dims, self.factors)
+        out = {}
         for w, c in u.terms.items():
-            moved = self.act_word(w)
-            for idx, cc in moved.comps.items():
-                out._add(idx, cc * c)
-        return out
+            for idx, cc in self.act_word(w).terms.items():
+                add_term(out, idx, cc * c)
+        return TVec(self.dims, self.factors, out)
 
     def __repr__(self):
-        return f"TVec({self.factors}, {self.comps})"
+        return f"TVec({self.factors}, {self.terms})"
 
 
 def z_central(dims: Dims) -> UEl:
     """The grading element sum_a E_aa."""
-    out = UEl(dims)
-    for a in dims.indices():
-        out._add_term(((a, a),), ONE)
-    return out
+    return UEl(dims, {((a, a),): ONE for a in dims.indices()})
 
 
 def casimir(dims: Dims) -> UEl:

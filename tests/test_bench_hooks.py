@@ -1,0 +1,46 @@
+"""The benchmark's hook points in superfn still exist where it patches them.
+
+``perfbench/spans.py`` wraps functions by module attribute and replaces
+methods through ``cls.__dict__[attr]``, so a method inherited from a base
+class would break traced runs only.  This test fails first instead.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _spans()
+
+
+def _resolve(module_name: str, path: str):
+    """What spans.py patches; a method must be in its own class's dict."""
+    module = importlib.import_module(f"superfn.{module_name}")
+    if "." not in path:
+        return getattr(module, path)
+    cls_name, attr = path.split(".")
+    return vars(getattr(module, cls_name))[attr]
+
+
+@pytest.mark.parametrize("name, module, path", spans.SPANS,
+                         ids=[name for name, _, _ in spans.SPANS])
+def test_span_target_is_patchable(name, module, path):
+    assert callable(_resolve(module, path))
+
+
+def test_counter_targets_are_patchable():
+    for op in spans.Counter.SCALAR_OPS:
+        assert callable(_resolve("scalar", f"Scalar.{op}"))
+    assert callable(_resolve("grassmann", "GEl.__mul__"))

@@ -263,3 +263,27 @@ def test_unknown_mode_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--m", "1", "--n", "1", "--mode", "bogus", "iszero", "r"])
     assert exc.value.code == 2
+
+
+def test_verify_maxrank_honours_mode(capsys):
+    def cases(*extra):
+        code, out, _ = run(capsys, "--m", "1", "--n", "1", "verify",
+                           "--suite", "maxrank", "--json", *extra)
+        assert code == 0
+        return json.loads(out)["cases"]
+
+    generic = cases()
+    pairing = cases("--mode", "pairing")
+    oracle = [(g, p) for g, p in zip(generic, pairing) if "failure_bound" in g]
+    assert len(oracle) == 10
+    for g, p in oracle:
+        assert (p["name"], p["verdict"]) == (g["name"], g["verdict"])
+        assert p["witness"]["oracle"] == g["witness"]["oracle"]
+        assert (g["witness"]["mode"], p["witness"]["mode"]) == \
+            ("generic", "pairing")
+        assert p["failure_bound"] == "0"
+    # from (2,1) up, c_poly^2 outgrows the pairing workspace cap
+    code, out, err = run(capsys, "--m", "2", "--n", "1", "verify",
+                         "--suite", "maxrank", "--mode", "pairing")
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap:")

@@ -134,24 +134,33 @@ def test_pretty_basics():
 
 
 def test_pretty_reparses_to_equal_value(rng=random.Random(5)):
-    from superfn.cli import ExprContext, parse_expr
+    """Both printers, Poly.pretty and the CLI's u_pretty for U(gl(m|n)),
+    print random elements that reparse to the same value."""
+    from superfn.cli import ExprContext, parse_expr, u_pretty
     from superfn.grading import Dims
     from superfn.cg import CG
+    from superfn.ugl import UEl
 
-    d = Dims(1, 1)
-    ctx = ExprContext(d)
-    gens = [CG.t(d, a, b) for a in d.indices() for b in d.indices()]
-    gens += [CG.tbar(d, a, b) for a in d.indices() for b in d.indices()]
     coeffs = [Scalar(1), Scalar(-2), Scalar(0, 1),
               Scalar(1) / Scalar(3), Scalar(-1, 2)]
-    for _ in range(200):
-        f = CG.zero(d)
-        for _ in range(rng.randint(0, 4)):
-            term = CG.from_scalar(d, rng.choice(coeffs))
-            for _ in range(rng.randint(0, 3)):
-                term = term * rng.choice(gens)
-            f = f + term
-        side, value = ctx.evaluate(parse_expr(f.pretty()))
-        if side is None:
-            value = CG.from_scalar(d, value)
-        assert value == f
+    d = Dims(1, 1)
+    gens = [CG.t(d, a, b) for a in d.indices() for b in d.indices()]
+    gens += [CG.tbar(d, a, b) for a in d.indices() for b in d.indices()]
+    sides = [(d, CG, gens, CG.pretty)]
+    for d in (Dims(1, 1), Dims(2, 1)):
+        letters = [UEl.letter(d, a, b) for a in d.indices()
+                   for b in d.indices()]
+        sides.append((d, UEl, letters, u_pretty))
+    for d, cls, gens, show in sides:
+        ctx = ExprContext(d)
+        for _ in range(200):
+            f = cls.zero(d)
+            for _ in range(rng.randint(0, 4)):
+                term = cls.from_scalar(d, rng.choice(coeffs))
+                for _ in range(rng.randint(0, 3)):
+                    term = term * rng.choice(gens)
+                f = f + term
+            side, value = ctx.evaluate(parse_expr(show(f)))
+            if side is None:
+                value = cls.from_scalar(d, value)
+            assert value == f, show(f)

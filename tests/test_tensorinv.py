@@ -54,7 +54,7 @@ def test_sergeev_sign_examples():
 def test_sergeev_identity_element():
     # P_id = sum_a v_a (x) vbar_a, every coefficient +1
     p = sergeev_invariant(D11, (1,), 1)
-    assert p.comps == {(1, 1): ONE, (2, 2): ONE}
+    assert p.terms == {(1, 1): ONE, (2, 2): ONE}
 
 
 def test_sergeev_elements_are_invariant():
@@ -136,12 +136,12 @@ def test_commutant_operators_supercommute_with_letters():
                         if i2 != i:
                             continue
                         moved = TVec.basis(D11, ("v", "v"), o).act_letter(a, b)
-                        for o2, c2 in moved.comps.items():
+                        for o2, c2 in moved.terms.items():
                             lhs[o2] = lhs.get(o2, ZERO) + c * c2
                     # (-1)^{qp} (phi pi(E))(e_i)
                     rhs: dict = {}
                     moved = TVec.basis(D11, ("v", "v"), i).act_letter(a, b)
-                    for i_mid, c2 in moved.comps.items():
+                    for i_mid, c2 in moved.terms.items():
                         for (o, i3), c in op.items():
                             if i3 != i_mid:
                                 continue

@@ -170,7 +170,7 @@ def test_vector_action_values():
     # E_ab v_c = delta_bc v_a
     v2 = TVec.basis(D11, ("v",), (2,))
     assert v2.act_word(((1, 2),)) == TVec.basis(D11, ("v",), (1,))
-    assert v2.act_word(((2, 1),)).comps == {}
+    assert v2.act_word(((2, 1),)).terms == {}
     # E_ab vb_c = -(-1)^{[a]([b]+1)} delta_ac vb_b; at a=1,b=2: -(+1) = -1
     vb1 = TVec.basis(D11, ("vb",), (1,))
     out = vb1.act_word(((1, 2),))
