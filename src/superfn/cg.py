@@ -47,7 +47,7 @@ from .superpoly import (
     monomial_parity,
     symbol,
 )
-from .ugl import TVec, UEl
+from .ugl import TVec, UEl, letter_matrix
 
 PAIRING_FLAT_CAP = 5000
 
@@ -548,23 +548,13 @@ def pairing_certificate(f: CG) -> bool:
             f"pairing oracle workspace {flat} exceeds cap {PAIRING_FLAT_CAP}"
         )
     letters = [(a, b) for a in dims.indices() for b in dims.indices()]
-    tables = []  # per shape: {letter: {in_basis: [(out_basis, coeff), ...]}}
-    bases = []
-    for sh in shapes:
-        basis_list = list(_iproduct(dims.indices(), repeat=len(sh)))
-        bases.append(basis_list)
-        tab = {}
-        for letter in letters:
-            col = {}
-            for idx in basis_list:
-                vec = TVec.basis(dims, sh, idx).act_letter(*letter)
-                if vec.terms:
-                    col[idx] = list(vec.terms.items())
-            tab[letter] = col
-        tables.append(tab)
+    tables = [  # per shape: {letter: {in_basis: [(out_basis, coeff), ...]}}
+        {letter: letter_matrix(dims, sh, letter) for letter in letters}
+        for sh in shapes
+    ]
     ident = {}
-    for si, basis_list in enumerate(bases):
-        for idx in basis_list:
+    for si, sh in enumerate(shapes):
+        for idx in _iproduct(dims.indices(), repeat=len(sh)):
             ident[(si, idx, idx)] = ONE
     ech = SparseEchelon()
     ech.insert(ident, payload=())

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .grading import Dims
-from .linalg import LinComb, add_term
+from .linalg import LinComb, SparseEchelon, add_term
 from .scalar import Scalar, ZERO, ONE, I, _rat_str, sign_pow
 
 _BODY_BOUND = 2 ** 20
@@ -255,26 +255,19 @@ class SMat:
 
 
 def _invert_scalar_matrix(mat: list) -> list:
+    """Inverse of a square Scalar matrix: reduce [A | I] to [I | A^{-1}]."""
     size = len(mat)
-    aug = [
-        [mat[i][j] for j in range(size)]
-        + [ONE if i == j else ZERO for j in range(size)]
-        for i in range(size)
+    ech = SparseEchelon()
+    for i, row in enumerate(mat):
+        aug = {j: c for j, c in enumerate(row) if c}
+        aug[size + i] = ONE
+        ech.insert(aug)
+    if any(p not in ech.rows for p in range(size)):
+        raise ValueError("singular body matrix")
+    rows = ech.reduced()
+    return [
+        [rows[i].get(size + j, ZERO) for j in range(size)] for i in range(size)
     ]
-    for col in range(size):
-        piv = next(
-            (r for r in range(col, size) if aug[r][col]), None
-        )
-        if piv is None:
-            raise ValueError("singular body matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = ONE / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
 
 
 def random_even_invertible(dims: Dims, rng: random.Random) -> SMat:

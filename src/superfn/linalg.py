@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .scalar import Scalar, ONE
+from .scalar import Scalar, ZERO, ONE
 
 
 def add_term(terms: dict, key, c: Scalar):
@@ -118,47 +118,40 @@ class SparseEchelon:
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
+    def reduced(self) -> dict:
+        """Back-substitution: {pivot: row}, each row zero at every other pivot.
+
+        A row's keys are never below its pivot, so the rows are finished
+        from the highest pivot down, each cleared by the finished rows above.
+        """
+        out: dict = {}
+        for piv in sorted(self.rows, reverse=True):
+            row = dict(self.rows[piv])
+            for q in [k for k in row if k in out]:
+                c = -row[q]
+                for k, rv in out[q].items():
+                    add_term(row, k, c * rv)
+            out[piv] = row
+        return out
+
 
 def kernel_dense(constraint_rows, ncols: int) -> list:
     """Nullspace basis of a constraint matrix.
 
-    ``constraint_rows`` iterates dicts {col: Scalar} with 0 <= col < ncols;
-    returns a list of dense solution vectors (lists of Scalars), one per
-    free column, in reduced echelon normal form.
+    ``constraint_rows`` iterates dicts {col: Scalar} of nonzero entries with
+    0 <= col < ncols; returns a list of dense solution vectors (lists of
+    Scalars), one per free column in increasing order, in reduced echelon
+    normal form: 1 at its own free column and 0 at the others.
     """
-    zero = Scalar(0)
-    rref: list = []  # (pivot_col, dense row)
-    for sparse in constraint_rows:
-        row = [zero] * ncols
-        for k, c in sparse.items():
-            row[k] = c
-        for pc, rr in rref:
-            c = row[pc]
-            if c:
-                for j in range(ncols):
-                    if rr[j]:
-                        row[j] = row[j] - c * rr[j]
-        pivot = next((j for j in range(ncols) if row[j]), None)
-        if pivot is None:
-            continue
-        inv = ONE / row[pivot]
-        row = [c * inv for c in row]
-        for pc, rr in rref:
-            c = rr[pivot]
-            if c:
-                for j in range(ncols):
-                    if row[j]:
-                        rr[j] = rr[j] - c * row[j]
-        rref.append((pivot, row))
-    pivot_cols = {pc for pc, _ in rref}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [zero] * ncols
+    ech = SparseEchelon()
+    for row in constraint_rows:
+        ech.insert(row)
+    rows = ech.reduced()
+    basis = {free: [ZERO] * ncols for free in range(ncols) if free not in rows}
+    for free, vec in basis.items():
         vec[free] = ONE
-        for pc, rr in rref:
-            if rr[free]:
-                vec[pc] = -rr[free]
-        basis.append(vec)
-    return basis
+    for piv, row in rows.items():
+        for free, c in row.items():
+            if free != piv:
+                basis[free][piv] = -c
+    return list(basis.values())

@@ -23,7 +23,7 @@ from .cg import DimCapError, _case, _report
 from .grading import Dims
 from .linalg import SparseEchelon, add_term, kernel_dense
 from .scalar import Scalar, ONE
-from .ugl import TVec
+from .ugl import TVec, letter_matrix
 
 SUBSPACE_CAP = 10000
 
@@ -118,9 +118,8 @@ def invariant_subspace(dims: Dims, k: int, l: int) -> list:
     for a in dims.indices():
         for b in dims.indices():
             outputs: dict = {}
-            for idx in basis:
-                acted = TVec.basis(dims, factors, idx).act_letter(a, b)
-                for out_idx, c in acted.terms.items():
+            for idx, col in letter_matrix(dims, factors, (a, b)).items():
+                for out_idx, c in col:
                     outputs.setdefault(out_idx, {})[pos[idx]] = c
             rows.extend(outputs.values())
     vectors = []
@@ -145,16 +144,6 @@ def contains_vector(vectors, target: TVec) -> bool:
     return ech.contains(dict(target.terms))
 
 
-def _letter_matrix(dims: Dims, factors: tuple, letter: tuple) -> dict:
-    """pi(E_letter) as {in_idx: [(out_idx, coeff), ...]}."""
-    mat = {}
-    for idx in _iproduct(dims.indices(), repeat=len(factors)):
-        acted = TVec.basis(dims, factors, idx).act_letter(*letter)
-        if acted.terms:
-            mat[idx] = list(acted.terms.items())
-    return mat
-
-
 def supercommutant_basis(dims: Dims, d: int) -> list:
     """Basis of the graded centralizer of U(gl(m|n)) in End(V^{(x)d}).
 
@@ -170,7 +159,7 @@ def supercommutant_basis(dims: Dims, d: int) -> list:
         idx: sum(dims.par(x) for x in idx) & 1 for idx in basis
     }
     letters = [(a, b) for a in dims.indices() for b in dims.indices()]
-    mats = {letter: _letter_matrix(dims, factors, letter) for letter in letters}
+    mats = {letter: letter_matrix(dims, factors, letter) for letter in letters}
     out = []
     for p in (0, 1):
         unknowns = [

@@ -314,6 +314,20 @@ class TVec(LinComb):
         return f"TVec({self.factors}, {self.terms})"
 
 
+def letter_matrix(dims: Dims, factors: tuple, letter: Letter) -> dict:
+    """E_letter on the tensor module of ``factors``.
+
+    Returns {in_idx: [(out_idx, coeff), ...]} over the index-tuple basis in
+    ``itertools.product`` order, omitting the basis vectors E_letter kills.
+    """
+    mat = {}
+    for idx in _iproduct(dims.indices(), repeat=len(factors)):
+        acted = TVec.basis(dims, factors, idx).act_letter(*letter)
+        if acted.terms:
+            mat[idx] = list(acted.terms.items())
+    return mat
+
+
 def z_central(dims: Dims) -> UEl:
     """The grading element sum_a E_aa."""
     return UEl(dims, {((a, a),): ONE for a in dims.indices()})

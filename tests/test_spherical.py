@@ -1,6 +1,9 @@
 from fractions import Fraction
 
-from superfn.cg import CG, is_zero_mod_j
+import pytest
+
+from superfn import cg
+from superfn.cg import CG, DimCapError, is_zero_mod_j
 from superfn.grading import Dims
 from superfn.scalar import Scalar, sign_pow
 from superfn.spherical import (
@@ -238,3 +241,14 @@ def test_verify_invariance_small():
     rep = verify_invariance(
         D22, [LeviProfile.parse(D22, "2|1,1")], trials=2)
     assert rep["passed"], rep
+
+
+def test_t51_pairing_hits_the_workspace_cap_before_oracle_work(monkeypatch):
+    # r^4 at (1,1) needs a pairing workspace of 65536 > PAIRING_FLAT_CAP, so
+    # `verify --suite t51 --mode pairing` exits 3 at every dims
+    def no_oracle_work(*args):
+        raise AssertionError("pairing oracle started before the cap check")
+
+    monkeypatch.setattr(cg, "letter_matrix", no_oracle_work)
+    with pytest.raises(DimCapError, match="65536 exceeds cap 5000"):
+        is_zero_mod_j(r_func(D11) ** 4, mode="pairing")
