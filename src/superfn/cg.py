@@ -32,12 +32,14 @@ Duality with U(gl(m|n)) is the graded pairing determined by
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
 from typing import Optional
 
 from .grading import Dims
+from .grassmann import GroupPoint, random_even_invertible
 from .linalg import LinComb, SparseEchelon, add_term
 from .scalar import Scalar, ZERO, ONE, sign_pow
 from .superpoly import (
@@ -513,17 +515,51 @@ def is_zero_mod_j(
     raise ValueError(f"unknown oracle mode {mode!r}")
 
 
-def _generic_zero_test(f: CG, trials: int, seed: int) -> Verdict:
-    import random as _random
+# Generic-oracle points per (m, n, seed): [points, state], where state is
+# the random.Random(seed) state after drawing those points.  Both caps keep
+# memory bounded: a (3,2) point holds about 4 MB.
+_POINT_STREAMS_CAP = 8
+_POINTS_PER_STREAM_CAP = 8
+_point_memo: dict = {}
 
-    from .grassmann import GroupPoint, random_even_invertible
 
-    dims = f.dims
-    rng = _random.Random(seed)
-    for trial in range(1, trials + 1):
+def _oracle_points(dims: Dims, seed: int):
+    """Yield the generic-oracle points for (dims, seed), trial 1 first.
+
+    Trial k's point is the k-th matrix that ``random_even_invertible`` draws
+    from ``random.Random(seed)``, built lazily.  The first
+    ``_POINTS_PER_STREAM_CAP`` are kept; later ones are built from a copy of
+    the saved RNG state and dropped.  At most ``_POINT_STREAMS_CAP`` streams
+    are kept, the least recently used evicted first.
+    """
+    def build(rng):
         mat = random_even_invertible(dims, rng)
-        point = GroupPoint.from_matrix(dims, mat, validate=False)
-        if not point.evaluate(f).is_zero():
+        return GroupPoint.from_matrix(dims, mat, validate=False)
+
+    key = (dims.m, dims.n, seed)
+    stream = _point_memo.pop(key, None)
+    if stream is None:
+        stream = [[], random.Random(seed).getstate()]
+        if len(_point_memo) >= _POINT_STREAMS_CAP:
+            del _point_memo[next(iter(_point_memo))]
+    _point_memo[key] = stream
+    points = stream[0]
+    rng = random.Random()
+    for k in range(_POINTS_PER_STREAM_CAP):
+        if k == len(points):
+            rng.setstate(stream[1])
+            points.append(build(rng))
+            stream[1] = rng.getstate()
+        yield points[k]
+    rng.setstate(stream[1])
+    while True:
+        yield build(rng)
+
+
+def _generic_zero_test(f: CG, trials: int, seed: int) -> Verdict:
+    points = _oracle_points(f.dims, seed)
+    for trial in range(1, trials + 1):
+        if not next(points).evaluate(f).is_zero():
             return Verdict("nonzero", "generic", trial, seed, "0")
     bound = Fraction(max(f.poly.degree(), 1), 2 ** 20) ** trials
     return Verdict("zero", "generic", trials, seed, str(bound))

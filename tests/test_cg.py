@@ -1,7 +1,11 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
+import pytest
+
+from superfn import cg, grassmann
 from superfn.cg import (
     CG,
     antipode_convolution,
@@ -21,6 +25,7 @@ from superfn.ugl import UEl
 
 D11 = Dims(1, 1)
 D21 = Dims(2, 1)
+D12 = Dims(1, 2)
 
 
 def all_gens(dims):
@@ -266,3 +271,121 @@ def test_verify_hopf_both_modes():
     assert rep["passed"], rep
     rep = verify_hopf(D11, mode="generic")
     assert rep["passed"], rep
+
+
+# ------------------------------------------------ generic-oracle point memo
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """Start the test with an empty point memo; log each body inversion."""
+    monkeypatch.setattr(cg, "_point_memo", {})
+    inversions = []
+    invert = grassmann._invert_scalar_matrix
+
+    def counting(mat):
+        inversions.append(len(mat))
+        return invert(mat)
+
+    monkeypatch.setattr(grassmann, "_invert_scalar_matrix", counting)
+    return inversions
+
+
+def reference_points(dims, seed, count):
+    """The first ``count`` oracle points, drawn from a fresh RNG."""
+    rng = random.Random(seed)
+    return [
+        GroupPoint.from_matrix(dims, random_even_invertible(dims, rng),
+                               validate=False)
+        for _ in range(count)
+    ]
+
+
+def reference_verdict(f, trials, seed, points):
+    """What the generic oracle must answer: points[k - 1] is trial k."""
+    for trial, point in enumerate(points[:trials], 1):
+        if not point.evaluate(f).is_zero():
+            return {"verdict": "nonzero", "mode": "generic", "trials": trial,
+                    "seed": seed, "failure_bound": "0"}
+    bound = Fraction(max(f.degree(), 1), 2 ** 20) ** trials
+    return {"verdict": "zero", "mode": "generic", "trials": trials,
+            "seed": seed, "failure_bound": str(bound)}
+
+
+def vanishing_at(dims, points):
+    """(1 + a J element) * prod (t[1,1] - t[1,1](P)) over the given points:
+    zero at each of them, nonzero mod J."""
+    t11 = CG.t(dims, 1, 1)
+    f = relations(dims)[-1] + CG.one(dims)
+    for p in points:
+        f = f * (t11 - CG.from_scalar(dims, p.t_img[(1, 1)].body()))
+    return f
+
+
+def oracle_corpus(dims, points):
+    """J elements, J elements plus a constant, and elements whose first
+    nonzero trial is k for k = 1..len(points)."""
+    rels = relations(dims)
+    corpus = [rels[0], rels[-1] * CG.t(dims, 1, 1),
+              rels[0] + CG.from_scalar(dims, 3)]
+    corpus += [vanishing_at(dims, points[:k]) for k in range(len(points))]
+    return corpus
+
+
+@pytest.mark.parametrize("dims", [D11, D21, D12], ids=["11", "21", "12"])
+def test_point_memo_matches_fresh_rng_reference(inversions, dims):
+    nonzero_trials = set()
+    for seed in (0, 7, 2 ** 31 - 1):
+        points = reference_points(dims, seed, 5)
+        corpus = oracle_corpus(dims, points)
+        # extend the stream (2, 5), then reuse its prefixes (3, 1)
+        for trials in (2, 5, 3, 1):
+            for f in corpus:
+                got = is_zero_mod_j(f, trials=trials, seed=seed).to_dict()
+                assert got == reference_verdict(f, trials, seed, points)
+                if got["verdict"] == "nonzero":
+                    nonzero_trials.add(got["trials"])
+    assert nonzero_trials == {1, 2, 3, 4, 5}
+    assert sorted(cg._point_memo) == [
+        (dims.m, dims.n, seed) for seed in (0, 7, 2 ** 31 - 1)]
+
+
+def test_cold_oracle_inverts_each_body_once(inversions):
+    rel = relations(D11)[0]
+    assert is_zero_mod_j(rel, trials=3, seed=0).is_zero
+    assert len(inversions) == 3
+    assert is_zero_mod_j(rel, trials=3, seed=0).is_zero
+    assert len(inversions) == 3
+
+
+def test_point_memo_keeps_at_most_eight_streams(inversions):
+    rel = relations(D11)[0]
+    for seed in range(100, 120):
+        assert is_zero_mod_j(rel, trials=1, seed=seed).is_zero
+    assert list(cg._point_memo) == [(1, 1, s) for s in range(112, 120)]
+    assert len(inversions) == 20
+
+
+def test_long_runs_keep_eight_points_and_match_reference(inversions):
+    seed = 9
+    points = reference_points(D11, seed, 20)
+    # first nonzero at trial 13, past the kept points
+    late = vanishing_at(D11, points[:12])
+    inversions.clear()
+    for f in (relations(D11)[0], late):
+        for _ in range(2):
+            got = is_zero_mod_j(f, trials=20, seed=seed).to_dict()
+            assert got == reference_verdict(f, 20, seed, points)
+    assert reference_verdict(late, 20, seed, points)["trials"] == 13
+    # builds: 20 cold, then 12 + 5 + 5 past the 8 kept points
+    assert len(inversions) == 20 + 12 + 5 + 5
+
+
+def test_same_seed_at_other_dims_never_shares_a_stream(inversions):
+    seed = 4
+    for dims in (D11, D21, D12, D11):
+        points = reference_points(dims, seed, 3)
+        for f in oracle_corpus(dims, points):
+            got = is_zero_mod_j(f, trials=3, seed=seed).to_dict()
+            assert got == reference_verdict(f, 3, seed, points)
+    assert sorted(cg._point_memo) == [(1, 1, 4), (1, 2, 4), (2, 1, 4)]
