@@ -14,17 +14,29 @@ algebra.  For an even invertible supermatrix T it is the twisted assignment
 under which the defining relations reduce exactly to T T^{-1} = I and
 T^{-1} T = I, convolution of points is the matrix product, and the antipode
 implements matrix inversion.
+
+Points are built and evaluated on integers.  One kernel, :func:`_mul_into`,
+multiplies Grassmann elements stored as mask -> int dicts; a Gaussian
+integer element is a (re, im) pair of them, and a real one has an empty im
+dict.  ``SMat.inverse`` sums its soul Neumann series on such elements and
+divides once per entry; ``GroupPoint.from_matrix`` takes the integer sum
+as it is.  A :class:`GroupPoint` keeps its generator images over their
+least common denominator L, and ``evaluate`` clears the coefficients of f
+by their common denominator q, scales a monomial with j generator factors
+by L^(D - j), D the degree of f, and divides the integer sum once by
+q * L^D.  The result is exactly the rational value.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Optional
 
 from .grading import Dims
 from .linalg import LinComb, SparseEchelon, add_term
-from .scalar import Scalar, ZERO, ONE, I, _rat_str, sign_pow
+from .scalar import Scalar, ZERO, ONE, I, _rat, _rat_str, sign_pow
 
 _BODY_BOUND = 2 ** 20
 
@@ -125,15 +137,118 @@ class GEl(LinComb):
         return "GEl(" + " + ".join(bits) + ")"
 
 
+def _odd_below(m: int) -> int:
+    """The bits i at which m has an odd number of set bits below i.
+
+    Bits above m's highest bit all agree, so the result may be negative.
+    """
+    out = 0
+    while m:
+        low = m & -m
+        out ^= -(low << 1)
+        m ^= low
+    return out
+
+
 def _cross_sign(m1: int, m2: int) -> int:
     """Parity of |{(i,j): i in m1, j in m2, i > j}|."""
-    sign = 0
-    while m2:
-        low = m2 & -m2
-        j = low.bit_length() - 1
-        sign ^= bin(m1 >> (j + 1)).count("1") & 1
-        m2 ^= low
-    return sign
+    return (m1 & _odd_below(m2)).bit_count() & 1
+
+
+def _mul_into(out: dict, x: dict, y: dict, sign: int = 1) -> None:
+    """Add sign * x * y into out, on mask -> int Grassmann elements.
+
+    The one integer Grassmann product; zero values may be left in out.
+    """
+    for m2, c2 in y.items():
+        below = _odd_below(m2)
+        c2 *= sign
+        for m1, c1 in x.items():
+            if not m1 & m2:
+                m = m1 | m2
+                if (m1 & below).bit_count() & 1:
+                    out[m] = out.get(m, 0) - c1 * c2
+                else:
+                    out[m] = out.get(m, 0) + c1 * c2
+
+
+def _zmul_sum(pairs) -> tuple:
+    """Sum of x * y over pairs of Gaussian-integer Grassmann elements.
+
+    An element is a (re, im) pair of mask -> int dicts; a real one has an
+    empty im dict, which costs nothing.
+    """
+    re, im = {}, {}
+    for (xr, xi), (yr, yi) in pairs:
+        _mul_into(re, xr, yr)
+        _mul_into(re, xi, yi, -1)
+        _mul_into(im, xr, yi)
+        _mul_into(im, xi, yr)
+    return (
+        {m: c for m, c in re.items() if c},
+        {m: c for m, c in im.items() if c},
+    )
+
+
+_ZONE = ({0: 1}, {})  # the Gaussian-integer Grassmann element 1
+
+
+def _cleared(elems) -> tuple:
+    """Clear mask -> Scalar dicts over one denominator.
+
+    Returns (L, nums): L is the least common denominator of all their
+    coefficients, and elems[i] = nums[i] / L with nums[i] a Gaussian-integer
+    (re, im) pair.
+    """
+    elems = list(elems)
+    den = math.lcm(*(
+        q.denominator
+        for terms in elems
+        for c in terms.values()
+        for q in (c.re, c.im)
+    ))
+    return den, [
+        (
+            {m: c.re.numerator * (den // c.re.denominator)
+             for m, c in terms.items() if c.re},
+            {m: c.im.numerator * (den // c.im.denominator)
+             for m, c in terms.items() if c.im},
+        )
+        for terms in elems
+    ]
+
+
+def _divided(n: int, num: tuple, den: int) -> GEl:
+    """The Grassmann element num / den."""
+    re, im = num
+    return GEl(n, {
+        m: Scalar(_rat(re.get(m, 0), den), _rat(im.get(m, 0), den))
+        for m in sorted(re.keys() | im.keys())
+    })
+
+
+def _lowest_terms(parts) -> tuple:
+    """Put cleared parts over their least common denominator.
+
+    parts is a list of (den, nums) pairs, nums a list of Gaussian-integer
+    elements standing for nums[i] / den.  Returns (L, nums) with all the
+    elements, in order, over the least common denominator L of their
+    coefficients.
+    """
+    den = math.lcm(*(d for d, _ in parts))
+    g = den
+    for d, nums in parts:
+        k = den // d
+        for re, im in nums:
+            g = math.gcd(g, *(c * k for c in re.values()),
+                         *(c * k for c in im.values()))
+    out = []
+    for d, nums in parts:
+        k = den // d
+        for re, im in nums:
+            out.append(({m: c * k // g for m, c in re.items()},
+                        {m: c * k // g for m, c in im.items()}))
+    return den // g, out
 
 
 class SMat:
@@ -193,23 +308,6 @@ class SMat:
             rows.append(row)
         return SMat(self.dims, self.n, rows)
 
-    def __sub__(self, other: "SMat") -> "SMat":
-        rows = [
-            [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.rows, other.rows)
-        ]
-        return SMat(self.dims, self.n, rows)
-
-    def __add__(self, other: "SMat") -> "SMat":
-        rows = [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.rows, other.rows)
-        ]
-        return SMat(self.dims, self.n, rows)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SMat)
@@ -222,36 +320,60 @@ class SMat:
         return [[e.body() for e in row] for row in self.rows]
 
     def inverse(self) -> "SMat":
-        """Exact inverse: invert the body, then sum the soul Neumann series.
+        """Exact inverse, by the integer soul Neumann series of
+        :meth:`_inverse_cleared`, each entry divided once.  Raises
+        ValueError when the body is singular.
+        """
+        den, acc = self._inverse_cleared()
+        rows = []
+        for i in range(len(acc)):  # free each integer row as it is divided
+            row, acc[i] = acc[i], None
+            rows.append([_divided(self.n, a, den) for a in row])
+        return SMat(self.dims, self.n, rows)
 
-        Raises ValueError when the body is singular.
+    def _inverse_cleared(self) -> tuple:
+        """(L, rows) with T^{-1} = rows / L, rows Gaussian-integer elements.
+
+        The body B is inverted in SparseEchelon; the soul S = T - B enters
+        the Neumann series T^{-1} = sum_j B^{-1} (-S B^{-1})^j.  With
+        X = d B^{-1} and S' = e S integral, the j-th term is
+        X (-S' X)^j / (d (e d)^j), and the terms are summed over their
+        common denominator L = d (e d)^J.
         """
         size = self.dims.size
-        binv = _invert_scalar_matrix(self.body_matrix())
-        x = SMat(
-            self.dims,
-            self.n,
-            [[GEl.scalar(self.n, c) for c in row] for row in binv],
+        d, x = _cleared(
+            {0: c}
+            for row in _invert_scalar_matrix(self.body_matrix())
+            for c in row
         )
-        body = SMat(
-            self.dims,
-            self.n,
-            [[GEl.scalar(self.n, e.body()) for e in row] for row in self.rows],
+        e, neg_soul = _cleared(
+            {m: -c for m, c in entry.terms.items() if m}
+            for row in self.rows
+            for entry in row
         )
-        soul = self - body
-        neg_xs = SMat(
-            self.dims,
-            self.n,
-            [[-e for e in row] for row in (x @ soul).rows],
-        )
-        acc = x
-        cur = x
-        for _ in range(self.n + 1):
-            cur = neg_xs @ cur
-            if cur.is_zero():
+        x = [x[i * size:(i + 1) * size] for i in range(size)]
+        neg_sx = [
+            _zvecmat(neg_soul[i * size:(i + 1) * size], x) for i in range(size)
+        ]
+        acc, cur, den = list(x), list(x), d
+        ed = ({0: e * d}, {})
+        for _ in range(self.n):
+            # rows are replaced one at a time: row i of the next term needs
+            # only row i of this one
+            for i in range(size):
+                cur[i] = _zvecmat(cur[i], neg_sx)
+            if not any(re or im for row in cur for re, im in row):
                 break
-            acc = acc + cur
-        return acc
+            for i in range(size):
+                acc[i] = [_zmul_sum(((ed, a), (_ZONE, c)))
+                          for a, c in zip(acc[i], cur[i])]
+            den *= e * d
+        return den, acc
+
+
+def _zvecmat(row: list, mat: list) -> list:
+    """row * mat, on Gaussian-integer Grassmann elements."""
+    return [_zmul_sum(zip(row, col)) for col in zip(*mat)]
 
 
 def _invert_scalar_matrix(mat: list) -> list:
@@ -311,28 +433,71 @@ def eta(dims: Dims, a: int, b: int) -> Scalar:
 
 
 class GroupPoint:
-    """An algebra map from the function algebra to a Grassmann algebra."""
+    """An algebra map from the function algebra to a Grassmann algebra.
 
-    __slots__ = ("dims", "n", "t_img", "tb_img")
+    The generator images are held cleared over one common denominator: the
+    positive integer ``den`` is the least common denominator of all their
+    coefficients, and ``num[(tag, a, b)]`` for tag "t" or "tb" is the
+    Gaussian-integer (re, im) pair of mask -> int dicts with
+    alpha(tag[a,b]) = num[(tag, a, b)] / den.
+    """
+
+    __slots__ = ("dims", "n", "den", "num")
 
     def __init__(self, dims: Dims, n: int, t_img: dict, tb_img: dict):
         self.dims = dims
         self.n = n
-        self.t_img = t_img
-        self.tb_img = tb_img
+        keys = [("t",) + k for k in t_img] + [("tb",) + k for k in tb_img]
+        self.den, nums = _cleared(
+            g.terms for g in (*t_img.values(), *tb_img.values())
+        )
+        self.num = dict(zip(keys, nums))
+
+    def _images(self, tag: str) -> dict:
+        return {
+            (a, b): _divided(self.n, num, self.den)
+            for (t, a, b), num in self.num.items()
+            if t == tag
+        }
+
+    @property
+    def t_img(self) -> dict:
+        """alpha(t_ab) as GEl, keyed (a, b).
+
+        Rebuilt from the cleared images on every read, one division per
+        coefficient; read it once, not inside a loop.
+        """
+        return self._images("t")
+
+    @property
+    def tb_img(self) -> dict:
+        """alpha(tbar_ab) as GEl, keyed (a, b); rebuilt on every read, like
+        :attr:`t_img`."""
+        return self._images("tb")
 
     @staticmethod
     def from_matrix(dims: Dims, mat: SMat, validate: bool = True) -> "GroupPoint":
+        """The point of an even invertible supermatrix.
+
+        The tbar images come from the integer series of
+        ``mat._inverse_cleared`` and go over the point's least common
+        denominator without a pass through Fraction.
+        """
         if mat.dims != dims:
             raise ValueError("mismatched gl(m|n) dimensions")
-        inv = mat.inverse()
-        t_img = {}
-        tb_img = {}
-        for a in dims.indices():
-            for b in dims.indices():
-                t_img[(a, b)] = mat.entry(a, b).scale(eta(dims, a, b))
-                tb_img[(a, b)] = inv.entry(b, a)
-        point = GroupPoint(dims, mat.n, t_img, tb_img)
+        keys = [(a, b) for a in dims.indices() for b in dims.indices()]
+        t_part = _cleared(
+            mat.entry(a, b).scale(eta(dims, a, b)).terms for a, b in keys
+        )
+        inv_den, inv = mat._inverse_cleared()
+        tb_part = (inv_den, [inv[b - 1][a - 1] for a, b in keys])
+        del inv
+        den, nums = _lowest_terms([t_part, tb_part])
+        point = GroupPoint.__new__(GroupPoint)
+        point.dims, point.n, point.den = dims, mat.n, den
+        point.num = dict(zip(
+            [("t",) + k for k in keys] + [("tb",) + k for k in keys], nums
+        ))
         if validate:
             point.validate()
         return point
@@ -358,23 +523,40 @@ class GroupPoint:
                 raise ValueError("matrix does not define a group point")
 
     def evaluate(self, f) -> GEl:
-        """Evaluate a function-algebra element (CG or its Poly)."""
+        """Evaluate a function-algebra element (CG or its Poly).
+
+        f's coefficients are cleared by their common denominator q, and a
+        monomial with j generator factors is scaled by den^(D - j), D the
+        degree of f; the sum then runs on integers and is divided once, by
+        q * den^D.
+        """
         poly = getattr(f, "poly", f)
-        out = GEl(self.n)
-        for mono, c in poly.terms.items():
-            prod = GEl.scalar(self.n, c)
-            for s, e in mono:
-                tag = s[0]
-                if tag == "t":
-                    img = self.t_img[(s[1], s[2])]
-                elif tag == "tb":
-                    img = self.tb_img[(s[1], s[2])]
-                else:
-                    raise ValueError(f"cannot evaluate tag {s[0]!r}")
-                for _ in range(e):
-                    prod = prod * img
-            out = out + prod
-        return out
+        if not poly.terms:
+            return GEl(self.n)
+        top = poly.degree()
+        q, coeffs = _cleared({0: c} for c in poly.terms.values())
+
+        def scaled_terms():
+            for (cre, cim), mono in zip(coeffs, poly.terms):
+                prod, j = self._monomial(mono)
+                k = self.den ** (top - j)
+                yield ({0: c * k for c in cre.values()},
+                       {0: c * k for c in cim.values()}), prod
+
+        return _divided(self.n, _zmul_sum(scaled_terms()),
+                        q * self.den ** top)
+
+    def _monomial(self, mono) -> tuple:
+        """(den^j times the image of mono, its degree j)."""
+        prod, j = _ZONE, 0
+        for s, e in mono:
+            if s[0] != "t" and s[0] != "tb":
+                raise ValueError(f"cannot evaluate tag {s[0]!r}")
+            img = self.num[s[:3]]
+            for _ in range(e):
+                prod = _zmul_sum(((prod, img),)) if j else img
+                j += 1
+        return prod, j
 
     def convolve(self, other: "GroupPoint") -> "GroupPoint":
         """Convolution product (alpha * beta)(f) = m (alpha (x) beta) Delta(f).
@@ -385,6 +567,7 @@ class GroupPoint:
         if self.dims != other.dims or self.n != other.n:
             raise ValueError("mismatched group points")
         dims = self.dims
+        s_t, s_tb, o_t, o_tb = self.t_img, self.tb_img, other.t_img, other.tb_img
         t_img = {}
         tb_img = {}
         for a in dims.indices():
@@ -396,12 +579,8 @@ class GroupPoint:
                         (dims.par(c) + dims.par(a))
                         * (dims.par(c) + dims.par(b))
                     )
-                    acc_t = acc_t + (
-                        self.t_img[(a, c)] * other.t_img[(c, b)]
-                    ).scale(sgn)
-                    acc_tb = acc_tb + (
-                        self.tb_img[(a, c)] * other.tb_img[(c, b)]
-                    ).scale(sgn)
+                    acc_t = acc_t + (s_t[(a, c)] * o_t[(c, b)]).scale(sgn)
+                    acc_tb = acc_tb + (s_tb[(a, c)] * o_tb[(c, b)]).scale(sgn)
                 t_img[(a, b)] = acc_t
                 tb_img[(a, b)] = acc_tb
         return GroupPoint(dims, self.n, t_img, tb_img)
@@ -409,17 +588,14 @@ class GroupPoint:
     def inverse_point(self) -> "GroupPoint":
         """Precompose with the antipode: the convolution inverse."""
         dims = self.dims
+        s_t, s_tb = self.t_img, self.tb_img
         t_img = {}
         tb_img = {}
         for a in dims.indices():
             for b in dims.indices():
                 pa, pb = dims.par(a), dims.par(b)
-                t_img[(a, b)] = self.tb_img[(b, a)].scale(
-                    sign_pow(pa * pb + pa)
-                )
-                tb_img[(a, b)] = self.t_img[(b, a)].scale(
-                    sign_pow(pa * pb + pb)
-                )
+                t_img[(a, b)] = s_tb[(b, a)].scale(sign_pow(pa * pb + pa))
+                tb_img[(a, b)] = s_t[(b, a)].scale(sign_pow(pa * pb + pb))
         return GroupPoint(dims, self.n, t_img, tb_img)
 
     def is_real(self) -> bool:
@@ -428,11 +604,11 @@ class GroupPoint:
         The tbar condition follows formally from this one.
         """
         dims = self.dims
+        s_t, s_tb = self.t_img, self.tb_img
         for a in dims.indices():
             for b in dims.indices():
                 sgn = sign_pow(dims.par(b) * (dims.par(a) + dims.par(b)))
-                lhs = self.tb_img[(a, b)].scale(sgn)
-                if lhs != self.t_img[(a, b)].conj():
+                if s_tb[(a, b)].scale(sgn) != s_t[(a, b)].conj():
                     return False
         return True
 
@@ -444,12 +620,13 @@ class GroupPoint:
         equals the convolution inverse.
         """
         dims = self.dims
+        s_t, s_tb = self.t_img, self.tb_img
         t_img = {}
         tb_img = {}
         for a in dims.indices():
             for b in dims.indices():
-                t_img[(a, b)] = self.t_img[(b, a)].conj()
-                tb_img[(a, b)] = self.tb_img[(b, a)].conj().scale(
+                t_img[(a, b)] = s_t[(b, a)].conj()
+                tb_img[(a, b)] = s_tb[(b, a)].conj().scale(
                     sign_pow(dims.par(a) + dims.par(b))
                 )
         return GroupPoint(dims, self.n, t_img, tb_img)
@@ -459,23 +636,24 @@ class GroupPoint:
             isinstance(other, GroupPoint)
             and self.dims == other.dims
             and self.n == other.n
-            and self.t_img == other.t_img
-            and self.tb_img == other.tb_img
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def to_json(self) -> dict:
         dims = self.dims
+        t_img, tb_img = self.t_img, self.tb_img
         return {
             "m": dims.m,
             "n": dims.n,
             "grassmann_generators": self.n,
             "t": {
-                f"{a},{b}": self.t_img[(a, b)].to_json()
+                f"{a},{b}": t_img[(a, b)].to_json()
                 for a in dims.indices()
                 for b in dims.indices()
             },
             "tbar": {
-                f"{a},{b}": self.tb_img[(a, b)].to_json()
+                f"{a},{b}": tb_img[(a, b)].to_json()
                 for a in dims.indices()
                 for b in dims.indices()
             },

@@ -2,22 +2,34 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from superfn.cg import CG, relations
+from superfn.cg import CG, is_zero_mod_j, relations
 from superfn.grading import Dims
 from superfn.grassmann import (
     GEl,
     GroupPoint,
     SMat,
+    eta,
     random_even_invertible,
     real_sample_points,
     verify_group,
 )
 from superfn.scalar import Scalar, ONE, I
+from superfn.spherical import (
+    laplacian_apply,
+    r_func,
+    theta,
+    theta_eigenvalue,
+)
+from superfn.superpoly import Poly, symbol
 
 D11 = Dims(1, 1)
 D21 = Dims(2, 1)
+D22 = Dims(2, 2)
+D31 = Dims(3, 1)
+D12 = Dims(1, 2)
 
 
 def th(n, *js):
@@ -80,13 +92,39 @@ def test_gel_json_is_sorted_and_stable():
 
 def test_smat_inverse_is_exact():
     rng = random.Random(0)
-    for dims in (D11, D21):
-        ident = SMat.identity(dims, 2 * dims.m * dims.n)
-        for _ in range(6):
+    u1 = Scalar(Fraction(3, 5), Fraction(4, 5))
+    for dims, count in ((D11, 6), (D21, 6), (D22, 4), (D31, 4)):
+        n_gen = 2 * dims.m * dims.n
+        ident = SMat.identity(dims, n_gen)
+        u1_diag = SMat(dims, n_gen, [
+            [GEl.scalar(n_gen, u1 if a == b else 0) for b in dims.indices()]
+            for a in dims.indices()
+        ])
+        for _ in range(count):
             mat = random_even_invertible(dims, rng)
             inv = mat.inverse()
             assert (mat @ inv) == ident
             assert (inv @ mat) == ident
+            # inv has a rational soul; inverting it must give mat back
+            twice = inv.inverse()
+            assert twice == mat
+            assert (inv @ twice) == ident
+            # a complex body
+            cmat = u1_diag @ mat
+            assert cmat.entry(1, 1).body().im != 0
+            cinv = cmat.inverse()
+            assert (cmat @ cinv) == ident
+            assert (cinv @ cmat) == ident
+
+
+def test_smat_inverse_rejects_singular_body():
+    for dims in (D11, D21):
+        n_gen = 2 * dims.m * dims.n
+        mat = random_even_invertible(dims, random.Random(6))
+        rows = [list(r) for r in mat.rows]
+        rows[-1] = [e.soul() for e in rows[-1]]  # zero last body row
+        with pytest.raises(ValueError, match="singular body matrix"):
+            SMat(dims, n_gen, rows).inverse()
 
 
 def test_group_point_images_match_twist():
@@ -199,3 +237,146 @@ def test_verify_group_suites():
         assert rep["passed"], rep
         names = {c["name"] for c in rep["cases"]}
         assert "convolution matches the supermatrix product" in names
+
+
+# ------------------------------------------- one exact integer evaluator
+
+
+def reference_evaluate(n, t_img, tb_img, f):
+    """f at the point with the given images, as a loop of Fraction GEl
+    products: the reference for the integer evaluator."""
+    poly = getattr(f, "poly", f)
+    out = GEl(n)
+    for mono, c in poly.terms.items():
+        prod = GEl.scalar(n, c)
+        for s, e in mono:
+            img = (t_img if s[0] == "t" else tb_img)[(s[1], s[2])]
+            for _ in range(e):
+                prod = prod * img
+        out = out + prod
+    return out
+
+
+def matrix_images(dims, mat):
+    """alpha(t_ab) and alpha(tbar_ab) computed from the matrix alone."""
+    inv = mat.inverse()
+    t_img = {(a, b): mat.entry(a, b).scale(eta(dims, a, b))
+             for a in dims.indices() for b in dims.indices()}
+    tb_img = {(a, b): inv.entry(b, a)
+              for a in dims.indices() for b in dims.indices()}
+    return t_img, tb_img
+
+
+def rand_coeff(rng):
+    return Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                  Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+
+
+def rand_poly(dims, rng):
+    """A constant term plus monomials of degrees 1..4 with Q(i)
+    coefficients."""
+    gens = [g(dims, a, b) for g in (CG.t, CG.tbar)
+            for a in dims.indices() for b in dims.indices()]
+    f = CG.from_scalar(dims, rand_coeff(rng))
+    for deg in (1, 2, 2, 3, 4):
+        term = CG.from_scalar(dims, rand_coeff(rng))
+        for _ in range(deg):
+            term = term * rng.choice(gens)
+        f = f + term
+    return f
+
+
+def assert_evaluates_exactly(p, t_img, tb_img, rng, count=3):
+    dims = p.dims
+    for f in [CG.zero(dims)] + [rand_poly(dims, rng) for _ in range(count)]:
+        assert p.evaluate(f) == reference_evaluate(p.n, t_img, tb_img, f)
+
+
+def test_evaluate_matches_fraction_reference_at_random_points():
+    rng = random.Random(21)
+    for dims in (D11, D21, D22, D31):
+        for _ in range(2):
+            mat = random_even_invertible(dims, rng)
+            t_img, tb_img = matrix_images(dims, mat)
+            p = GroupPoint.from_matrix(dims, mat, validate=False)
+            assert p.t_img == t_img and p.tb_img == tb_img
+            # from_matrix reaches the same least common denominator
+            assert p == GroupPoint(dims, p.n, t_img, tb_img)
+            assert_evaluates_exactly(p, t_img, tb_img, rng)
+
+
+def test_evaluate_matches_reference_on_rational_soul_points():
+    rng = random.Random(22)
+    for dims in (D11, D21, D22):
+        inv = random_even_invertible(dims, rng).inverse()
+        t_img, tb_img = matrix_images(dims, inv)
+        p = GroupPoint.from_matrix(dims, inv, validate=False)
+        assert p.den > 1
+        assert p.t_img == t_img and p.tb_img == tb_img
+        assert p == GroupPoint(dims, p.n, t_img, tb_img)
+        assert_evaluates_exactly(p, t_img, tb_img, rng)
+
+
+def test_evaluate_matches_reference_on_complex_points():
+    rng = random.Random(23)
+    for dims in (D11, D21, D12):
+        for mat_point in real_sample_points(dims):
+            for p in (mat_point, mat_point.theta_dual(),
+                      mat_point.inverse_point()):
+                assert_evaluates_exactly(p, p.t_img, p.tb_img, rng, count=2)
+        # the u1 diagonal: a point whose images have imaginary parts
+        u1_point = real_sample_points(dims)[1]
+        assert any(im for re, im in u1_point.num.values())
+
+
+def test_evaluate_matches_reference_at_identity_point():
+    rng = random.Random(24)
+    for dims in (D11, D21):
+        p = GroupPoint.identity(dims, 0)
+        assert p.den == 1
+        assert_evaluates_exactly(p, p.t_img, p.tb_img, rng)
+
+
+def test_evaluate_rejects_unknown_tag():
+    p = GroupPoint.identity(D11, 0)
+    with pytest.raises(ValueError, match="cannot evaluate tag"):
+        p.evaluate(Poly.from_symbol(symbol("x", 1, 1, 0)))
+
+
+def laplacian_defect(dims, k):
+    rr = r_func(dims)
+    rhs = (rr ** k).scale(Scalar(k * (dims.m - dims.n - k + 1))) \
+        + (rr ** (k - 1)).scale(Scalar(k * k))
+    return laplacian_apply(rr ** k) - rhs
+
+
+def theta_defect(dims, k):
+    f = theta(dims, k)
+    return laplacian_apply(f) - f.scale(theta_eigenvalue(dims, k))
+
+
+# generic verdicts of the default oracle (trials=3, seed=0), recorded with
+# the Fraction evaluator; each defect plus 1 is nonzero at trial 1
+ORACLE_PINS = [
+    ("laplacian", D22, 1, "1/144115188075855872"),
+    ("laplacian", D22, 2, "1/18014398509481984"),
+    ("laplacian", D22, 3, "27/144115188075855872"),
+    ("laplacian", D22, 4, "1/2251799813685248"),
+    ("theta", D12, 1, "1/144115188075855872"),
+    ("theta", D12, 2, "1/18014398509481984"),
+    ("theta", D12, 3, "27/144115188075855872"),
+]
+
+
+@pytest.mark.parametrize("kind, dims, k, bound", ORACLE_PINS,
+                         ids=[f"{p[0]}{p[1].m}{p[1].n}-k{p[2]}"
+                              for p in ORACLE_PINS])
+def test_oracle_verdicts_are_pinned(kind, dims, k, bound):
+    defect = (laplacian_defect if kind == "laplacian" else theta_defect)(
+        dims, k)
+    assert is_zero_mod_j(defect).to_dict() == {
+        "verdict": "zero", "mode": "generic", "trials": 3, "seed": 0,
+        "failure_bound": bound}
+    assert is_zero_mod_j(defect + CG.one(dims)).to_dict() == {
+        "verdict": "nonzero", "mode": "generic", "trials": 1, "seed": 0,
+        "failure_bound": "0"}
