@@ -3,6 +3,15 @@
 Every coefficient in this package is a :class:`Scalar`, an element of Q(i)
 stored as an exact real and imaginary rational part.  gmpy2 is used for the
 rational backend when available; otherwise ``fractions.Fraction``.
+
+There is one class with one representation.  Nearly every coefficient the
+package meets is real, so the operators take a real fast path: when both
+imaginary parts are zero, ``+``, ``-`` and ``*`` make one rational operation
+and share one zero imaginary part, and division by a real divides each part
+once.  Complex operands use the full Q(i) formulas.  Operators build their
+results with :func:`_mk` from parts that are already rationals, without
+converting them again.  The public constructor converts its arguments and
+rejects inexact ``float`` and ``complex`` parts.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as _rat
 
 _RAT_ZERO = _rat(0)
-_RAT_ONE = _rat(1)
+_INEXACT = (float, complex)
 
 
 class Scalar:
@@ -22,6 +31,11 @@ class Scalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        if isinstance(re, _INEXACT) or isinstance(im, _INEXACT):
+            raise TypeError(
+                f"Scalar parts must be exact, got {type(re).__name__} "
+                f"and {type(im).__name__}"
+            )
         object.__setattr__(self, "re", _rat(re))
         object.__setattr__(self, "im", _rat(im))
 
@@ -30,42 +44,48 @@ class Scalar:
 
     @staticmethod
     def rational(p, q=1) -> "Scalar":
-        return Scalar(_rat(p, q))
+        return _mk(_rat(p, q), _RAT_ZERO)
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
             return self.re == other.re and self.im == other.im
         if isinstance(other, int):
-            return self.im == 0 and self.re == other
+            return not self.im and self.re == other
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
+        if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __add__(self, other) -> "Scalar":
         other = _coerce(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        if not self.im and not other.im:
+            return _mk(self.re + other.re, _RAT_ZERO)
+        return _mk(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Scalar":
         other = _coerce(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        if not self.im and not other.im:
+            return _mk(self.re - other.re, _RAT_ZERO)
+        return _mk(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other) -> "Scalar":
         return _coerce(other) - self
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _mk(-self.re, -self.im)
 
     def __mul__(self, other) -> "Scalar":
         other = _coerce(other)
-        return Scalar(
+        if not self.im and not other.im:
+            return _mk(self.re * other.re, _RAT_ZERO)
+        return _mk(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -74,10 +94,15 @@ class Scalar:
 
     def __truediv__(self, other) -> "Scalar":
         other = _coerce(other)
+        if not other.im:
+            den = other.re
+            if not den:
+                raise ZeroDivisionError("division by zero Scalar")
+            if not self.im:
+                return _mk(self.re / den, _RAT_ZERO)
+            return _mk(self.re / den, self.im / den)
         den = other.re * other.re + other.im * other.im
-        if den == 0:
-            raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(
+        return _mk(
             (self.re * other.re + self.im * other.im) / den,
             (self.im * other.re - self.re * other.im) / den,
         )
@@ -98,18 +123,18 @@ class Scalar:
         return out
 
     def conj(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _mk(self.re, -self.im)
 
     def is_rational(self) -> bool:
-        return self.im == 0
+        return not self.im
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
 
     def __str__(self) -> str:
-        if self.im == 0:
+        if not self.im:
             return _rat_str(self.re)
-        if self.re == 0:
+        if not self.re:
             if self.im == 1:
                 return "i"
             if self.im == -1:
@@ -122,11 +147,23 @@ class Scalar:
         return f"{_rat_str(self.re)} {op} {im_part}"
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _mk(re, im) -> Scalar:
+    """The Scalar re + im*i from parts that are already backend rationals."""
+    s = _new(Scalar)
+    _set(s, "re", re)
+    _set(s, "im", im)
+    return s
+
+
 def _coerce(x) -> Scalar:
-    if isinstance(x, Scalar):
+    if x.__class__ is Scalar:
         return x
     if isinstance(x, int):
-        return Scalar(x)
+        return _mk(_rat(x), _RAT_ZERO)
     raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
 

@@ -129,19 +129,21 @@ def invariant_subspace(dims: Dims, k: int, l: int) -> list:
     return vectors
 
 
-def span_rank(vectors) -> int:
-    """Rank of a list of TVec over Q(i)."""
+def _echelon(vectors) -> SparseEchelon:
+    """An echelon basis of the span of a list of TVec."""
     ech = SparseEchelon()
     for v in vectors:
-        ech.insert(dict(v.terms))
-    return ech.rank
+        ech.insert(v.terms)
+    return ech
+
+
+def span_rank(vectors) -> int:
+    """Rank of a list of TVec over Q(i)."""
+    return _echelon(vectors).rank
 
 
 def contains_vector(vectors, target: TVec) -> bool:
-    ech = SparseEchelon()
-    for v in vectors:
-        ech.insert(dict(v.terms))
-    return ech.contains(dict(target.terms))
+    return _echelon(vectors).contains(target.terms)
 
 
 def supercommutant_basis(dims: Dims, d: int) -> list:
@@ -211,7 +213,8 @@ def verify_fft(dims: Dims, dmax: int, mixed_total: int = 4,
             sergeev_invariant(dims, sigma, d)
             for sigma in permutations(range(1, d + 1))
         ]
-        member = all(contains_vector(invs, s) for s in serg)
+        ech = _echelon(invs)
+        member = all(ech.contains(s.terms) for s in serg)
         cases.append(_case(f"d={d}: Sergeev elements are invariant", member))
         rank = span_rank(serg)
         cases.append(_case(
@@ -232,9 +235,8 @@ def verify_fft(dims: Dims, dmax: int, mixed_total: int = 4,
         for sigma in permutations(range(d)):
             if ech.insert(rho_operator(dims, sigma, d)) is not None:
                 rho_rank += 1
-        union = ech.rank
         for op in comm:
-            ech.insert(dict(op))
+            ech.insert(op)
         equal = len(comm) == rho_rank == ech.rank
         cases.append(_case(
             f"d={d}: centralizer dim {len(comm)} = "

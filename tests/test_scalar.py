@@ -1,14 +1,22 @@
 from fractions import Fraction
 
+import operator
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from superfn.scalar import Scalar, ZERO, ONE, I, sign_pow
+from superfn.scalar import Scalar, ZERO, ONE, I, _rat, sign_pow
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=12
 )
 scalars = st.builds(Scalar, rationals, rationals)
+# Real scalars (im == 0) take the operators' real fast path; mix them with
+# complex ones so both paths and every real/complex pairing are drawn.
+reals = st.builds(Scalar, rationals)
+mixed = st.one_of(reals, scalars)
+operands = st.one_of(mixed, st.integers(min_value=-50, max_value=50))
 
 
 def test_constants():
@@ -74,3 +82,85 @@ def test_division_inverts(a):
     if a != ZERO:
         assert a / a == ONE
         assert (ONE / a) * a == ONE
+
+
+def _parts(x) -> tuple:
+    if isinstance(x, int):
+        return Fraction(x), Fraction(0)
+    return Fraction(x.re), Fraction(x.im)
+
+
+def _reference(op, a, b) -> tuple:
+    """The full Q(i) formulas on (re, im) pairs of Fractions."""
+    (ar, ai), (br, bi) = _parts(a), _parts(b)
+    if op is operator.add:
+        return ar + br, ai + bi
+    if op is operator.sub:
+        return ar - br, ai - bi
+    if op is operator.mul:
+        return ar * br - ai * bi, ar * bi + ai * br
+    den = br * br + bi * bi
+    return (ar * br + ai * bi) / den, (ai * br - ar * bi) / den
+
+
+def _check_result(r: Scalar, want: tuple):
+    assert (r.re, r.im) == want
+    assert isinstance(r.re, _rat) and isinstance(r.im, _rat)
+    assert hash(r) == hash(Scalar(r.re, r.im))
+    if r.im == 0 and r.re.denominator == 1:
+        assert hash(r) == hash(int(r.re))
+        assert r == int(r.re)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv],
+                         ids=["add", "sub", "mul", "truediv"])
+@given(a=operands, b=operands)
+def test_operators_match_the_complex_reference(op, a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        a = Scalar(a)
+    if op is operator.truediv and not any(_parts(b)):
+        return
+    _check_result(op(a, b), _reference(op, a, b))
+
+
+@given(a=mixed)
+def test_negation_and_conjugation_match_the_reference(a):
+    _check_result(-a, (-Fraction(a.re), -Fraction(a.im)))
+    _check_result(a.conj(), (Fraction(a.re), -Fraction(a.im)))
+
+
+def test_int_operands_on_both_sides():
+    s = Scalar(Fraction(1, 2), 2)
+    r = Scalar(Fraction(1, 2))
+    assert 3 * s == s * 3 == Scalar(Fraction(3, 2), 6)
+    assert s - 3 == Scalar(Fraction(-5, 2), 2)
+    assert 3 - s == Scalar(Fraction(5, 2), -2)
+    assert 3 / r == Scalar(6)
+    assert 3 / s == Scalar(Fraction(6, 17), Fraction(-24, 17))
+    assert 3 + r == r + 3 == Scalar(Fraction(7, 2))
+
+
+@pytest.mark.parametrize("s", [Scalar(Fraction(2, 3)), Scalar(1, -2), ZERO],
+                         ids=["real", "complex", "zero"])
+def test_division_by_zero_raises(s):
+    with pytest.raises(ZeroDivisionError):
+        s / ZERO
+    with pytest.raises(ZeroDivisionError):
+        s / 0
+    with pytest.raises(ZeroDivisionError):
+        1 / ZERO
+
+
+@pytest.mark.parametrize("parts", [(0.1,), (1, 0.5), (1j,), (0, complex(2))],
+                         ids=["float-re", "float-im", "complex-re",
+                              "complex-im"])
+def test_inexact_parts_are_rejected(parts):
+    with pytest.raises(TypeError):
+        Scalar(*parts)
+
+
+def test_exact_parts_are_accepted():
+    assert Scalar(Fraction(1, 10)) == Scalar.rational(1, 10)
+    assert Scalar(True) == ONE
+    assert Scalar(-3, Fraction(2, 7)).im == Fraction(2, 7)

@@ -161,3 +161,21 @@ def test_verify_fft_reports():
     assert rep["passed"], rep
     names = [c["name"] for c in rep["cases"]]
     assert any("mixed" in n for n in names)
+
+
+def test_verify_fft_catches_a_non_invariant_sergeev_element(monkeypatch):
+    import superfn.tensorinv as tensorinv
+
+    real = tensorinv.sergeev_invariant
+
+    def spoiled(dims, sigma, d):
+        # v_1^(x)d (x) vbar_2^(x)d has nonzero weight, so it is not invariant
+        stray = TVec.basis(dims, ("v",) * d + ("vb",) * d, (1,) * d + (2,) * d)
+        return real(dims, sigma, d) + stray
+
+    monkeypatch.setattr(tensorinv, "sergeev_invariant", spoiled)
+    rep = verify_fft(D11, 2, mixed_total=0, commutant_d=0)
+    verdicts = {c["name"]: c["passed"] for c in rep["cases"]}
+    assert verdicts["d=1: Sergeev elements are invariant"] is False
+    assert verdicts["d=2: Sergeev elements are invariant"] is False
+    assert not rep["passed"]
