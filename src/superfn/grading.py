@@ -7,7 +7,7 @@ of m+n exact scalars in the epsilon basis; the invariant form is
 
 from __future__ import annotations
 
-from .scalar import Scalar, ZERO
+from .scalar import Scalar, ZERO, ONE, MINUS_ONE
 
 
 class Dims:
@@ -85,8 +85,8 @@ def is_dominant(dims: Dims, lam) -> bool:
         if a == dims.m:
             continue
         alpha = [ZERO] * dims.size
-        alpha[a - 1] = Scalar(1)
-        alpha[a] = Scalar(-1)
+        alpha[a - 1] = ONE
+        alpha[a] = MINUS_ONE
         num = Scalar(2) * form(dims, lam, alpha)
         den = form(dims, alpha, alpha)
         q = num / den

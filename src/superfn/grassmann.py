@@ -35,8 +35,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .grading import Dims
-from .linalg import LinComb, SparseEchelon, add_term
-from .scalar import Scalar, ZERO, ONE, I, _rat, _rat_str, sign_pow
+from .linalg import LinComb, SparseEchelon, add_term, cleared, divided
+from .scalar import Scalar, ZERO, ONE, I, _rat_str, sign_pow
 
 _BODY_BOUND = 2 ** 20
 
@@ -193,40 +193,6 @@ def _zmul_sum(pairs) -> tuple:
 _ZONE = ({0: 1}, {})  # the Gaussian-integer Grassmann element 1
 
 
-def _cleared(elems) -> tuple:
-    """Clear mask -> Scalar dicts over one denominator.
-
-    Returns (L, nums): L is the least common denominator of all their
-    coefficients, and elems[i] = nums[i] / L with nums[i] a Gaussian-integer
-    (re, im) pair.
-    """
-    elems = list(elems)
-    den = math.lcm(*(
-        q.denominator
-        for terms in elems
-        for c in terms.values()
-        for q in (c.re, c.im)
-    ))
-    return den, [
-        (
-            {m: c.re.numerator * (den // c.re.denominator)
-             for m, c in terms.items() if c.re},
-            {m: c.im.numerator * (den // c.im.denominator)
-             for m, c in terms.items() if c.im},
-        )
-        for terms in elems
-    ]
-
-
-def _divided(n: int, num: tuple, den: int) -> GEl:
-    """The Grassmann element num / den."""
-    re, im = num
-    return GEl(n, {
-        m: Scalar(_rat(re.get(m, 0), den), _rat(im.get(m, 0), den))
-        for m in sorted(re.keys() | im.keys())
-    })
-
-
 def _lowest_terms(parts) -> tuple:
     """Put cleared parts over their least common denominator.
 
@@ -328,7 +294,7 @@ class SMat:
         rows = []
         for i in range(len(acc)):  # free each integer row as it is divided
             row, acc[i] = acc[i], None
-            rows.append([_divided(self.n, a, den) for a in row])
+            rows.append([GEl(self.n, divided(a, den)) for a in row])
         return SMat(self.dims, self.n, rows)
 
     def _inverse_cleared(self) -> tuple:
@@ -341,12 +307,12 @@ class SMat:
         common denominator L = d (e d)^J.
         """
         size = self.dims.size
-        d, x = _cleared(
+        d, x = cleared(
             {0: c}
             for row in _invert_scalar_matrix(self.body_matrix())
             for c in row
         )
-        e, neg_soul = _cleared(
+        e, neg_soul = cleared(
             {m: -c for m, c in entry.terms.items() if m}
             for row in self.rows
             for entry in row
@@ -448,14 +414,14 @@ class GroupPoint:
         self.dims = dims
         self.n = n
         keys = [("t",) + k for k in t_img] + [("tb",) + k for k in tb_img]
-        self.den, nums = _cleared(
+        self.den, nums = cleared(
             g.terms for g in (*t_img.values(), *tb_img.values())
         )
         self.num = dict(zip(keys, nums))
 
     def _images(self, tag: str) -> dict:
         return {
-            (a, b): _divided(self.n, num, self.den)
+            (a, b): GEl(self.n, divided(num, self.den))
             for (t, a, b), num in self.num.items()
             if t == tag
         }
@@ -486,7 +452,7 @@ class GroupPoint:
         if mat.dims != dims:
             raise ValueError("mismatched gl(m|n) dimensions")
         keys = [(a, b) for a in dims.indices() for b in dims.indices()]
-        t_part = _cleared(
+        t_part = cleared(
             mat.entry(a, b).scale(eta(dims, a, b)).terms for a, b in keys
         )
         inv_den, inv = mat._inverse_cleared()
@@ -534,7 +500,7 @@ class GroupPoint:
         if not poly.terms:
             return GEl(self.n)
         top = poly.degree()
-        q, coeffs = _cleared({0: c} for c in poly.terms.values())
+        q, coeffs = cleared({0: c} for c in poly.terms.values())
 
         def scaled_terms():
             for (cre, cim), mono in zip(coeffs, poly.terms):
@@ -543,8 +509,8 @@ class GroupPoint:
                 yield ({0: c * k for c in cre.values()},
                        {0: c * k for c in cim.values()}), prod
 
-        return _divided(self.n, _zmul_sum(scaled_terms()),
-                        q * self.den ** top)
+        return GEl(self.n, divided(_zmul_sum(scaled_terms()),
+                                   q * self.den ** top))
 
     def _monomial(self, mono) -> tuple:
         """(den^j times the image of mono, its degree j)."""

@@ -5,13 +5,19 @@ Vectors are dicts mapping orderable keys to nonzero :class:`Scalar` values.
 :class:`LinComb` wraps one with the vector-space operations shared by every
 sparse container of the package (polynomials, PBW elements, tensor-module
 vectors, coproduct tensors and Grassmann elements).
+
+Exact integer work runs on Gaussian-integer vectors, each a (re, im) pair of
+key -> int dicts; a real vector has an empty im dict.  :func:`cleared` puts
+Scalar dicts over one denominator as such pairs and :func:`divided` turns a
+pair back into Scalars.  :class:`SparseEchelon` eliminates on them.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
-from .scalar import Scalar, ZERO, ONE
+from .scalar import Scalar, ZERO, ONE, _RAT_ZERO, _mk, _rat
 
 
 def add_term(terms: dict, key, c: Scalar):
@@ -78,61 +84,178 @@ class LinComb:
         )
 
 
+def cleared(elems) -> tuple:
+    """Clear key -> Scalar dicts over one denominator.
+
+    Returns (L, nums): L is the least common denominator of all their
+    coefficients, and elems[i] = nums[i] / L with nums[i] a Gaussian-integer
+    (re, im) pair of key -> int dicts, each holding only nonzero values.
+    """
+    elems = list(elems)
+    den = math.lcm(*(
+        q.denominator
+        for terms in elems
+        for c in terms.values()
+        for q in (c.re, c.im)
+    ))
+    return den, [
+        (
+            {k: c.re.numerator * (den // c.re.denominator)
+             for k, c in terms.items() if c.re},
+            {k: c.im.numerator * (den // c.im.denominator)
+             for k, c in terms.items() if c.im},
+        )
+        for terms in elems
+    ]
+
+
+def divided(num: tuple, den: int) -> dict:
+    """The key -> Scalar dict num / den, num a Gaussian-integer (re, im)
+    pair; one division per part, keys in increasing order."""
+    re, im = num
+    return {
+        k: _mk(_rat(re[k], den) if k in re else _RAT_ZERO,
+               _rat(im[k], den) if k in im else _RAT_ZERO)
+        for k in sorted(re.keys() | im.keys())
+    }
+
+
+def _add_scaled(dst: dict, c: int, src: dict) -> None:
+    """dst += c * src on key -> int dicts, dropping keys that reach zero."""
+    if not c:
+        return
+    for k, x in src.items():
+        t = dst.get(k, 0) + c * x
+        if t:
+            dst[k] = t
+        else:
+            del dst[k]
+
+
+def _times(v: tuple, a: int, b: int) -> tuple:
+    """(a + b i) v for a Gaussian-integer (re, im) pair v."""
+    vr, vi = v
+    re, im = {}, {}
+    _add_scaled(re, a, vr)
+    _add_scaled(re, -b, vi)
+    _add_scaled(im, a, vi)
+    _add_scaled(im, b, vr)
+    return re, im
+
+
+def _primitive(v: tuple) -> tuple:
+    """v divided by the gcd of all its integers."""
+    vr, vi = v
+    g = math.gcd(*vr.values(), *vi.values())
+    if g == 1:
+        return v
+    return ({k: x // g for k, x in vr.items()},
+            {k: x // g for k, x in vi.items()})
+
+
+def _eliminate(v: tuple, piv, row: tuple) -> None:
+    """Clear v at piv by row, in place: v <- (P/g) v - (c/g) row.
+
+    row is a Gaussian-integer pair whose entry at piv is the positive
+    integer P, c is v's entry there and g = gcd(P, c).
+    """
+    vr, vi = v
+    rr, ri = row
+    p = rr[piv]
+    cr, ci = vr.get(piv, 0), vi.get(piv, 0)
+    g = math.gcd(p, cr, ci)
+    s, a, b = p // g, cr // g, ci // g
+    if s != 1:
+        for k in vr:
+            vr[k] *= s
+        for k in vi:
+            vi[k] *= s
+    # (a + b i)(rr + ri i) = (a rr - b ri) + (a ri + b rr) i
+    _add_scaled(vr, -a, rr)
+    _add_scaled(vr, b, ri)
+    _add_scaled(vi, -a, ri)
+    _add_scaled(vi, -b, rr)
+    # zero by construction; dropped outright, so every step raises v's
+    # least key and the elimination always ends
+    vr.pop(piv, None)
+    vi.pop(piv, None)
+
+
+def _lead(v: tuple):
+    """The least key of a nonzero Gaussian-integer pair."""
+    vr, vi = v
+    if not vi:
+        return min(vr)
+    if not vr:
+        return min(vi)
+    return min(min(vr), min(vi))
+
+
 class SparseEchelon:
-    """Incremental echelon basis of sparse vectors, with optional payloads."""
+    """Incremental echelon basis of sparse vectors, with optional payloads.
+
+    Vectors come in as key -> Scalar dicts over Q(i).  Each is cleared of
+    denominators once and eliminated fraction-free: a row is a primitive
+    Gaussian-integer (re, im) pair of key -> int dicts whose entry at its
+    pivot, its least key, is a positive integer.  Scalars are built again
+    only by :meth:`reduced`, one division per entry.
+    """
 
     __slots__ = ("rows", "payloads")
 
     def __init__(self):
-        self.rows: dict = {}  # pivot key -> row dict, row[pivot] == 1
+        self.rows: dict = {}  # pivot key -> (re, im), re[pivot] > 0
         self.payloads: dict = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: dict) -> dict:
-        """Remainder of vec modulo the current row space."""
-        v = dict(vec)
-        while v:
-            piv = min(v)
-            row = self.rows.get(piv)
+    def _remainder(self, vec: dict) -> tuple:
+        """A nonzero multiple of vec modulo the row space, and its least
+        key (None when vec is in the row space)."""
+        _, (v,) = cleared((vec,))
+        rows = self.rows
+        while v[0] or v[1]:
+            piv = _lead(v)
+            row = rows.get(piv)
             if row is None:
-                return v
-            c = -v[piv]
-            for k, rv in row.items():
-                add_term(v, k, c * rv)
-        return v
+                return v, piv
+            _eliminate(v, piv, row)
+        return v, None
 
     def insert(self, vec: dict, payload=None) -> Optional[object]:
         """Insert vec if independent; returns its pivot key or None."""
-        rem = self.reduce(vec)
-        if not rem:
+        v, piv = self._remainder(vec)
+        if piv is None:
             return None
-        piv = min(rem)
-        inv = ONE / rem[piv]
-        self.rows[piv] = {k: c * inv for k, c in rem.items()}
+        cr, ci = v[0].get(piv, 0), v[1].get(piv, 0)
+        if ci or cr < 0:
+            # times the conjugate: the pivot becomes cr^2 + ci^2 > 0
+            v = _times(v, cr, -ci)
+        self.rows[piv] = _primitive(v)
         self.payloads[piv] = payload
         return piv
 
     def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+        return self._remainder(vec)[1] is None
 
     def reduced(self) -> dict:
-        """Back-substitution: {pivot: row}, each row zero at every other pivot.
+        """Back-substitution: {pivot: row}, each row a key -> Scalar dict
+        equal to 1 at its pivot and zero at every other pivot.
 
         A row's keys are never below its pivot, so the rows are finished
-        from the highest pivot down, each cleared by the finished rows above.
+        from the highest pivot down, each cleared by the finished rows above
+        on integers and divided by its pivot entry at the end.
         """
-        out: dict = {}
+        done: dict = {}
         for piv in sorted(self.rows, reverse=True):
-            row = dict(self.rows[piv])
-            for q in [k for k in row if k in out]:
-                c = -row[q]
-                for k, rv in out[q].items():
-                    add_term(row, k, c * rv)
-            out[piv] = row
-        return out
+            rr, ri = self.rows[piv]
+            row = (dict(rr), dict(ri))
+            for q in [k for k in rr.keys() | ri.keys() if k in done]:
+                _eliminate(row, q, done[q])
+            done[piv] = _primitive(row)
+        return {piv: divided(row, row[0][piv]) for piv, row in done.items()}
 
 
 def kernel_dense(constraint_rows, ncols: int) -> list:

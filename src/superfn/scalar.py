@@ -176,9 +176,10 @@ def _rat_str(q) -> str:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+MINUS_ONE = Scalar(-1)
 I = Scalar(0, 1)
 
 
 def sign_pow(e: int) -> Scalar:
     """(-1)**e as a Scalar, for parity exponents."""
-    return ONE if e % 2 == 0 else Scalar(-1)
+    return ONE if e % 2 == 0 else MINUS_ONE

@@ -22,7 +22,7 @@ from itertools import permutations, product as _iproduct
 from .cg import DimCapError, _case, _report
 from .grading import Dims
 from .linalg import SparseEchelon, add_term, kernel_dense
-from .scalar import Scalar, ONE
+from .scalar import ONE, MINUS_ONE
 from .ugl import TVec, letter_matrix
 
 SUBSPACE_CAP = 10000
@@ -104,7 +104,7 @@ def sergeev_invariant(dims: Dims, sigma, d: int) -> TVec:
         pars = tuple(dims.par(x) for x in a)
         sgn = sergeev_sign(sigma0, pars)
         idx = tuple(a[sigma0[p]] for p in range(d)) + tuple(reversed(a))
-        add_term(out, idx, Scalar(-1) if sgn else ONE)
+        add_term(out, idx, MINUS_ONE if sgn else ONE)
     return TVec(dims, factors, out)
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 from .grading import Dims
 from .linalg import LinComb, add_term
-from .scalar import Scalar, ZERO, ONE
+from .scalar import Scalar, ZERO, ONE, MINUS_ONE
 
 Letter = tuple  # (row, col)
 Word = tuple  # (Letter, ...)
@@ -60,7 +60,7 @@ def bracket(dims: Dims, x: Letter, y: Letter) -> dict:
         add_term(out, (a, d), ONE)
     if a == d:
         sgn = (dims.letter_par(a, b) * dims.letter_par(c, d)) & 1
-        add_term(out, (c, b), Scalar(-1) if not sgn else ONE)
+        add_term(out, (c, b), MINUS_ONE if not sgn else ONE)
     return out
 
 
@@ -89,7 +89,7 @@ def _normalize_word(dims: Dims, word: Word) -> dict:
         _normalize_cache[key] = out
         return out
     sgn = (dims.letter_par(*x) * dims.letter_par(*y)) & 1
-    swap_coeff = Scalar(-1) if sgn else ONE
+    swap_coeff = MINUS_ONE if sgn else ONE
     swapped = word[:pivot] + (y, x) + word[pivot + 2:]
     for w, c in _normalize_word(dims, swapped).items():
         add_term(out, w, c * swap_coeff)
@@ -278,7 +278,7 @@ class TVec(LinComb):
         dims = self.dims
         xpar = dims.letter_par(a, b)
         out = {}
-        vb_coeff = Scalar(-1) if (dims.par(a) * (1 + dims.par(b))) % 2 == 0 else ONE
+        vb_coeff = MINUS_ONE if (dims.par(a) * (1 + dims.par(b))) % 2 == 0 else ONE
         for idx, c in self.terms.items():
             prefix = 0
             for j, kind in enumerate(self.factors):

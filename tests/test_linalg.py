@@ -1,7 +1,9 @@
 """The exact eliminator: SparseEchelon, its reduced form, nullspaces and
-inverses, on seeded random sparse integer and Gaussian-integer matrices."""
+inverses, on seeded random sparse matrices over Z, Z[i], Q and Q(i)."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,13 +11,23 @@ from superfn.grassmann import _invert_scalar_matrix
 from superfn.linalg import SparseEchelon, add_term, kernel_dense
 from superfn.scalar import Scalar, ZERO, ONE
 
-FIELDS = ["integer", "gaussian"]
+FIELDS = ["integer", "gaussian", "rational", "gaussian-rational"]
+
+
+def _part(rng: random.Random, field: str):
+    """A random real or imaginary part: an integer in [-3, 3], over a
+    denominator in 1..7 for the rational fields."""
+    num = rng.randint(-3, 3)
+    if field in ("rational", "gaussian-rational"):
+        return Fraction(num, rng.randint(1, 7))
+    return num
 
 
 def _entry(rng: random.Random, field: str) -> Scalar:
     while True:
-        im = rng.randint(-3, 3) if field == "gaussian" else 0
-        c = Scalar(rng.randint(-3, 3), im)
+        complex_field = field in ("gaussian", "gaussian-rational")
+        im = _part(rng, field) if complex_field else 0
+        c = Scalar(_part(rng, field), im)
         if c:
             return c
 
@@ -162,3 +174,123 @@ def test_inverse_rejects_random_singular_matrices(field):
         mat[-1][-1] = sum((ci * x for ci, x in zip(c, mat[-1])), ZERO)
         with pytest.raises(ValueError, match="singular body matrix"):
             _invert_scalar_matrix(mat)
+
+
+class _PivotOneEchelon:
+    """The reference eliminator: the same algorithm on Scalar rows, each
+    scaled to 1 at its pivot, as SparseEchelon ran before it went
+    fraction-free."""
+
+    def __init__(self):
+        self.rows: dict = {}
+        self.payloads: dict = {}
+
+    def reduce(self, vec: dict) -> dict:
+        v = dict(vec)
+        while v:
+            piv = min(v)
+            row = self.rows.get(piv)
+            if row is None:
+                return v
+            c = -v[piv]
+            for k, rv in row.items():
+                add_term(v, k, c * rv)
+        return v
+
+    def insert(self, vec: dict, payload=None):
+        rem = self.reduce(vec)
+        if not rem:
+            return None
+        piv = min(rem)
+        inv = ONE / rem[piv]
+        self.rows[piv] = {k: c * inv for k, c in rem.items()}
+        self.payloads[piv] = payload
+        return piv
+
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
+
+    def reduced(self) -> dict:
+        out: dict = {}
+        for piv in sorted(self.rows, reverse=True):
+            row = dict(self.rows[piv])
+            for q in [k for k in row if k in out]:
+                c = -row[q]
+                for k, rv in out[q].items():
+                    add_term(row, k, c * rv)
+            out[piv] = row
+        return out
+
+
+def _reference_kernel(rows: list, ncols: int) -> list:
+    ech = _PivotOneEchelon()
+    for row in rows:
+        ech.insert(row)
+    red = ech.reduced()
+    basis = {free: [ZERO] * ncols for free in range(ncols) if free not in red}
+    for free, vec in basis.items():
+        vec[free] = ONE
+    for piv, row in red.items():
+        for free, c in row.items():
+            if free != piv:
+                basis[free][piv] = -c
+    return list(basis.values())
+
+
+def _pivot_kind(c: Scalar) -> str:
+    if not c.im:
+        return "real"
+    return "imaginary" if not c.re else "complex"
+
+
+def _combination(rng: random.Random, field: str, rows: list) -> dict:
+    out: dict = {}
+    for src in rng.sample(rows, min(len(rows), rng.randint(1, 3))):
+        c = _entry(rng, field)
+        for k, v in src.items():
+            add_term(out, k, c * v)
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_echelon_matches_the_pivot_one_reference(field):
+    rng = random.Random(51 + FIELDS.index(field))
+    pivot_kinds = {"real": 0, "imaginary": 0, "complex": 0}
+    for trial in range(80):
+        ncols = rng.randint(1, 10)
+        rows = _sparse_rows(rng, field, ncols)
+        ech, ref = SparseEchelon(), _PivotOneEchelon()
+        for i, row in enumerate(rows):
+            rem = ref.reduce(row)
+            if rem:
+                pivot_kinds[_pivot_kind(rem[min(rem)])] += 1
+            assert ech.insert(row, payload=(trial, i)) == \
+                ref.insert(row, payload=(trial, i))
+            assert ech.rank == len(ref.rows)
+        assert ech.payloads == ref.payloads
+        assert sorted(ech.rows) == sorted(ref.rows)
+        probes = [{}] + [_combination(rng, field, rows) for _ in range(4)]
+        probes += _sparse_rows(rng, field, ncols)
+        for vec in probes:
+            assert ech.contains(vec) == ref.contains(vec)
+        assert ech.reduced() == ref.reduced()
+        assert kernel_dense(rows, ncols) == _reference_kernel(rows, ncols)
+    assert pivot_kinds["real"] >= 20
+    if field.startswith("gaussian"):
+        assert pivot_kinds["imaginary"] >= 5
+        assert pivot_kinds["complex"] >= 20
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_rows_are_primitive_with_a_positive_integer_pivot(field):
+    rng = random.Random(61 + FIELDS.index(field))
+    for _ in range(60):
+        ech = SparseEchelon()
+        for row in _sparse_rows(rng, field, rng.randint(1, 8)):
+            ech.insert(row)
+        for piv, (re, im) in ech.rows.items():
+            values = [*re.values(), *im.values()]
+            assert all(type(x) is int and x for x in values)
+            assert min(re.keys() | im.keys()) == piv
+            assert re[piv] > 0 and piv not in im
+            assert math.gcd(*values) == 1
