@@ -501,8 +501,13 @@ def is_zero_mod_j(
     failure probability at most (deg f / 2**20) ** trials.
 
     mode="pairing": exact on both sides via the U(gl(m|n)) duality; see
-    :func:`pairing_certificate`.
+    :func:`pairing_certificate`.  It ignores ``trials``.
+
+    Raises ValueError if mode is "generic" and trials < 1: no evaluated
+    point, no proven bound.
     """
+    if mode == "generic" and trials < 1:
+        raise ValueError("trials must be at least 1")
     if f.poly.is_zero():
         return Verdict("zero", "exact", 0, seed, "0")
     if mode == "generic":

@@ -587,11 +587,14 @@ def _cmd_theta(args, ctx: ExprContext) -> int:
     return _emit_report(_report("theta", [case]), args.json)
 
 
-def _cmd_sergeev(args, ctx: ExprContext) -> int:
-    if args.d < 1:
+def _fft_report(dims: Dims, d: int) -> dict:
+    if d < 1:
         raise CliError("--d must be at least 1")
-    rep = verify_fft(ctx.dims, args.d)
-    return _emit_report(rep, args.json)
+    return verify_fft(dims, d)
+
+
+def _cmd_sergeev(args, ctx: ExprContext) -> int:
+    return _emit_report(_fft_report(ctx.dims, args.d), args.json)
 
 
 def _cmd_group(args, ctx: ExprContext) -> int:
@@ -635,7 +638,7 @@ def _cmd_verify(args, ctx: ExprContext) -> int:
                                 trials=args.trials, mode=args.mode)
     elif args.suite == "fft":
         d = args.d if args.d is not None else (3 if dims.size <= 2 else 2)
-        rep = verify_fft(dims, d)
+        rep = _fft_report(dims, d)
     else:
         raise CliError(f"unknown suite {args.suite!r}")
     return _emit_report(rep, args.json)
@@ -736,8 +739,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built on the first main() call and kept for the process: parse_args
+# returns a fresh Namespace each time and leaves the parser unchanged.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     args = parser.parse_args(argv)
     if args.m is None or args.n is None:
         parser.error("--m and --n are required")

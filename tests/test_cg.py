@@ -245,6 +245,20 @@ def test_is_zero_mod_j_verdicts():
     assert a == b
 
 
+def test_generic_oracle_rejects_fewer_than_one_trial(monkeypatch):
+    def no_points(*args):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(cg, "_oracle_points", no_points)
+    for trials in (0, -2):
+        for f in (CG.zero(D11), relations(D11)[0], CG.t(D11, 1, 1)):
+            with pytest.raises(ValueError, match="trials must be at least 1"):
+                is_zero_mod_j(f, trials=trials)
+    # pairing mode ignores trials
+    v = is_zero_mod_j(relations(D11)[0], mode="pairing", trials=0)
+    assert v.is_zero and v.mode == "pairing"
+
+
 def test_pairing_certificate_is_sharp():
     rels = relations(D11)
     for rel in rels:

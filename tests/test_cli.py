@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from superfn import cli
 from superfn.cli import main, parse_expr, print_expr, tokenize, CliError
 
 GEN_ARITY = {"t": 2, "tb": 2, "E": 2, "z": 1, "zb": 1,
@@ -265,6 +266,20 @@ def test_unknown_mode_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_counts_below_one_exit_2(capsys):
+    trials = "error: trials must be at least 1"
+    degree = "error: --d must be at least 1"
+    for argv, err_want in (
+        (("iszero", "t[1,1]", "--trials", "0"), trials),
+        (("iszero", "t[1,1]", "--trials", "-2"), trials),
+        (("verify", "--suite", "hopf", "--trials", "0"), trials),
+        (("verify", "--suite", "fft", "--d", "0"), degree),
+        (("verify", "--suite", "fft", "--d", "-3"), degree),
+    ):
+        code, out, err = run(capsys, "--m", "1", "--n", "1", *argv)
+        assert (code, out, err.strip()) == (2, "", err_want), argv
+
+
 def test_verify_maxrank_honours_mode(capsys):
     def cases(*extra):
         code, out, _ = run(capsys, "--m", "1", "--n", "1", "verify",
@@ -287,3 +302,61 @@ def test_verify_maxrank_honours_mode(capsys):
                          "--suite", "maxrank", "--mode", "pairing")
     assert (code, out) == (3, "")
     assert err.startswith("resource cap:")
+
+
+# ------------------------------------------------------------- one parser
+
+
+# Each neighbouring pair differs in one thing a reused parser could carry
+# over: output format, profile, oracle mode, an optional verb flag, flag
+# placement, and a usage error just after dims given behind the verb.
+PARSER_REUSE_SEQUENCE = (
+    ("--m", "1", "--n", "1", "--json", "eval", "t[1,2]*tb[2,1] + 1/2"),
+    ("--m", "1", "--n", "1", "eval", "t[1,2]*tb[2,1] + 1/2"),
+    ("--m", "2", "--n", "2", "--profile", "1,1|1,1", "--json",
+     "invariant", "CP[1,1]"),
+    ("--m", "2", "--n", "2", "--json", "invariant", "CP[1,1]"),
+    ("--m", "1", "--n", "1", "--mode", "pairing", "iszero",
+     "t[1,1]*tb[1,1] + t[2,1]*tb[2,1] - 1"),
+    ("--m", "1", "--n", "1", "iszero",
+     "t[1,1]*tb[1,1] + t[2,1]*tb[2,1] - 1"),
+    ("--m", "2", "--n", "2", "verify", "--suite", "maxrank", "--k", "1"),
+    ("--m", "2", "--n", "2", "verify", "--suite", "maxrank"),
+    ("eval", "r", "--m", "1", "--n", "1", "--json"),
+    ("eval", "r"),
+    ("--m", "1", "--n", "1", "eval", "r"),
+)
+
+
+def run_code(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_parser_built_once_and_keeps_no_state(capsys, monkeypatch):
+    alone = []
+    for argv in PARSER_REUSE_SEQUENCE:
+        monkeypatch.setattr(cli, "_parser", None)
+        alone.append(run_code(capsys, argv))
+    assert [code for code, _ in alone] == [0] * 9 + [2, 0]
+    assert len(set(out for _, out in alone[2:4])) == 2
+    assert len(set(out for _, out in alone[6:8])) == 2
+
+    # perfbench rebinds cli.build_parser after import; main must call
+    # whatever the module global holds when it builds
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(original())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    together = [run_code(capsys, argv) for argv in PARSER_REUSE_SEQUENCE]
+    assert len(built) == 1
+    assert cli._parser is built[0]
+    assert together == alone
