@@ -598,8 +598,8 @@ def _cmd_sergeev(args, ctx: ExprContext) -> int:
 
 
 def _cmd_group(args, ctx: ExprContext) -> int:
-    if args.count < 1:
-        raise CliError("--count must be at least 1")
+    if args.count < 3:
+        raise CliError("--count must be at least 3")
     rep = verify_group(ctx.dims, count=args.count, seed=args.seed)
     return _emit_report(rep, args.json)
 

@@ -666,8 +666,16 @@ def real_sample_points(dims: Dims, count: int = 5) -> list:
 
 def verify_group(dims: Dims, count: int = 20, seed: int = 0) -> dict:
     """The supergroup suite: point construction, convolution vs matrix
-    product, inverses via the antipode, and the real-form duality."""
+    product, inverses via the antipode, and the real-form duality.
+
+    The product cases check consecutive pairs and the associativity case
+    consecutive triples of the ``count`` points, so ``count`` must be at
+    least 3: with fewer, those cases would pass without checking anything.
+    """
     from .cg import CG, _case, _report
+
+    if count < 3:
+        raise ValueError("count must be at least 3")
 
     rng = random.Random(seed)
     cases = []

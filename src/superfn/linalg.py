@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .scalar import Scalar, ZERO, ONE, _RAT_ZERO, _mk, _rat
+from .scalar import Scalar, ZERO, ONE, _mk, _part, _rat
 
 
 def add_term(terms: dict, key, c: Scalar):
@@ -111,11 +111,12 @@ def cleared(elems) -> tuple:
 
 def divided(num: tuple, den: int) -> dict:
     """The key -> Scalar dict num / den, num a Gaussian-integer (re, im)
-    pair; one division per part, keys in increasing order."""
+    pair; one division per part, each made canonical, keys in increasing
+    order."""
     re, im = num
     return {
-        k: _mk(_rat(re[k], den) if k in re else _RAT_ZERO,
-               _rat(im[k], den) if k in im else _RAT_ZERO)
+        k: _mk(_part(_rat(re[k], den)) if k in re else 0,
+               _part(_rat(im[k], den)) if k in im else 0)
         for k in sorted(re.keys() | im.keys())
     }
 

@@ -2,16 +2,24 @@
 
 Every coefficient in this package is a :class:`Scalar`, an element of Q(i)
 stored as an exact real and imaginary rational part.  gmpy2 is used for the
-rational backend when available; otherwise ``fractions.Fraction``.
+rational backend ``_rat`` when available; otherwise ``fractions.Fraction``.
 
-There is one class with one representation.  Nearly every coefficient the
-package meets is real, so the operators take a real fast path: when both
-imaginary parts are zero, ``+``, ``-`` and ``*`` make one rational operation
-and share one zero imaginary part, and division by a real divides each part
-once.  Complex operands use the full Q(i) formulas.  Operators build their
-results with :func:`_mk` from parts that are already rationals, without
-converting them again.  The public constructor converts its arguments and
-rejects inexact ``float`` and ``complex`` parts.
+There is one class with one representation, and its parts are canonical: a
+part is a plain ``int`` when it is integral and a ``_rat`` with denominator
+above 1 otherwise (see :func:`_part`).  Nearly every coefficient the package
+meets is an integer (letter actions, Koszul signs, PBW straightening
+constants), so most sums and products are ``int`` arithmetic, done in C with
+no rational objects.  A rational result goes back to ``int`` when its
+denominator is 1.  Division always goes through ``_rat``, so it is exact and
+never gives a ``float``.
+
+Nearly every coefficient is also real, so the operators take a real fast
+path: when both imaginary parts are zero, ``+``, ``-`` and ``*`` make one
+operation on the real parts, and division by a real divides each part once.
+Complex operands use the full Q(i) formulas.  Operators build their results
+with :func:`_mk` from canonical parts, without converting them again.  The
+public constructor converts its arguments and rejects inexact ``float`` and
+``complex`` parts.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ try:
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as _rat
 
-_RAT_ZERO = _rat(0)
 _INEXACT = (float, complex)
 
 
@@ -36,15 +43,15 @@ class Scalar:
                 f"Scalar parts must be exact, got {type(re).__name__} "
                 f"and {type(im).__name__}"
             )
-        object.__setattr__(self, "re", _rat(re))
-        object.__setattr__(self, "im", _rat(im))
+        object.__setattr__(self, "re", _part(_rat(re)))
+        object.__setattr__(self, "im", _part(_rat(im)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
     @staticmethod
     def rational(p, q=1) -> "Scalar":
-        return _mk(_rat(p, q), _RAT_ZERO)
+        return _mk(_part(_rat(p, q)), 0)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -63,17 +70,23 @@ class Scalar:
 
     def __add__(self, other) -> "Scalar":
         other = _coerce(other)
+        re = self.re + other.re
+        if re.__class__ is not int:
+            re = _part(re)
         if not self.im and not other.im:
-            return _mk(self.re + other.re, _RAT_ZERO)
-        return _mk(self.re + other.re, self.im + other.im)
+            return _mk(re, 0)
+        return _mk(re, _part(self.im + other.im))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Scalar":
         other = _coerce(other)
+        re = self.re - other.re
+        if re.__class__ is not int:
+            re = _part(re)
         if not self.im and not other.im:
-            return _mk(self.re - other.re, _RAT_ZERO)
-        return _mk(self.re - other.re, self.im - other.im)
+            return _mk(re, 0)
+        return _mk(re, _part(self.im - other.im))
 
     def __rsub__(self, other) -> "Scalar":
         return _coerce(other) - self
@@ -84,10 +97,13 @@ class Scalar:
     def __mul__(self, other) -> "Scalar":
         other = _coerce(other)
         if not self.im and not other.im:
-            return _mk(self.re * other.re, _RAT_ZERO)
+            re = self.re * other.re
+            if re.__class__ is not int:
+                re = _part(re)
+            return _mk(re, 0)
         return _mk(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+            _part(self.re * other.re - self.im * other.im),
+            _part(self.re * other.im + self.im * other.re),
         )
 
     __rmul__ = __mul__
@@ -99,12 +115,12 @@ class Scalar:
             if not den:
                 raise ZeroDivisionError("division by zero Scalar")
             if not self.im:
-                return _mk(self.re / den, _RAT_ZERO)
-            return _mk(self.re / den, self.im / den)
+                return _mk(_quo(self.re, den), 0)
+            return _mk(_quo(self.re, den), _quo(self.im, den))
         den = other.re * other.re + other.im * other.im
         return _mk(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
+            _quo(self.re * other.re + self.im * other.im, den),
+            _quo(self.im * other.re - self.re * other.im, den),
         )
 
     def __rtruediv__(self, other) -> "Scalar":
@@ -152,18 +168,34 @@ _set = object.__setattr__
 
 
 def _mk(re, im) -> Scalar:
-    """The Scalar re + im*i from parts that are already backend rationals."""
+    """The Scalar re + im*i from parts that are already canonical."""
     s = _new(Scalar)
     _set(s, "re", re)
     _set(s, "im", im)
     return s
 
 
+def _part(q):
+    """The canonical part equal to the rational q: a plain ``int`` when q is
+    integral, else q itself, a ``_rat`` with denominator above 1."""
+    if q.__class__ is int:
+        return q
+    if q.denominator == 1:
+        return int(q.numerator)
+    return q
+
+
+def _quo(a, b):
+    """The canonical part a / b of two parts, b nonzero; exact through
+    ``_rat``, so two ``int`` parts never divide to a ``float``."""
+    return _part(_rat(a) / b)
+
+
 def _coerce(x) -> Scalar:
     if x.__class__ is Scalar:
         return x
     if isinstance(x, int):
-        return _mk(_rat(x), _RAT_ZERO)
+        return _mk(int(x), 0)
     raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
 

@@ -44,3 +44,17 @@ def test_counter_targets_are_patchable():
     for op in spans.Counter.SCALAR_OPS:
         assert callable(_resolve("scalar", f"Scalar.{op}"))
     assert callable(_resolve("grassmann", "GEl.__mul__"))
+
+
+def test_scalar_backend_hook_resolves():
+    """``perfbench/run.py`` imports ``superfn.scalar._rat`` to name the
+    rational backend, and the counter reads ``Scalar.im`` as a truth value:
+    every part is an int or a _rat, and _rat takes each one back exactly."""
+    from superfn.scalar import Scalar, ONE, I, _rat
+
+    assert f"{_rat.__module__}.{_rat.__qualname__}"
+    half = Scalar(1) / 2
+    for part in (ONE.re, ONE.im, I.im, half.re, (half * 2).re):
+        assert type(part) in (int, _rat)
+        assert _rat(part) == part
+    assert not ONE.im and not half.im and I.im

@@ -280,6 +280,14 @@ def test_counts_below_one_exit_2(capsys):
         assert (code, out, err.strip()) == (2, "", err_want), argv
 
 
+@pytest.mark.parametrize("count", ["2", "1", "0"])
+def test_group_counts_below_three_exit_2(capsys, count):
+    code, out, err = run(capsys, "--m", "1", "--n", "1", "group",
+                         "--count", count)
+    assert (code, out, err.strip()) == (
+        2, "", "error: --count must be at least 3")
+
+
 def test_verify_maxrank_honours_mode(capsys):
     def cases(*extra):
         code, out, _ = run(capsys, "--m", "1", "--n", "1", "verify",

@@ -239,6 +239,12 @@ def test_verify_group_suites():
         assert "convolution matches the supermatrix product" in names
 
 
+@pytest.mark.parametrize("count", [1, 2])
+def test_verify_group_rejects_counts_with_no_pair_or_triple(count):
+    with pytest.raises(ValueError, match="count must be at least 3"):
+        verify_group(D11, count=count, seed=0)
+
+
 # ------------------------------------------- one exact integer evaluator
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from superfn.linalg import divided
 from superfn.scalar import Scalar, ZERO, ONE, I, _rat, sign_pow
 
 rationals = st.fractions(
@@ -103,9 +104,17 @@ def _reference(op, a, b) -> tuple:
     return (ar * br + ai * bi) / den, (ai * br - ar * bi) / den
 
 
+def _assert_canonical(r: Scalar):
+    """Each part is exactly an int when integral, else a _rat with
+    denominator above 1: never a float or a denominator-1 rational."""
+    for part in (r.re, r.im):
+        assert type(part) is int or (
+            type(part) is _rat and part.denominator > 1), repr(part)
+
+
 def _check_result(r: Scalar, want: tuple):
     assert (r.re, r.im) == want
-    assert isinstance(r.re, _rat) and isinstance(r.im, _rat)
+    _assert_canonical(r)
     assert hash(r) == hash(Scalar(r.re, r.im))
     if r.im == 0 and r.re.denominator == 1:
         assert hash(r) == hash(int(r.re))
@@ -164,3 +173,38 @@ def test_exact_parts_are_accepted():
     assert Scalar(Fraction(1, 10)) == Scalar.rational(1, 10)
     assert Scalar(True) == ONE
     assert Scalar(-3, Fraction(2, 7)).im == Fraction(2, 7)
+
+
+@pytest.mark.parametrize("r, want", [
+    (lambda: Scalar(1) / Scalar(3), (Fraction(1, 3), 0)),
+    (lambda: Scalar(4) / 2, (2, 0)),
+    (lambda: 1 / Scalar(3), (Fraction(1, 3), 0)),
+    (lambda: Scalar(3, 1) / Scalar(1, 1), (2, -1)),
+    (lambda: Scalar(1, 1) / Scalar(1, -1), (0, 1)),
+    (lambda: Scalar(1, 2) / Scalar(2, 1), (Fraction(4, 5), Fraction(3, 5))),
+    (lambda: Scalar(6, 4) / 2, (3, 2)),
+    (lambda: Scalar.rational(4, 2), (2, 0)),
+    (lambda: Scalar.rational(1, 3), (Fraction(1, 3), 0)),
+    (lambda: Scalar(Fraction(6, 3)), (2, 0)),
+    (lambda: Scalar(Fraction(1, 2), Fraction(4, 2)), (Fraction(1, 2), 2)),
+    (lambda: Scalar(True), (1, 0)),
+], ids=["int/int", "int/2", "1/int", "complex-int", "complex-unit",
+        "complex-frac", "complex/int", "rational-int", "rational-frac",
+        "fraction-int", "fraction-parts", "bool"])
+def test_results_have_canonical_parts(r, want):
+    _check_result(r(), want)
+
+
+def test_divided_parts_are_canonical():
+    out = divided(({0: 4, 1: 3, 2: -6}, {1: 2, 3: 1}), 2)
+    assert out == {0: Scalar(2), 1: Scalar(Fraction(3, 2), 1),
+                   2: Scalar(-3), 3: Scalar(0, Fraction(1, 2))}
+    for s in out.values():
+        _assert_canonical(s)
+
+
+def test_integral_products_of_fractions_are_ints():
+    half = Scalar(Fraction(1, 2))
+    for r in (half * 2, 2 * half, half + half, Scalar(Fraction(3, 2)) - half):
+        _check_result(r, (1, 0))
+        assert r == ONE and hash(r) == hash(ONE) == hash(1)
