@@ -46,6 +46,7 @@ from .grassmann import (
     SMat,
     eta,
     random_even_invertible,
+    random_gauss_point,
     real_sample_points,
     verify_group,
 )
@@ -89,8 +90,8 @@ __all__ = [
     "Verdict", "antipode_convolution", "delta", "is_zero_mod_j", "pair",
     "pair_via_coproduct", "pair_word", "pairing_certificate", "relations",
     "verify_hopf", "GEl", "GroupPoint", "SMat", "eta",
-    "real_sample_points", "verify_group",
-    "random_even_invertible", "act", "invariant_letters", "is_invariant",
+    "real_sample_points", "verify_group", "random_even_invertible",
+    "random_gauss_point", "act", "invariant_letters", "is_invariant",
     "jmath", "letter_action", "slot_action", "x_gen", "invariant_subspace",
     "rho", "sergeev_invariant", "supercommutant_basis", "verify_fft",
     "LeviProfile", "c_block", "c_pair", "corner_invariant",

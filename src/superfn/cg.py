@@ -39,7 +39,7 @@ from itertools import product as _iproduct
 from typing import Optional
 
 from .grading import Dims
-from .grassmann import GroupPoint, random_even_invertible
+from .grassmann import random_gauss_point
 from .linalg import LinComb, SparseEchelon, add_term
 from .scalar import Scalar, ZERO, ONE, sign_pow
 from .superpoly import (
@@ -497,8 +497,9 @@ def is_zero_mod_j(
     """Decide whether f lies in the defining ideal J.
 
     mode="generic": evaluate at random group points with Grassmann odd
-    coordinates; a nonzero value is an exact disproof, while "zero" carries
-    failure probability at most (deg f / 2**20) ** trials.
+    coordinates, the Gauss-form points of :func:`_oracle_points`; a nonzero
+    value is an exact disproof, while "zero" carries failure probability at
+    most (deg f / 2**20) ** trials.
 
     mode="pairing": exact on both sides via the U(gl(m|n)) duality; see
     :func:`pairing_certificate`.  It ignores ``trials``.
@@ -522,7 +523,7 @@ def is_zero_mod_j(
 
 # Generic-oracle points per (m, n, seed): [points, state], where state is
 # the random.Random(seed) state after drawing those points.  Both caps keep
-# memory bounded: a (3,2) point holds about 1.9 MB (tracemalloc).
+# memory bounded: a (3,2) point holds about 31 KB (tracemalloc).
 _POINT_STREAMS_CAP = 8
 _POINTS_PER_STREAM_CAP = 8
 _point_memo: dict = {}
@@ -531,16 +532,16 @@ _point_memo: dict = {}
 def _oracle_points(dims: Dims, seed: int):
     """Yield the generic-oracle points for (dims, seed), trial 1 first.
 
-    Trial k's point is the k-th matrix that ``random_even_invertible`` draws
-    from ``random.Random(seed)``, built lazily.  The first
+    Trial k's point is the k-th that ``grassmann.random_gauss_point`` draws
+    from ``random.Random(seed)``, built lazily: random integer bodies A and
+    D, each redrawn while singular, and the 2mn generators as beta and
+    gamma, in T = [[A + A beta gamma, A beta], [D gamma, D]].  Every even
+    invertible supermatrix factors this way, so the points are generic on
+    all of GL(m|n), and T^{-1} is closed form.  The first
     ``_POINTS_PER_STREAM_CAP`` are kept; later ones are built from a copy of
     the saved RNG state and dropped.  At most ``_POINT_STREAMS_CAP`` streams
     are kept, the least recently used evicted first.
     """
-    def build(rng):
-        mat = random_even_invertible(dims, rng)
-        return GroupPoint.from_matrix(dims, mat, validate=False)
-
     key = (dims.m, dims.n, seed)
     stream = _point_memo.pop(key, None)
     if stream is None:
@@ -553,12 +554,12 @@ def _oracle_points(dims: Dims, seed: int):
     for k in range(_POINTS_PER_STREAM_CAP):
         if k == len(points):
             rng.setstate(stream[1])
-            points.append(build(rng))
+            points.append(random_gauss_point(dims, rng))
             stream[1] = rng.getstate()
         yield points[k]
     rng.setstate(stream[1])
     while True:
-        yield build(rng)
+        yield random_gauss_point(dims, rng)
 
 
 def _generic_zero_test(f: CG, trials: int, seed: int) -> Verdict:

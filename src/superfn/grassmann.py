@@ -25,6 +25,25 @@ least common denominator L, and ``evaluate`` clears the coefficients of f
 by their common denominator q, scales a monomial with j generator factors
 by L^(D - j), D the degree of f, and divides the integer sum once by
 q * L^D.  The result is exactly the rational value.
+
+The generic oracle's points come from :func:`random_gauss_point`, in the
+Gauss form
+
+    T = diag(A, D) [[1, beta], [0, 1]] [[1, 0], [gamma, 1]]
+      = [[A + A beta gamma, A beta], [D gamma, D]]
+
+with integer bodies A (m x m), D (n x n) and the 2mn free generators as
+the entries of beta (m x n) and gamma (n x m).  Its inverse is closed form,
+
+    T^{-1} = [[A^{-1},        -beta D^{-1}],
+              [-gamma A^{-1}, (1 + gamma beta) D^{-1}]],
+
+so no image has Grassmann degree above 2 and only det A and det D enter
+the denominators: no Neumann series.  The body of every T in GL(m|n) is
+block diagonal and invertible, so (A, D, beta, gamma) -> T is an
+isomorphism GL_m x GL_n x A^{0|2mn} -> GL(m|n), and these points are as
+generic as arbitrary even supermatrices (Berezin, *Introduction to
+Superanalysis*, 1987, uses the same factorisation for the Berezinian).
 """
 
 from __future__ import annotations
@@ -297,6 +316,10 @@ class SMat:
             rows.append([GEl(self.n, divided(a, den)) for a in row])
         return SMat(self.dims, self.n, rows)
 
+    def _cleared(self) -> tuple:
+        """(L, nums) with the entries, row by row, equal to nums / L."""
+        return cleared(e.terms for row in self.rows for e in row)
+
     def _inverse_cleared(self) -> tuple:
         """(L, rows) with T^{-1} = rows / L, rows Gaussian-integer elements.
 
@@ -335,6 +358,18 @@ class SMat:
                           for a, c in zip(acc[i], cur[i])]
             den *= e * d
         return den, acc
+
+
+def _flat(part: tuple) -> tuple:
+    """A cleared (den, rows) part with its rows joined, row by row."""
+    den, rows = part
+    return den, [x for row in rows for x in row]
+
+
+def _zneg(num: tuple) -> tuple:
+    """-num, for a Gaussian-integer element num."""
+    re, im = num
+    return {m: -c for m, c in re.items()}, {m: -c for m, c in im.items()}
 
 
 def _zvecmat(row: list, mat: list) -> list:
@@ -391,6 +426,86 @@ def random_even_invertible(dims: Dims, rng: random.Random) -> SMat:
             for row in mat.body_matrix()
         ):
             return mat
+
+
+def _block_inverse(rows: list) -> tuple:
+    """(d, x) with rows^{-1} = x / d, for a square integer matrix, by one
+    ``_invert_scalar_matrix`` call; raises ValueError when it is singular.
+    """
+    k = len(rows)
+    d, nums = cleared(
+        {0: c}
+        for row in _invert_scalar_matrix([[Scalar(c) for c in row]
+                                          for row in rows])
+        for c in row
+    )
+    flat = [re.get(0, 0) for re, _ in nums]
+    return d, [flat[i * k:(i + 1) * k] for i in range(k)]
+
+
+def _random_block(k: int, rng: random.Random) -> tuple:
+    """(rows, (d, x)): a random k x k integer matrix, drawn row by row from
+    {-2**20..2**20} and redrawn while it is singular, and its inverse."""
+    while True:
+        rows = [[rng.randint(-_BODY_BOUND, _BODY_BOUND) for _ in range(k)]
+                for _ in range(k)]
+        try:
+            return rows, _block_inverse(rows)
+        except ValueError:
+            pass
+
+
+def random_gauss_point(dims: Dims, rng: random.Random) -> "GroupPoint":
+    """The Gauss-form point of random integer bodies A and then D (see the
+    module docstring), unvalidated; each block is inverted once."""
+    a_block = _random_block(dims.m, rng)
+    return _gauss_point(dims, a_block, _random_block(dims.n, rng))
+
+
+def _gauss_point(dims: Dims, a_block: tuple, d_block: tuple) -> "GroupPoint":
+    """The point of T = [[A + A beta gamma, A beta], [D gamma, D]].
+
+    Each block is (rows, (d, x)) with rows^{-1} = x / d.  beta[i][j] is
+    generator i n + j + 1 and gamma[i][j] generator m n + i m + j + 1, so
+    every beta precedes every gamma: beta gamma keeps the sign of its mask
+    and gamma beta flips it.  T^{-1} is put over lcm(d_A, d_D).
+    """
+    m, n = dims.m, dims.n
+    a, (da, xa) = a_block
+    d, (dd, xd) = d_block
+    den = math.lcm(da, dd)
+    ka, kd = den // da, den // dd
+
+    def beta(i, j):
+        return 1 << (i * n + j)
+
+    def gamma(i, j):
+        return 1 << (m * n + i * m + j)
+
+    def real(pairs):
+        return {mask: c for mask, c in pairs if c}, {}
+
+    mat, inv = [], []  # T and den * T^{-1}, row by row
+    for i in range(m):
+        mat += [real([(0, a[i][j])] + [(beta(k, l) | gamma(l, j), a[i][k])
+                                        for k in range(m) for l in range(n)])
+                for j in range(m)]
+        mat += [real((beta(k, j), a[i][k]) for k in range(m))
+                for j in range(n)]
+        inv += [real([(0, ka * xa[i][j])]) for j in range(m)]
+        inv += [real((beta(i, k), -kd * xd[k][j]) for k in range(n))
+                for j in range(n)]
+    for i in range(n):
+        mat += [real((gamma(k, j), d[i][k]) for k in range(n))
+                for j in range(m)]
+        mat += [real([(0, d[i][j])]) for j in range(n)]
+        inv += [real((gamma(i, k), -ka * xa[k][j]) for k in range(m))
+                for j in range(m)]
+        inv += [real([(0, kd * xd[i][j])]
+                     + [(gamma(i, k) | beta(k, l), -kd * xd[l][j])
+                        for k in range(m) for l in range(n)])
+                for j in range(n)]
+    return GroupPoint._from_cleared(dims, 2 * m * n, (1, mat), (den, inv))
 
 
 def eta(dims: Dims, a: int, b: int) -> Scalar:
@@ -451,21 +566,36 @@ class GroupPoint:
         """
         if mat.dims != dims:
             raise ValueError("mismatched gl(m|n) dimensions")
-        keys = [(a, b) for a in dims.indices() for b in dims.indices()]
-        t_part = cleared(
-            mat.entry(a, b).scale(eta(dims, a, b)).terms for a, b in keys
+        point = GroupPoint._from_cleared(
+            dims, mat.n, mat._cleared(), _flat(mat._inverse_cleared())
         )
-        inv_den, inv = mat._inverse_cleared()
-        tb_part = (inv_den, [inv[b - 1][a - 1] for a, b in keys])
-        del inv
-        den, nums = _lowest_terms([t_part, tb_part])
+        if validate:
+            point.validate()
+        return point
+
+    @staticmethod
+    def _from_cleared(dims: Dims, n: int, mat: tuple,
+                      inv: tuple) -> "GroupPoint":
+        """The point of T from cleared parts (den, nums) of T and of T^{-1},
+        nums their Gaussian-integer entries row by row: the t images are
+        the twisted entries of T and the tbar images the transpose of
+        T^{-1}, over one least common denominator (:func:`_lowest_terms`).
+        """
+        size = dims.size
+        keys = [(a, b) for a in dims.indices() for b in dims.indices()]
+        mat_den, mat_nums = mat
+        inv_den, inv_nums = inv
+        t_nums = [  # eta(a, b) = -1 exactly when [a] = 1 and [b] = 0
+            _zneg(num) if dims.par(a) and not dims.par(b) else num
+            for (a, b), num in zip(keys, mat_nums)
+        ]
+        tb_nums = [inv_nums[(b - 1) * size + a - 1] for a, b in keys]
+        den, nums = _lowest_terms([(mat_den, t_nums), (inv_den, tb_nums)])
         point = GroupPoint.__new__(GroupPoint)
-        point.dims, point.n, point.den = dims, mat.n, den
+        point.dims, point.n, point.den = dims, n, den
         point.num = dict(zip(
             [("t",) + k for k in keys] + [("tb",) + k for k in keys], nums
         ))
-        if validate:
-            point.validate()
         return point
 
     @staticmethod
@@ -713,7 +843,10 @@ def verify_group(dims: Dims, count: int = 20, seed: int = 0) -> dict:
 
     ok = True
     for mat, p in zip(mats, points):
-        q = GroupPoint.from_matrix(dims, mat.inverse(), validate=False)
+        # the point of T^{-1}, whose own inverse is the known T
+        q = GroupPoint._from_cleared(
+            dims, mat.n, _flat(mat._inverse_cleared()), mat._cleared()
+        )
         if p.inverse_point() != q:
             ok = False
     cases.append(

@@ -19,7 +19,11 @@ from superfn.cg import (
     verify_hopf,
 )
 from superfn.grading import Dims
-from superfn.grassmann import GroupPoint, random_even_invertible
+from superfn.grassmann import (
+    GroupPoint,
+    random_even_invertible,
+    random_gauss_point,
+)
 from superfn.scalar import Scalar, ZERO, ONE, I, sign_pow
 from superfn.ugl import UEl
 
@@ -308,11 +312,7 @@ def inversions(monkeypatch):
 def reference_points(dims, seed, count):
     """The first ``count`` oracle points, drawn from a fresh RNG."""
     rng = random.Random(seed)
-    return [
-        GroupPoint.from_matrix(dims, random_even_invertible(dims, rng),
-                               validate=False)
-        for _ in range(count)
-    ]
+    return [random_gauss_point(dims, rng) for _ in range(count)]
 
 
 def reference_verdict(f, trials, seed, points):
@@ -327,12 +327,16 @@ def reference_verdict(f, trials, seed, points):
 
 
 def vanishing_at(dims, points):
-    """(1 + a J element) * prod (t[1,1] - t[1,1](P)) over the given points:
-    zero at each of them, nonzero mod J."""
-    t11 = CG.t(dims, 1, 1)
+    """(1 + a J element) * prod (t[k,k] - t[k,k](P)) over the given points,
+    k = m + 1: zero at each of them, nonzero mod J.  An oracle point's
+    t[k,k] image is the entry D[1,1] of its odd body block, with no soul."""
+    k = dims.m + 1
+    tkk = CG.t(dims, k, k)
     f = relations(dims)[-1] + CG.one(dims)
     for p in points:
-        f = f * (t11 - CG.from_scalar(dims, p.t_img[(1, 1)].body()))
+        img = p.t_img[(k, k)]
+        assert img.soul().is_zero()
+        f = f * (tkk - CG.from_scalar(dims, img.body()))
     return f
 
 
@@ -367,9 +371,10 @@ def test_point_memo_matches_fresh_rng_reference(inversions, dims):
 def test_cold_oracle_inverts_each_body_once(inversions):
     rel = relations(D11)[0]
     assert is_zero_mod_j(rel, trials=3, seed=0).is_zero
-    assert len(inversions) == 3
+    # one inversion per block (A, then D) per point
+    assert inversions == [1, 1] * 3
     assert is_zero_mod_j(rel, trials=3, seed=0).is_zero
-    assert len(inversions) == 3
+    assert inversions == [1, 1] * 3
 
 
 def test_point_memo_keeps_at_most_eight_streams(inversions):
@@ -377,7 +382,7 @@ def test_point_memo_keeps_at_most_eight_streams(inversions):
     for seed in range(100, 120):
         assert is_zero_mod_j(rel, trials=1, seed=seed).is_zero
     assert list(cg._point_memo) == [(1, 1, s) for s in range(112, 120)]
-    assert len(inversions) == 20
+    assert len(inversions) == 2 * 20
 
 
 def test_long_runs_keep_eight_points_and_match_reference(inversions):
@@ -391,8 +396,9 @@ def test_long_runs_keep_eight_points_and_match_reference(inversions):
             got = is_zero_mod_j(f, trials=20, seed=seed).to_dict()
             assert got == reference_verdict(f, 20, seed, points)
     assert reference_verdict(late, 20, seed, points)["trials"] == 13
-    # builds: 20 cold, then 12 + 5 + 5 past the 8 kept points
-    assert len(inversions) == 20 + 12 + 5 + 5
+    # builds: 20 cold, then 12 + 5 + 5 past the 8 kept points, each
+    # inverting its two blocks
+    assert len(inversions) == 2 * (20 + 12 + 5 + 5)
 
 
 def test_same_seed_at_other_dims_never_shares_a_stream(inversions):

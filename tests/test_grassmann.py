@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superfn import grassmann
 from superfn.cg import CG, is_zero_mod_j, relations
 from superfn.grading import Dims
 from superfn.grassmann import (
@@ -13,6 +14,7 @@ from superfn.grassmann import (
     SMat,
     eta,
     random_even_invertible,
+    random_gauss_point,
     real_sample_points,
     verify_group,
 )
@@ -386,3 +388,156 @@ def test_oracle_verdicts_are_pinned(kind, dims, k, bound):
     assert is_zero_mod_j(defect + CG.one(dims)).to_dict() == {
         "verdict": "nonzero", "mode": "generic", "trials": 1, "seed": 0,
         "failure_bound": "0"}
+
+
+# ------------------------------------------------------ Gauss-form points
+
+D32 = Dims(3, 2)
+
+
+def gauss_blocks(dims, seed):
+    """The bodies A and D that random_gauss_point draws from a fresh
+    random.Random(seed): A's rows, then D's rows (none singular here)."""
+    rng = random.Random(seed)
+    bound = 2 ** 20
+    a = [[rng.randint(-bound, bound) for _ in range(dims.m)]
+         for _ in range(dims.m)]
+    d = [[rng.randint(-bound, bound) for _ in range(dims.n)]
+         for _ in range(dims.n)]
+    assert det(a) and det(d)
+    return a, d
+
+
+def det(rows):
+    """Exact determinant, by Fraction elimination."""
+    rows = [[Fraction(c) for c in row] for row in rows]
+    out = Fraction(1)
+    for j in range(len(rows)):
+        piv = next((i for i in range(j, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            return 0
+        if piv != j:
+            rows[j], rows[piv] = rows[piv], rows[j]
+            out = -out
+        out *= rows[j][j]
+        for i in range(j + 1, len(rows)):
+            f = rows[i][j] / rows[j][j]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[j])]
+    return out
+
+
+def gauss_matrix(dims, a, d):
+    """diag(A, D) [[1, beta], [0, 1]] [[1, 0], [gamma, 1]] as an SMat
+    product, beta[i][j] = theta_{i n + j + 1} and
+    gamma[i][j] = theta_{m n + i m + j + 1}."""
+    m, n = dims.m, dims.n
+    n_gen = 2 * m * n
+    size = dims.size
+
+    def blank():
+        return [[GEl.scalar(n_gen, 1 if i == j else 0) for j in range(size)]
+                for i in range(size)]
+
+    body, upper, lower = blank(), blank(), blank()
+    for i in range(m):
+        for j in range(m):
+            body[i][j] = GEl.scalar(n_gen, a[i][j])
+        for j in range(n):
+            upper[i][m + j] = GEl.gen(n_gen, i * n + j + 1)
+    for i in range(n):
+        for j in range(n):
+            body[m + i][m + j] = GEl.scalar(n_gen, d[i][j])
+        for j in range(m):
+            lower[m + i][j] = GEl.gen(n_gen, m * n + i * m + j + 1)
+    return (SMat(dims, n_gen, body) @ SMat(dims, n_gen, upper)
+            @ SMat(dims, n_gen, lower))
+
+
+@pytest.mark.parametrize("dims", [D11, D21, D12, D22],
+                         ids=["11", "21", "12", "22"])
+def test_gauss_point_matches_neumann_series_point(dims):
+    for seed in (0, 1, 2):
+        a, d = gauss_blocks(dims, seed)
+        want = GroupPoint.from_matrix(dims, gauss_matrix(dims, a, d))
+        assert random_gauss_point(dims, random.Random(seed)) == want
+
+
+@pytest.mark.parametrize("dims", [D11, D21, D12, D22, D32],
+                         ids=["11", "21", "12", "22", "32"])
+def test_gauss_point_images_have_degree_two_over_block_dets(dims):
+    for seed in (0, 1, 2):
+        a, d = gauss_blocks(dims, seed)
+        p = random_gauss_point(dims, random.Random(seed))
+        assert p.n == 2 * dims.m * dims.n
+        assert max(mask.bit_count() for re, im in p.num.values()
+                   for mask in (*re, *im)) == 2
+        assert not any(im for re, im in p.num.values())
+        assert (det(a) * det(d)) % p.den == 0
+
+
+@pytest.mark.parametrize("dims", [Dims(2, 0), Dims(0, 2), Dims(1, 0),
+                                  Dims(0, 1), D11, D21, D12, D22, D32],
+                         ids=["20", "02", "10", "01", "11", "21", "12", "22",
+                              "32"])
+def test_gauss_points_satisfy_the_relations(dims):
+    rng = random.Random(8)
+    for _ in range(3):
+        random_gauss_point(dims, rng).validate()
+    for rel in relations(dims):
+        assert is_zero_mod_j(rel, trials=2, seed=8).is_zero
+    assert not is_zero_mod_j(CG.t(dims, 1, 1), seed=8).is_zero
+
+
+def test_gauss_sampler_redraws_a_singular_block(monkeypatch):
+    # A = [[0]] is singular, then [[5]]; D = 0 is singular, then
+    # [[2, 3], [0, 1]]
+    draws = iter([0, 5, 0, 0, 0, 0, 2, 3, 0, 1])
+    rng = random.Random()
+    monkeypatch.setattr(rng, "randint", lambda lo, hi: next(draws))
+    p = random_gauss_point(D12, rng)
+    assert next(draws, None) is None
+    assert p == GroupPoint.from_matrix(D12, gauss_matrix(D12, [[5]],
+                                                         [[2, 3], [0, 1]]))
+
+
+@pytest.mark.parametrize("dims", [D11, D21, D12, D22],
+                         ids=["11", "21", "12", "22"])
+def test_product_of_all_odd_slots_is_nonzero_at_trial_one(dims):
+    # the 2mn odd entries are independent combinations of the generators
+    # only if no generator is reused; their product lies in the top mask
+    f = CG.one(dims)
+    for a in dims.indices():
+        for b in dims.indices():
+            if dims.letter_par(a, b):
+                f = f * CG.t(dims, a, b)
+    for seed in (0, 1, 2):
+        p = random_gauss_point(dims, random.Random(seed))
+        assert set(p.evaluate(f).terms) == {(1 << p.n) - 1}
+        assert is_zero_mod_j(f, seed=seed).to_dict() == {
+            "verdict": "nonzero", "mode": "generic", "trials": 1,
+            "seed": seed, "failure_bound": "0"}
+
+
+@pytest.mark.parametrize("dims", [D22, D32], ids=["22", "32"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_laplacian_defect_plus_r_power_is_nonzero(dims, k):
+    f = laplacian_defect(dims, k) + r_func(dims) ** k
+    assert is_zero_mod_j(f).to_dict() == {
+        "verdict": "nonzero", "mode": "generic", "trials": 1, "seed": 0,
+        "failure_bound": "0"}
+
+
+def test_verify_group_inverts_each_matrix_once_for_the_antipode(monkeypatch):
+    calls = []
+    invert = grassmann._invert_scalar_matrix
+
+    def counting(mat):
+        calls.append(len(mat))
+        return invert(mat)
+
+    monkeypatch.setattr(grassmann, "_invert_scalar_matrix", counting)
+    rep = verify_group(D11, count=20, seed=0)
+    assert rep["passed"], rep
+    # 20 points, 10 products, 20 antipode points (one series each, T^{-1}'s
+    # own inverse being the known T), 5 real points, 1 non-unitary diagonal
+    assert len(calls) == 20 + 10 + 20 + 5 + 1
