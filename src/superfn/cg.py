@@ -35,12 +35,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _iproduct
 from typing import Optional
 
 from .grading import Dims
 from .grassmann import random_gauss_point
-from .linalg import LinComb, SparseEchelon, add_term
+from .linalg import LinComb, SparseEchelon, add_term, cleared
 from .scalar import Scalar, ZERO, ONE, sign_pow
 from .superpoly import (
     Monomial,
@@ -351,33 +350,116 @@ def _monomial_pair_data(dims: Dims, mono: Monomial):
     return tuple(kinds), tuple(rows), tuple(cols), sign
 
 
-def pair_word(f: CG, word: tuple) -> Scalar:
-    """Pairing of f against one PBW word (no normalization required)."""
-    dims = f.dims
-    total = ZERO
-    for mono, c in f.poly.terms.items():
-        if not mono:
-            if not word:
-                total = total + c
-            continue
-        kinds, rows, cols, sign = _monomial_pair_data(dims, mono)
+# Module-side pairing kernel.  Letters act on the tensor module of a shape
+# (kinds) through integer tables, one ``letter_matrix`` result per
+# (m, n, kinds, letter); every coefficient of a letter action is +-1.  Word
+# images w . e_cols are filled by suffix, w . e = w[0] . (w[1:] . e), and
+# kept process-wide.  Both memos are emptied when they reach their cap (a
+# dict evicting its oldest key one at a time scans ever more deleted slots).
+# A module of dimension above _TABLE_DIM_CAP gets no tables: its word images
+# are acted out directly by TVec and not kept, since such tables would cost
+# more to build and hold than the words they serve.
+_LETTER_TABLES_CAP = 512
+_WORD_IMAGES_CAP = 8192
+_TABLE_DIM_CAP = 1024
+_letter_tables: dict = {}
+_word_images: dict = {}
+
+
+def _remember(memo: dict, cap: int, key, value):
+    if len(memo) >= cap:
+        memo.clear()
+    memo[key] = value
+
+
+def _letter_table(dims: Dims, kinds: tuple, letter) -> dict:
+    """E_letter on the tensor module of ``kinds``: {in_idx: ((out_idx,
+    int), ...)}, omitting the basis vectors it kills."""
+    key = (dims.m, dims.n, kinds, letter)
+    table = _letter_tables.get(key)
+    if table is None:
+        table = {
+            idx: tuple((out, c.re) for out, c in col)
+            for idx, col in letter_matrix(dims, kinds, letter).items()
+        }
+        _remember(_letter_tables, _LETTER_TABLES_CAP, key, table)
+    return table
+
+
+def _letter_times(table: dict, vec: dict) -> dict:
+    """The image of an integer vector idx -> int under a letter table."""
+    out = {}
+    for idx, x in vec.items():
+        for o, c in table.get(idx, ()):
+            t = out.get(o, 0) + c * x
+            if t:
+                out[o] = t
+            else:
+                del out[o]
+    return out
+
+
+def _word_image(dims: Dims, kinds: tuple, cols: tuple, word: tuple) -> dict:
+    """word . e_cols on the tensor module of ``kinds``, as idx -> int.
+
+    Extends the longest memoised suffix of the word one letter at a time,
+    keeping every suffix image it makes.  The result is shared: read only.
+    """
+    if dims.size ** len(kinds) > _TABLE_DIM_CAP:
         acted = TVec.basis(dims, kinds, cols).act_word(word)
-        val = acted.terms.get(rows)
-        if val is None:
-            continue
-        if sign:
-            val = -val
-        total = total + c * val
+        return {idx: c.re for idx, c in acted.terms.items()}
+    head = (dims.m, dims.n, kinds, cols)
+    k = len(word)
+    img = {cols: 1}
+    for s in range(len(word) + 1):
+        hit = _word_images.get(head + (word[s:],))
+        if hit is not None:
+            k, img = s, hit
+            break
+    for s in range(k - 1, -1, -1):
+        img = _letter_times(_letter_table(dims, kinds, word[s]), img)
+        _remember(_word_images, _WORD_IMAGES_CAP, head + (word[s:],), img)
+    return img
+
+
+def _pair_data(f: CG) -> list:
+    """(kinds, rows, cols, signed coefficient) for each monomial of f."""
+    out = []
+    for mono, c in f.poly.terms.items():
+        kinds, rows, cols, sign = _monomial_pair_data(f.dims, mono)
+        out.append((kinds, rows, cols, -c if sign else c))
+    return out
+
+
+def _pair_data_word(dims: Dims, data: list, word: tuple) -> Scalar:
+    """<f, word> from f's :func:`_pair_data`."""
+    total = ZERO
+    for kinds, rows, cols, c in data:
+        val = _word_image(dims, kinds, cols, word).get(rows)
+        if val:
+            total = total + c * val
     return total
+
+
+def pair_word(f: CG, word: tuple) -> Scalar:
+    """Pairing of f against one PBW word (no normalization required).
+
+    A monomial with module data (kinds, rows, cols, sign) pairs with the
+    word to (-1)^sign (word . e_cols)[rows], read from the word-image memo.
+    """
+    return _pair_data_word(f.dims, _pair_data(f), word)
 
 
 def pair(f: CG, u: UEl) -> Scalar:
     """The duality pairing <f, u>."""
     if f.dims != u.dims:
         raise ValueError("mismatched gl(m|n) dimensions")
+    data = _pair_data(f)
     total = ZERO
     for w, cu in u.terms.items():
-        total = total + cu * pair_word(f, w)
+        val = _pair_data_word(f.dims, data, w)
+        if val:
+            total = total + cu * val
     return total
 
 
@@ -572,15 +654,23 @@ def _generic_zero_test(f: CG, trials: int, seed: int) -> Verdict:
 
 
 def pairing_certificate(f: CG) -> bool:
-    """Exact zero test: pair f against a spanning set of U(gl(m|n)) words.
+    """Exact zero test through the U(gl(m|n)) duality.
 
-    The functional <f, .> factors through the direct sum of the tensor
-    modules carrying f's monomial shapes; the span of the module images of
-    all words is saturated from the identity by left letter multiplication,
-    and f is zero mod J iff it pairs to zero against every recorded word.
+    <f, u> = phi(u . v0), where v0 is the sum of e_cols over the distinct
+    (kinds, cols) of f's monomials, one summand per such generator, and phi
+    reads c (-1)^sign (.)[rows] off each monomial's summand.  So f lies in J
+    exactly when phi vanishes on the cyclic submodule U . v0.  That
+    submodule is saturated from v0 by left letter action, keeping each
+    vector that is new to the echelon basis, with its word as payload; phi
+    is checked on v0 and on every kept vector, and the first nonzero value
+    is an exact witness that f is not in J.
+
+    The cap still measures the flat workspace sum (m+n)^(2s) over f's
+    shapes, and fires before any oracle work.
     """
     dims = f.dims
-    shapes = sorted({_monomial_pair_data(dims, m)[0] for m in f.poly.terms})
+    data = _pair_data(f)
+    shapes = {kinds for kinds, _, _, _ in data}
     if not shapes:
         return True
     size = dims.size
@@ -589,36 +679,51 @@ def pairing_certificate(f: CG) -> bool:
         raise DimCapError(
             f"pairing oracle workspace {flat} exceeds cap {PAIRING_FLAT_CAP}"
         )
-    letters = [(a, b) for a in dims.indices() for b in dims.indices()]
-    tables = [  # per shape: {letter: {in_basis: [(out_basis, coeff), ...]}}
-        {letter: letter_matrix(dims, sh, letter) for letter in letters}
-        for sh in shapes
-    ]
-    ident = {}
-    for si, sh in enumerate(shapes):
-        for idx in _iproduct(dims.indices(), repeat=len(sh)):
-            ident[(si, idx, idx)] = ONE
+    gens = sorted({(kinds, cols) for kinds, _, cols, _ in data})
+    index = {g: i for i, g in enumerate(gens)}
+    _, ((phi_re, phi_im),) = cleared(
+        ({(index[kinds, cols], rows): c for kinds, rows, cols, c in data},)
+    )
+
+    def pairs_nonzero(vec: dict) -> bool:
+        return any(
+            sum(w * vec.get(key, 0) for key, w in part.items())
+            for part in (phi_re, phi_im)
+        )
+
+    # a vector is held both per generator, idx -> int, and flat, keyed
+    # (generator, idx) for the echelon and phi
+    start = [{cols: 1} for _, cols in gens]
+    flat = {(g, cols): 1 for g, (_, cols) in enumerate(gens)}
     ech = SparseEchelon()
-    ech.insert(ident, payload=())
-    frontier = [(ident, ())]
-    words = [()]
+    ech.insert((flat, {}), payload=())
+    if pairs_nonzero(flat):
+        return False
+    letters = [(a, b) for a in dims.indices() for b in dims.indices()]
+    tables = {
+        letter: [_letter_table(dims, kinds, letter) for kinds, _ in gens]
+        for letter in letters
+    }
+    frontier = [(start, ())]
     while frontier:
-        elem, word = frontier.pop()
+        parts, word = frontier.pop()
         for letter in letters:
-            new = {}
-            for (si, out_idx, in_idx), c in elem.items():
-                col = tables[si][letter].get(out_idx)
-                if col is None:
-                    continue
-                for new_out, coeff in col:
-                    add_term(new, (si, new_out, in_idx), coeff * c)
-            if not new:
+            new = [
+                _letter_times(table, part)
+                for table, part in zip(tables[letter], parts)
+            ]
+            flat = {
+                (g, idx): x for g, part in enumerate(new)
+                for idx, x in part.items()
+            }
+            if not flat:
                 continue
             new_word = (letter,) + word
-            if ech.insert(new, payload=new_word) is not None:
+            if ech.insert((flat, {}), payload=new_word) is not None:
+                if pairs_nonzero(flat):
+                    return False
                 frontier.append((new, new_word))
-                words.append(new_word)
-    return all(not pair_word(f, w) for w in words)
+    return True
 
 
 # ------------------------------------------------------------------- suite

@@ -195,8 +195,10 @@ def _lead(v: tuple):
 class SparseEchelon:
     """Incremental echelon basis of sparse vectors, with optional payloads.
 
-    Vectors come in as key -> Scalar dicts over Q(i).  Each is cleared of
-    denominators once and eliminated fraction-free: a row is a primitive
+    Vectors come in as key -> Scalar dicts over Q(i), each cleared of
+    denominators once, or already as Gaussian-integer (re, im) pairs of
+    key -> int dicts, copied and left unchanged.  They are eliminated
+    fraction-free: a row is a primitive
     Gaussian-integer (re, im) pair of key -> int dicts whose entry at its
     pivot, its least key, is a positive integer.  Scalars are built again
     only by :meth:`reduced`, one division per entry.
@@ -212,10 +214,13 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _remainder(self, vec: dict) -> tuple:
+    def _remainder(self, vec) -> tuple:
         """A nonzero multiple of vec modulo the row space, and its least
         key (None when vec is in the row space)."""
-        _, (v,) = cleared((vec,))
+        if vec.__class__ is tuple:
+            v = (dict(vec[0]), dict(vec[1]))
+        else:
+            _, (v,) = cleared((vec,))
         rows = self.rows
         while v[0] or v[1]:
             piv = _lead(v)
@@ -225,7 +230,7 @@ class SparseEchelon:
             _eliminate(v, piv, row)
         return v, None
 
-    def insert(self, vec: dict, payload=None) -> Optional[object]:
+    def insert(self, vec, payload=None) -> Optional[object]:
         """Insert vec if independent; returns its pivot key or None."""
         v, piv = self._remainder(vec)
         if piv is None:
@@ -238,7 +243,7 @@ class SparseEchelon:
         self.payloads[piv] = payload
         return piv
 
-    def contains(self, vec: dict) -> bool:
+    def contains(self, vec) -> bool:
         return self._remainder(vec)[1] is None
 
     def reduced(self) -> dict:

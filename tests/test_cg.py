@@ -284,6 +284,108 @@ def test_modes_agree_on_random_corpus():
         assert generic.is_zero == certified.is_zero
 
 
+def random_ideal_element(dims, rng):
+    """sum_i c_i * g_i * rel_i, g_i a product of 0 or 1 generators: in J by
+    construction, mixing monomial degrees, with a constant term whenever a
+    diagonal relation comes with no lead factor."""
+    gens = all_gens(dims)
+    rels = relations(dims)
+    f = CG.zero(dims)
+    for _ in range(rng.randint(1, 3)):
+        term = CG.from_scalar(dims, Scalar(rng.choice((1, 2, 3, -1, -2)),
+                                           rng.choice((0, 0, 1))))
+        for _ in range(rng.randint(0, 1)):
+            term = term * rng.choice(gens)
+        f = f + term * rng.choice(rels)
+    return f
+
+
+@pytest.mark.parametrize("dims", [D11, D21, D12], ids=["11", "21", "12"])
+def test_cyclic_certificate_agrees_with_generic_oracle(dims, monkeypatch):
+    echelons = []
+
+    class Recording(cg.SparseEchelon):
+        def __init__(self):
+            super().__init__()
+            echelons.append(self)
+
+    monkeypatch.setattr(cg, "SparseEchelon", Recording)
+    rng = random.Random(100 + 10 * dims.m + dims.n)
+    const_terms = degrees = 0
+    for _ in range(8):
+        base = random_ideal_element(dims, rng)
+        const = CG.from_scalar(dims, rng.choice((1, 2, -3)))
+        gen = rng.choice(all_gens(dims)).scale(rng.choice((1, -2)))
+        for f in (base, base + const, base + gen):
+            if f.is_zero_poly():
+                continue
+            const_terms += () in f.poly.terms
+            degrees += len({len(m) for m in f.poly.terms}) > 1
+            echelons.clear()
+            certified = is_zero_mod_j(f, mode="pairing")
+            generic = is_zero_mod_j(f, mode="generic", trials=3, seed=4)
+            assert certified.is_zero == generic.is_zero, f
+            (ech,) = echelons
+            data = {cg._monomial_pair_data(dims, m) for m in f.poly.terms}
+            bound = sum(dims.size ** len(kinds)
+                        for kinds, cols in {(d[0], d[2]) for d in data})
+            assert 1 <= ech.rank <= bound
+            words = list(ech.payloads.values())
+            assert words[0] == ()
+            # every kept word but the last pairs to zero; the last one is
+            # the witness of a nonzero verdict
+            assert all(not pair_word(f, w) for w in words[:-1])
+            assert bool(pair_word(f, words[-1])) == (not certified.is_zero)
+    assert const_terms and degrees
+
+
+def memo_cases():
+    """(dims, f, word) over every generator and every product of two, with
+    all words of length <= 3 at (1,1) and a seeded sample at (2,1)."""
+    rng = random.Random(21)
+    for dims in (D11, D21):
+        letters = [(a, b) for a in dims.indices() for b in dims.indices()]
+        words = [w for k in range(4)
+                 for w in itertools.product(letters, repeat=k)]
+        if dims == D21:
+            words = sorted(rng.sample(words, 12), key=len)
+        gens = all_gens(dims)
+        fs = gens + [g * h for g in gens for h in gens]
+        for w in words:
+            for f in fs:
+                yield dims, f, w
+
+
+@pytest.fixture
+def cold_pairing_memos(monkeypatch):
+    monkeypatch.setattr(cg, "_letter_tables", {})
+    monkeypatch.setattr(cg, "_word_images", {})
+
+
+def test_word_image_memo_matches_coproduct_reference(cold_pairing_memos):
+    cases = list(memo_cases())
+    want = [pair_via_coproduct(f, UEl.word(dims, w)) for dims, f, w in cases]
+    for _ in ("cold", "warm"):
+        assert [pair_word(f, w) for _, f, w in cases] == want
+    assert cg._word_images
+
+
+def test_word_image_memo_stays_under_its_cap(cold_pairing_memos,
+                                             monkeypatch):
+    cases = list(memo_cases())[::7]
+    want = [pair_word(f, w) for _, f, w in cases]
+    monkeypatch.setattr(cg, "_word_images", {})
+    monkeypatch.setattr(cg, "_WORD_IMAGES_CAP", 5)
+    for (_, f, w), value in zip(cases, want):
+        assert pair_word(f, w) == value
+        assert len(cg._word_images) <= 5
+    # above _TABLE_DIM_CAP a module is acted on directly, and nothing is kept
+    monkeypatch.setattr(cg, "_word_images", {})
+    monkeypatch.setattr(cg, "_TABLE_DIM_CAP", 1)
+    assert [pair_word(f, w) for _, f, w in cases] == want
+    assert not cg._word_images
+
+
 def test_verify_hopf_both_modes():
     rep = verify_hopf(D11, mode="pairing")
     assert rep["passed"], rep

@@ -243,12 +243,38 @@ def test_verify_invariance_small():
     assert rep["passed"], rep
 
 
-def test_t51_pairing_hits_the_workspace_cap_before_oracle_work(monkeypatch):
-    # r^4 at (1,1) needs a pairing workspace of 65536 > PAIRING_FLAT_CAP, so
-    # `verify --suite t51 --mode pairing` exits 3 at every dims
-    def no_oracle_work(*args):
+@pytest.fixture
+def no_oracle_work(monkeypatch):
+    """Empty pairing memos, and every piece of pairing work raises."""
+    def fail(*args, **kwargs):
         raise AssertionError("pairing oracle started before the cap check")
 
-    monkeypatch.setattr(cg, "letter_matrix", no_oracle_work)
+    monkeypatch.setattr(cg, "_letter_tables", {})
+    monkeypatch.setattr(cg, "_word_images", {})
+    monkeypatch.setattr(cg, "letter_matrix", fail)
+    monkeypatch.setattr(cg, "SparseEchelon", fail)
+
+
+def test_t51_pairing_hits_the_workspace_cap_before_oracle_work(
+        no_oracle_work):
+    # r^4 at (1,1) needs a pairing workspace of 65536 > PAIRING_FLAT_CAP, so
+    # `verify --suite t51 --mode pairing` exits 3 at every dims
     with pytest.raises(DimCapError, match="65536 exceeds cap 5000"):
         is_zero_mod_j(r_func(D11) ** 4, mode="pairing")
+    assert not cg._letter_tables and not cg._word_images
+
+
+def test_degree_four_ideal_element_hits_the_cap_before_oracle_work(
+        no_oracle_work):
+    # a degree-4 ideal element at (2,1) with even lead factors, as in the
+    # benchmark's pairing-mode cap queries: its degree-4 terms share one
+    # shape (v, v, v, vb) and the unit of the relation leaves (v, v), so
+    # the flat workspace is (3^4)^2 + (3^2)^2 = 6642
+    dims = Dims(2, 1)
+    rel = cg.relations(dims)[0]  # row relation at a = b = 1
+    f = (CG.t(dims, 1, 1) * CG.t(dims, 2, 2) * rel).scale(3)
+    assert f.degree() == 4
+    with pytest.raises(DimCapError,
+                       match="pairing oracle workspace 6642 exceeds cap 5000"):
+        is_zero_mod_j(f, mode="pairing")
+    assert not cg._letter_tables and not cg._word_images
