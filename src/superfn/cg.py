@@ -48,7 +48,7 @@ from .superpoly import (
     monomial_parity,
     symbol,
 )
-from .ugl import TVec, UEl, letter_matrix
+from .ugl import TVec, UEl, letter_column
 
 PAIRING_FLAT_CAP = 5000
 
@@ -351,17 +351,14 @@ def _monomial_pair_data(dims: Dims, mono: Monomial):
 
 
 # Module-side pairing kernel.  Letters act on the tensor module of a shape
-# (kinds) through integer tables, one ``letter_matrix`` result per
-# (m, n, kinds, letter); every coefficient of a letter action is +-1.  Word
+# (kinds) through integer tables, one per (m, n, kinds, letter), each filled
+# one column at a time, the first time an image reaches that basis tensor;
+# the coefficients are integers (E_aa counts the slots holding a).  Word
 # images w . e_cols are filled by suffix, w . e = w[0] . (w[1:] . e), and
 # kept process-wide.  Both memos are emptied when they reach their cap (a
 # dict evicting its oldest key one at a time scans ever more deleted slots).
-# A module of dimension above _TABLE_DIM_CAP gets no tables: its word images
-# are acted out directly by TVec and not kept, since such tables would cost
-# more to build and hold than the words they serve.
 _LETTER_TABLES_CAP = 512
 _WORD_IMAGES_CAP = 8192
-_TABLE_DIM_CAP = 1024
 _letter_tables: dict = {}
 _word_images: dict = {}
 
@@ -372,25 +369,39 @@ def _remember(memo: dict, cap: int, key, value):
     memo[key] = value
 
 
-def _letter_table(dims: Dims, kinds: tuple, letter) -> dict:
-    """E_letter on the tensor module of ``kinds``: {in_idx: ((out_idx,
-    int), ...)}, omitting the basis vectors it kills."""
+class _LetterTable(dict):
+    """E_letter on the tensor module of ``kinds``: in_idx -> ((out_idx,
+    int), ...), empty for a basis tensor it kills; a column is computed
+    when first looked up."""
+
+    __slots__ = ("dims", "kinds", "letter")
+
+    def __init__(self, dims: Dims, kinds: tuple, letter):
+        super().__init__()
+        self.dims = dims
+        self.kinds = kinds
+        self.letter = letter
+
+    def __missing__(self, idx):
+        acted = letter_column(self.dims, self.kinds, self.letter, idx)
+        col = self[idx] = tuple((out, c.re) for out, c in acted)
+        return col
+
+
+def _letter_table(dims: Dims, kinds: tuple, letter) -> _LetterTable:
     key = (dims.m, dims.n, kinds, letter)
     table = _letter_tables.get(key)
     if table is None:
-        table = {
-            idx: tuple((out, c.re) for out, c in col)
-            for idx, col in letter_matrix(dims, kinds, letter).items()
-        }
+        table = _LetterTable(dims, kinds, letter)
         _remember(_letter_tables, _LETTER_TABLES_CAP, key, table)
     return table
 
 
-def _letter_times(table: dict, vec: dict) -> dict:
+def _letter_times(table: _LetterTable, vec: dict) -> dict:
     """The image of an integer vector idx -> int under a letter table."""
     out = {}
     for idx, x in vec.items():
-        for o, c in table.get(idx, ()):
+        for o, c in table[idx]:
             t = out.get(o, 0) + c * x
             if t:
                 out[o] = t
@@ -405,9 +416,6 @@ def _word_image(dims: Dims, kinds: tuple, cols: tuple, word: tuple) -> dict:
     Extends the longest memoised suffix of the word one letter at a time,
     keeping every suffix image it makes.  The result is shared: read only.
     """
-    if dims.size ** len(kinds) > _TABLE_DIM_CAP:
-        acted = TVec.basis(dims, kinds, cols).act_word(word)
-        return {idx: c.re for idx, c in acted.terms.items()}
     head = (dims.m, dims.n, kinds, cols)
     k = len(word)
     img = {cols: 1}
@@ -691,13 +699,11 @@ def pairing_certificate(f: CG) -> bool:
             for part in (phi_re, phi_im)
         )
 
-    # a vector is held both per generator, idx -> int, and flat, keyed
-    # (generator, idx) for the echelon and phi
-    start = [{cols: 1} for _, cols in gens]
-    flat = {(g, cols): 1 for g, (_, cols) in enumerate(gens)}
+    # vectors are integer dicts keyed (generator, idx)
+    start = {(g, cols): 1 for g, (_, cols) in enumerate(gens)}
     ech = SparseEchelon()
-    ech.insert((flat, {}), payload=())
-    if pairs_nonzero(flat):
+    ech._insert_cleared((dict(start), {}), payload=())
+    if pairs_nonzero(start):
         return False
     letters = [(a, b) for a in dims.indices() for b in dims.indices()]
     tables = {
@@ -706,21 +712,23 @@ def pairing_certificate(f: CG) -> bool:
     }
     frontier = [(start, ())]
     while frontier:
-        parts, word = frontier.pop()
+        vec, word = frontier.pop()
         for letter in letters:
-            new = [
-                _letter_times(table, part)
-                for table, part in zip(tables[letter], parts)
-            ]
-            flat = {
-                (g, idx): x for g, part in enumerate(new)
-                for idx, x in part.items()
-            }
-            if not flat:
+            by_gen = tables[letter]
+            new = {}
+            for (g, idx), x in vec.items():
+                for o, c in by_gen[g][idx]:
+                    key = (g, o)
+                    t = new.get(key, 0) + c * x
+                    if t:
+                        new[key] = t
+                    else:
+                        del new[key]
+            if not new:
                 continue
             new_word = (letter,) + word
-            if ech.insert((flat, {}), payload=new_word) is not None:
-                if pairs_nonzero(flat):
+            if ech._insert_cleared((dict(new), {}), new_word) is not None:
+                if pairs_nonzero(new):
                     return False
                 frontier.append((new, new_word))
     return True

@@ -195,10 +195,8 @@ def _lead(v: tuple):
 class SparseEchelon:
     """Incremental echelon basis of sparse vectors, with optional payloads.
 
-    Vectors come in as key -> Scalar dicts over Q(i), each cleared of
-    denominators once, or already as Gaussian-integer (re, im) pairs of
-    key -> int dicts, copied and left unchanged.  They are eliminated
-    fraction-free: a row is a primitive
+    Vectors come in as key -> Scalar dicts over Q(i).  Each is cleared of
+    denominators once and eliminated fraction-free: a row is a primitive
     Gaussian-integer (re, im) pair of key -> int dicts whose entry at its
     pivot, its least key, is a positive integer.  Scalars are built again
     only by :meth:`reduced`, one division per entry.
@@ -214,13 +212,10 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _remainder(self, vec) -> tuple:
-        """A nonzero multiple of vec modulo the row space, and its least
-        key (None when vec is in the row space)."""
-        if vec.__class__ is tuple:
-            v = (dict(vec[0]), dict(vec[1]))
-        else:
-            _, (v,) = cleared((vec,))
+    def _remainder(self, v: tuple) -> tuple:
+        """Reduce the Gaussian-integer pair v modulo the row space, in
+        place; returns v and its least key (None when v was in the row
+        space)."""
         rows = self.rows
         while v[0] or v[1]:
             piv = _lead(v)
@@ -230,9 +225,15 @@ class SparseEchelon:
             _eliminate(v, piv, row)
         return v, None
 
-    def insert(self, vec, payload=None) -> Optional[object]:
+    def insert(self, vec: dict, payload=None) -> Optional[object]:
         """Insert vec if independent; returns its pivot key or None."""
-        v, piv = self._remainder(vec)
+        _, (v,) = cleared((vec,))
+        return self._insert_cleared(v, payload)
+
+    def _insert_cleared(self, v: tuple, payload=None) -> Optional[object]:
+        """:meth:`insert` for a vector already cleared to a Gaussian-integer
+        (re, im) pair of key -> int dicts; v is reduced in place."""
+        v, piv = self._remainder(v)
         if piv is None:
             return None
         cr, ci = v[0].get(piv, 0), v[1].get(piv, 0)
@@ -243,8 +244,9 @@ class SparseEchelon:
         self.payloads[piv] = payload
         return piv
 
-    def contains(self, vec) -> bool:
-        return self._remainder(vec)[1] is None
+    def contains(self, vec: dict) -> bool:
+        _, (v,) = cleared((vec,))
+        return self._remainder(v)[1] is None
 
     def reduced(self) -> dict:
         """Back-substitution: {pivot: row}, each row a key -> Scalar dict

@@ -314,6 +314,13 @@ class TVec(LinComb):
         return f"TVec({self.factors}, {self.terms})"
 
 
+def letter_column(dims: Dims, factors: tuple, letter: Letter, idx) -> list:
+    """E_letter on one basis tensor of ``factors``: [(out_idx, coeff), ...],
+    empty when E_letter kills it."""
+    acted = TVec.basis(dims, factors, idx).act_letter(*letter)
+    return list(acted.terms.items())
+
+
 def letter_matrix(dims: Dims, factors: tuple, letter: Letter) -> dict:
     """E_letter on the tensor module of ``factors``.
 
@@ -322,9 +329,9 @@ def letter_matrix(dims: Dims, factors: tuple, letter: Letter) -> dict:
     """
     mat = {}
     for idx in _iproduct(dims.indices(), repeat=len(factors)):
-        acted = TVec.basis(dims, factors, idx).act_letter(*letter)
-        if acted.terms:
-            mat[idx] = list(acted.terms.items())
+        col = letter_column(dims, factors, letter, idx)
+        if col:
+            mat[idx] = col
     return mat
 
 

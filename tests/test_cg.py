@@ -379,11 +379,24 @@ def test_word_image_memo_stays_under_its_cap(cold_pairing_memos,
     for (_, f, w), value in zip(cases, want):
         assert pair_word(f, w) == value
         assert len(cg._word_images) <= 5
-    # above _TABLE_DIM_CAP a module is acted on directly, and nothing is kept
-    monkeypatch.setattr(cg, "_word_images", {})
-    monkeypatch.setattr(cg, "_TABLE_DIM_CAP", 1)
-    assert [pair_word(f, w) for _, f, w in cases] == want
-    assert not cg._word_images
+
+
+def test_letter_tables_fill_only_the_columns_images_reach(
+        cold_pairing_memos):
+    # a six-slot monomial at (2,2) lives in a module of dimension 4^6; its
+    # letter tables are filled only at e_cols and at the basis tensors one
+    # letter moves it to (at most 16 letters times 6 slots)
+    dims = Dims(2, 2)
+    f = (CG.t(dims, 1, 1) * CG.t(dims, 2, 2) * CG.t(dims, 3, 3)
+         * CG.tbar(dims, 4, 4) * CG.t(dims, 1, 2) * CG.tbar(dims, 3, 4))
+    letters = [(a, b) for a in dims.indices() for b in dims.indices()]
+    words = [w for k in range(3) for w in itertools.product(letters, repeat=k)]
+    values = [pair_word(f, w) for w in words]
+    assert values == [pair_via_coproduct(f, UEl.word(dims, w)) for w in words]
+    assert any(values)
+    assert cg._letter_tables
+    assert all(len(table) <= 1 + 16 * 6
+               for table in cg._letter_tables.values())
 
 
 def test_verify_hopf_both_modes():

@@ -251,7 +251,7 @@ def no_oracle_work(monkeypatch):
 
     monkeypatch.setattr(cg, "_letter_tables", {})
     monkeypatch.setattr(cg, "_word_images", {})
-    monkeypatch.setattr(cg, "letter_matrix", fail)
+    monkeypatch.setattr(cg, "letter_column", fail)
     monkeypatch.setattr(cg, "SparseEchelon", fail)
 
 
