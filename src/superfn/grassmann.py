@@ -15,16 +15,23 @@ under which the defining relations reduce exactly to T T^{-1} = I and
 T^{-1} T = I, convolution of points is the matrix product, and the antipode
 implements matrix inversion.
 
-Points are built and evaluated on integers.  One kernel, :func:`_mul_into`,
+All Grassmann arithmetic runs on integers.  One kernel, :func:`_mul_into`,
 multiplies Grassmann elements stored as mask -> int dicts; a Gaussian
 integer element is a (re, im) pair of them, and a real one has an empty im
-dict.  ``SMat.inverse`` sums its soul Neumann series on such elements and
-divides once per entry; ``GroupPoint.from_matrix`` takes the integer sum
-as it is.  A :class:`GroupPoint` keeps its generator images over their
-least common denominator L, and ``evaluate`` clears the coefficients of f
-by their common denominator q, scales a monomial with j generator factors
-by L^(D - j), D the degree of f, and divides the integer sum once by
-q * L^D.  The result is exactly the rational value.
+dict, and :func:`_zconj` conjugates one.  ``GEl.__mul__`` and ``GEl.conj``
+clear their operands, apply these, and divide once.  ``SMat.inverse`` sums
+its soul Neumann series on such elements and divides once per entry;
+``GroupPoint.from_matrix`` takes the integer sum as it is.  A
+:class:`GroupPoint` keeps its generator images over their least common
+denominator L, and every point operation works on them there:
+``convolve`` sums the twisted matrix product over the product of the two
+denominators and reduces it, while ``inverse_point``, ``theta_dual`` and
+``is_real`` transpose, negate and conjugate at the same L.  ``evaluate``
+clears the coefficients of f by their common denominator q, scales a
+monomial with j generator factors by L^(D - j), D the degree of f, and
+divides the integer sum once by q * L^D.  The result is exactly the
+rational value.  GEl images appear only at the public boundary: the
+``GroupPoint`` constructor, ``t_img``/``tb_img`` and ``to_json``.
 
 The generic oracle's points come from :func:`random_gauss_point`, in the
 Gauss form
@@ -54,7 +61,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .grading import Dims
-from .linalg import LinComb, SparseEchelon, add_term, cleared, divided
+from .linalg import LinComb, SparseEchelon, cleared, divided
 from .scalar import Scalar, ZERO, ONE, I, _rat_str, sign_pow
 
 _BODY_BOUND = 2 ** 20
@@ -106,16 +113,8 @@ class GEl(LinComb):
 
     def __mul__(self, other: "GEl") -> "GEl":
         self._check(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1 & m2:
-                    continue
-                c = c1 * c2
-                if _cross_sign(m1, m2):
-                    c = -c
-                add_term(out, m1 | m2, c)
-        return GEl(self.n, out)
+        den, (x, y) = cleared((self.terms, other.terms))
+        return GEl(self.n, divided(_zmul_sum(((x, y),)), den * den))
 
     def __pow__(self, k: int) -> "GEl":
         out = GEl.scalar(self.n, 1)
@@ -124,11 +123,8 @@ class GEl(LinComb):
         return out
 
     def conj(self) -> "GEl":
-        out = {}
-        for m, c in self.terms.items():
-            k = bin(m).count("1")
-            out[m] = -c.conj() if (k * (k - 1) // 2) & 1 else c.conj()
-        return GEl(self.n, out)
+        den, (num,) = cleared((self.terms,))
+        return GEl(self.n, divided(_zconj(num), den))
 
     def to_json(self) -> list:
         out = []
@@ -167,11 +163,6 @@ def _odd_below(m: int) -> int:
         out ^= -(low << 1)
         m ^= low
     return out
-
-
-def _cross_sign(m1: int, m2: int) -> int:
-    """Parity of |{(i,j): i in m1, j in m2, i > j}|."""
-    return (m1 & _odd_below(m2)).bit_count() & 1
 
 
 def _mul_into(out: dict, x: dict, y: dict, sign: int = 1) -> None:
@@ -258,9 +249,10 @@ class SMat:
                     raise ValueError("mismatched Grassmann algebra sizes")
                 p = e.parity()
                 want = dims.letter_par(a, b)
-                if p is not None and p != want and not e.is_zero():
+                if p != want and not e.is_zero():
+                    got = "mixed parity" if p is None else f"parity {p}"
                     raise ValueError(
-                        f"entry ({a},{b}) has parity {p}, expected {want}"
+                        f"entry ({a},{b}) has {got}, expected {want}"
                     )
 
     @staticmethod
@@ -282,16 +274,13 @@ class SMat:
         if self.dims != other.dims or self.n != other.n:
             raise ValueError("mismatched supermatrices")
         size = self.dims.size
-        rows = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                acc = GEl(self.n)
-                for k in range(size):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            rows.append(row)
-        return SMat(self.dims, self.n, rows)
+        (dx, x), (dy, y) = self._cleared(), other._cleared()
+        return SMat(self.dims, self.n, [
+            [GEl(self.n, divided(_zmul_sum(zip(x[i * size:(i + 1) * size],
+                                               y[j::size])), dx * dy))
+             for j in range(size)]
+            for i in range(size)
+        ])
 
     def __eq__(self, other) -> bool:
         return (
@@ -370,6 +359,15 @@ def _zneg(num: tuple) -> tuple:
     """-num, for a Gaussian-integer element num."""
     re, im = num
     return {m: -c for m, c in re.items()}, {m: -c for m, c in im.items()}
+
+
+def _zconj(num: tuple) -> tuple:
+    """conj(num), for a Gaussian-integer element num: im negated, and a
+    k-generator mask negated when k(k-1)/2 is odd, that is when
+    (k >> 1) & 1."""
+    re, im = num
+    return ({m: -c if m.bit_count() & 2 else c for m, c in re.items()},
+            {m: c if m.bit_count() & 2 else -c for m, c in im.items()})
 
 
 def _zvecmat(row: list, mat: list) -> list:
@@ -543,17 +541,18 @@ class GroupPoint:
 
     @property
     def t_img(self) -> dict:
-        """alpha(t_ab) as GEl, keyed (a, b).
+        """alpha(t_ab) as GEl, keyed (a, b): the public view of the images.
 
         Rebuilt from the cleared images on every read, one division per
-        coefficient; read it once, not inside a loop.
+        coefficient; read it once, not inside a loop.  No point operation
+        reads it.
         """
         return self._images("t")
 
     @property
     def tb_img(self) -> dict:
-        """alpha(tbar_ab) as GEl, keyed (a, b); rebuilt on every read, like
-        :attr:`t_img`."""
+        """alpha(tbar_ab) as GEl, keyed (a, b): the public view, rebuilt on
+        every read like :attr:`t_img`."""
         return self._images("tb")
 
     @staticmethod
@@ -591,23 +590,23 @@ class GroupPoint:
         ]
         tb_nums = [inv_nums[(b - 1) * size + a - 1] for a, b in keys]
         den, nums = _lowest_terms([(mat_den, t_nums), (inv_den, tb_nums)])
-        point = GroupPoint.__new__(GroupPoint)
-        point.dims, point.n, point.den = dims, n, den
-        point.num = dict(zip(
+        return GroupPoint._new(dims, n, den, dict(zip(
             [("t",) + k for k in keys] + [("tb",) + k for k in keys], nums
-        ))
+        )))
+
+    @staticmethod
+    def _new(dims: Dims, n: int, den: int, num: dict) -> "GroupPoint":
+        """The point with alpha(tag[a,b]) = num[(tag, a, b)] / den, den the
+        least common denominator of the images."""
+        point = GroupPoint.__new__(GroupPoint)
+        point.dims, point.n, point.den, point.num = dims, n, den, num
         return point
 
     @staticmethod
     def identity(dims: Dims, n: int = 0) -> "GroupPoint":
-        t_img = {}
-        tb_img = {}
-        for a in dims.indices():
-            for b in dims.indices():
-                val = GEl.scalar(n, 1 if a == b else 0)
-                t_img[(a, b)] = val
-                tb_img[(a, b)] = GEl.scalar(n, 1 if a == b else 0)
-        return GroupPoint(dims, n, t_img, tb_img)
+        ident = (1, [_ZONE if a == b else ({}, {})
+                     for a in dims.indices() for b in dims.indices()])
+        return GroupPoint._from_cleared(dims, n, ident, ident)
 
     def validate(self):
         """Check the defining relations; raises ValueError on failure."""
@@ -657,75 +656,71 @@ class GroupPoint:
     def convolve(self, other: "GroupPoint") -> "GroupPoint":
         """Convolution product (alpha * beta)(f) = m (alpha (x) beta) Delta(f).
 
-        On generator images this is the twisted matrix product; for points
-        built from supermatrices it matches from_matrix of the product.
+        On generator images this is the twisted matrix product, summed on
+        integers over self.den * other.den; for points built from
+        supermatrices it matches from_matrix of the product.
         """
         if self.dims != other.dims or self.n != other.n:
             raise ValueError("mismatched group points")
-        dims = self.dims
-        s_t, s_tb, o_t, o_tb = self.t_img, self.tb_img, other.t_img, other.tb_img
-        t_img = {}
-        tb_img = {}
-        for a in dims.indices():
-            for b in dims.indices():
-                acc_t = GEl(self.n)
-                acc_tb = GEl(self.n)
-                for c in dims.indices():
-                    sgn = sign_pow(
-                        (dims.par(c) + dims.par(a))
-                        * (dims.par(c) + dims.par(b))
-                    )
-                    acc_t = acc_t + (s_t[(a, c)] * o_t[(c, b)]).scale(sgn)
-                    acc_tb = acc_tb + (s_tb[(a, c)] * o_tb[(c, b)]).scale(sgn)
-                t_img[(a, b)] = acc_t
-                tb_img[(a, b)] = acc_tb
-        return GroupPoint(dims, self.n, t_img, tb_img)
+        par, indices = self.dims.par, self.dims.indices()
+        keys = list(self.num)
+        # (-1)^{([c]+[a])([c]+[b])} = -1 exactly when [a] = [b] != [c]
+        nums = [
+            _zmul_sum(
+                (self.num[(tag, a, c)],
+                 _zneg(other.num[(tag, c, b)]) if par(a) == par(b) != par(c)
+                 else other.num[(tag, c, b)])
+                for c in indices
+            )
+            for tag, a, b in keys
+        ]
+        den, nums = _lowest_terms([(self.den * other.den, nums)])
+        return GroupPoint._new(self.dims, self.n, den, dict(zip(keys, nums)))
 
     def inverse_point(self) -> "GroupPoint":
-        """Precompose with the antipode: the convolution inverse."""
-        dims = self.dims
-        s_t, s_tb = self.t_img, self.tb_img
-        t_img = {}
-        tb_img = {}
-        for a in dims.indices():
-            for b in dims.indices():
-                pa, pb = dims.par(a), dims.par(b)
-                t_img[(a, b)] = s_tb[(b, a)].scale(sign_pow(pa * pb + pa))
-                tb_img[(a, b)] = s_t[(b, a)].scale(sign_pow(pa * pb + pb))
-        return GroupPoint(dims, self.n, t_img, tb_img)
+        """Precompose with the antipode: the convolution inverse.
+
+        alpha'(t_ab) = (-1)^{[a][b]+[a]} alpha(tbar_ba) and
+        alpha'(tbar_ab) = (-1)^{[a][b]+[b]} alpha(t_ba), at the same den.
+        """
+        par = self.dims.par
+        num = {}
+        for tag, a, b in self.num:
+            swapped, x = ("tb", a) if tag == "t" else ("t", b)
+            img = self.num[(swapped, b, a)]
+            # (-1)^{[a][b]+[x]} = -1 exactly when [x] = 1 and [a] != [b]
+            flip = par(x) and par(a) != par(b)
+            num[(tag, a, b)] = _zneg(img) if flip else img
+        return GroupPoint._new(self.dims, self.n, self.den, num)
 
     def is_real(self) -> bool:
-        """Whether alpha(omega(t_ab)) = conj(alpha(t_ab)) for all a, b.
+        """Whether alpha(omega(t_ab)) = conj(alpha(t_ab)) for all a, b,
+        that is (-1)^{[b]([a]+[b])} alpha(tbar_ab) = conj(alpha(t_ab)).
 
         The tbar condition follows formally from this one.
         """
-        dims = self.dims
-        s_t, s_tb = self.t_img, self.tb_img
-        for a in dims.indices():
-            for b in dims.indices():
-                sgn = sign_pow(dims.par(b) * (dims.par(a) + dims.par(b)))
-                if s_tb[(a, b)].scale(sgn) != s_t[(a, b)].conj():
-                    return False
-        return True
+        par = self.dims.par
+        return all(
+            (_zneg(img) if par(b) and not par(a) else img)
+            == _zconj(self.num[("t", a, b)])
+            for (tag, a, b), img in self.num.items()
+            if tag == "tb"
+        )
 
     def theta_dual(self) -> "GroupPoint":
-        """The point f -> conj(alpha(omega(S(f)))).
+        """The point f -> conj(alpha(omega(S(f)))), at the same den.
 
         On generators: omega(S(t_ab)) = t_ba and
         omega(S(tbar_ab)) = (-1)^{[a]+[b]} tbar_ba.  For real points this
         equals the convolution inverse.
         """
-        dims = self.dims
-        s_t, s_tb = self.t_img, self.tb_img
-        t_img = {}
-        tb_img = {}
-        for a in dims.indices():
-            for b in dims.indices():
-                t_img[(a, b)] = s_t[(b, a)].conj()
-                tb_img[(a, b)] = s_tb[(b, a)].conj().scale(
-                    sign_pow(dims.par(a) + dims.par(b))
-                )
-        return GroupPoint(dims, self.n, t_img, tb_img)
+        par = self.dims.par
+        num = {}
+        for tag, a, b in self.num:
+            img = _zconj(self.num[(tag, b, a)])
+            flip = tag == "tb" and par(a) != par(b)
+            num[(tag, a, b)] = _zneg(img) if flip else img
+        return GroupPoint._new(self.dims, self.n, self.den, num)
 
     def __eq__(self, other) -> bool:
         return (

@@ -18,7 +18,8 @@ from superfn.grassmann import (
     real_sample_points,
     verify_group,
 )
-from superfn.scalar import Scalar, ONE, I
+from superfn.linalg import add_term
+from superfn.scalar import Scalar, ONE, I, sign_pow
 from superfn.spherical import (
     laplacian_apply,
     r_func,
@@ -211,14 +212,17 @@ def test_nonreal_point_detected():
 
 
 def test_smat_rejects_wrong_parity_entries():
-    try:
-        SMat(D11, 1, [
-            [GEl.scalar(1, 1), GEl.scalar(1, 1)],
-            [GEl(1), GEl.scalar(1, 1)],
-        ])
-        assert False, "expected ValueError"
-    except ValueError:
-        pass
+    one, t1, t2 = GEl.scalar(2, 1), GEl.gen(2, 1), GEl.gen(2, 2)
+    for rows, match in [
+        # an even entry at the odd slot (1,2)
+        ([[one, one], [GEl(2), one]], "parity 0"),
+        # 1 + theta1 at the even slot (1,1)
+        ([[one + t1, t2], [t1, one]], "mixed parity"),
+        # theta2 + theta1 theta2 at the odd slot (1,2)
+        ([[one, t2 + th(2, 1, 2)], [t1, one]], "mixed parity"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            SMat(D11, 2, rows)
 
 
 def test_from_matrix_rejects_singular_body():
@@ -234,7 +238,7 @@ def test_from_matrix_rejects_singular_body():
 
 
 def test_verify_group_suites():
-    for dims in (D11, D21):
+    for dims in (D11, D21, D12, D22):
         rep = verify_group(dims, count=8, seed=0)
         assert rep["passed"], rep
         names = {c["name"] for c in rep["cases"]}
@@ -541,3 +545,122 @@ def test_verify_group_inverts_each_matrix_once_for_the_antipode(monkeypatch):
     # 20 points, 10 products, 20 antipode points (one series each, T^{-1}'s
     # own inverse being the known T), 5 real points, 1 non-unitary diagonal
     assert len(calls) == 20 + 10 + 20 + 5 + 1
+
+
+# ------------------------------- references for the integer product kernel
+
+
+def ref_mul(x, y):
+    """x * y as a Scalar loop: a generator of x standing right of a
+    generator of y in the sorted product costs one sign per crossing."""
+    out = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            if m1 & m2:
+                continue
+            crossings = sum((m2 & ((1 << i) - 1)).bit_count()
+                            for i in range(x.n) if m1 >> i & 1)
+            add_term(out, m1 | m2, -(c1 * c2) if crossings & 1 else c1 * c2)
+    return GEl(x.n, out)
+
+
+def ref_conj(x):
+    """Coefficients conjugated, a k-blade signed by (-1)^{k(k-1)/2}."""
+    out = {}
+    for m, c in x.terms.items():
+        k = bin(m).count("1")
+        out[m] = -c.conj() if (k * (k - 1) // 2) & 1 else c.conj()
+    return GEl(x.n, out)
+
+
+def ref_convolve(p, q):
+    """The twisted matrix product of the GEl images."""
+    dims = p.dims
+    imgs = [(p.t_img, q.t_img), (p.tb_img, q.tb_img)]
+    out = []
+    for s, o in imgs:
+        prod = {}
+        for a in dims.indices():
+            for b in dims.indices():
+                acc = GEl(p.n)
+                for c in dims.indices():
+                    sgn = sign_pow((dims.par(c) + dims.par(a))
+                                   * (dims.par(c) + dims.par(b)))
+                    acc = acc + ref_mul(s[(a, c)], o[(c, b)]).scale(sgn)
+                prod[(a, b)] = acc
+        out.append(prod)
+    return GroupPoint(dims, p.n, *out)
+
+
+def ref_inverse_point(p):
+    dims, s_t, s_tb = p.dims, p.t_img, p.tb_img
+    t_img, tb_img = {}, {}
+    for a in dims.indices():
+        for b in dims.indices():
+            pa, pb = dims.par(a), dims.par(b)
+            t_img[(a, b)] = s_tb[(b, a)].scale(sign_pow(pa * pb + pa))
+            tb_img[(a, b)] = s_t[(b, a)].scale(sign_pow(pa * pb + pb))
+    return GroupPoint(dims, p.n, t_img, tb_img)
+
+
+def ref_theta_dual(p):
+    dims, s_t, s_tb = p.dims, p.t_img, p.tb_img
+    t_img, tb_img = {}, {}
+    for a in dims.indices():
+        for b in dims.indices():
+            t_img[(a, b)] = ref_conj(s_t[(b, a)])
+            tb_img[(a, b)] = ref_conj(s_tb[(b, a)]).scale(
+                sign_pow(dims.par(a) + dims.par(b)))
+    return GroupPoint(dims, p.n, t_img, tb_img)
+
+
+def ref_is_real(p):
+    dims, s_t, s_tb = p.dims, p.t_img, p.tb_img
+    return all(
+        s_tb[(a, b)].scale(sign_pow(dims.par(b) * (dims.par(a) + dims.par(b))))
+        == ref_conj(s_t[(a, b)])
+        for a in dims.indices() for b in dims.indices())
+
+
+def fractional_complex(a, d, b, e):
+    """(2a+1)/(2d) + i (3b+1)/(3e): both parts nonzero and non-integral."""
+    return Scalar(Fraction(2 * a + 1, 2 * d), Fraction(3 * b + 1, 3 * e))
+
+
+coefficients = st.one_of(
+    st.builds(fractional_complex, st.integers(-30, 30), st.integers(1, 12),
+              st.integers(-30, 30), st.integers(1, 12)),
+    st.integers(-9, 9).map(Scalar),
+)
+gels = st.dictionaries(st.integers(0, 31), coefficients, max_size=12).map(
+    lambda terms: GEl(5, {m: c for m, c in terms.items() if c}))
+
+
+@given(gels, gels)
+@settings(max_examples=200, deadline=None)
+def test_gel_products_and_conjugates_match_scalar_reference(x, y):
+    assert x * y == ref_mul(x, y)
+    assert x.conj() == ref_conj(x)
+    assert (x * y).conj() == y.conj() * x.conj()
+
+
+@pytest.mark.parametrize("dims", [D11, D21, D12, D22],
+                         ids=["11", "21", "12", "22"])
+def test_point_operations_match_gel_references(dims):
+    rng = random.Random(32)
+    p, q = (GroupPoint.from_matrix(dims, random_even_invertible(dims, rng),
+                                   validate=False) for _ in range(2))
+    p_inv, q_inv = p.inverse_point(), q.inverse_point()
+    assert p_inv.den > 1 and q_inv.den > 1  # rational souls
+    reals = real_sample_points(dims)
+    assert any(im for r in reals for _, im in r.num.values())  # complex
+    for x in [p, q, p_inv, q_inv] + reals:
+        assert x.inverse_point() == ref_inverse_point(x)
+        assert x.theta_dual() == ref_theta_dual(x)
+        assert x.is_real() == ref_is_real(x)
+    pairs = [(p, q), (p_inv, q_inv), (q, p_inv), (p, p_inv)]
+    u1 = reals[1]
+    pairs += [(r, s) for r in reals for s in (u1, u1.inverse_point())]
+    for x, y in pairs:
+        assert x.convolve(y) == ref_convolve(x, y)
+    assert p.convolve(p_inv) == GroupPoint.identity(dims, p.n)
