@@ -25,11 +25,11 @@ psi with dL and phi with dR.
 
 from __future__ import annotations
 
-from .cg import CG, _pair_gen_letter, is_zero_mod_j
+from .cg import CG, is_zero_mod_j
 from .grading import Dims
-from .scalar import Scalar, ONE, sign_pow
+from .scalar import Scalar, sign_pow
 from .superpoly import DerivationSpec, Poly, symbol
-from .ugl import UEl
+from .ugl import UEl, letter_column
 
 _letter_cache: dict = {}
 
@@ -48,6 +48,12 @@ def letter_action(dims: Dims, side: str, a: int, b: int) -> DerivationSpec:
         raise ValueError(f"bad side {side!r}")
     xpar = dims.letter_par(a, b)
     letter = (a, b)
+    # <g_rs, E_ab> = (E_ab . e_s)[r] in g's own module (V for t, V* for tb)
+    pairs = {}
+    for tag, kind in (("t", "v"), ("tb", "vb")):
+        for s in dims.indices():
+            for (r,), k in letter_column(dims, (kind,), letter, (s,)):
+                pairs[tag, r, s] = k
     images = {}
     for tag in ("t", "tb"):
         for c in dims.indices():
@@ -56,9 +62,7 @@ def letter_action(dims: Dims, side: str, a: int, b: int) -> DerivationSpec:
                 img = Poly.zero()
                 for e in dims.indices():
                     if side == "right":
-                        val = _pair_gen_letter(
-                            dims, symbol(tag, e, d, dims.letter_par(e, d)), letter
-                        )
+                        val = pairs.get((tag, e, d))
                         if not val:
                             continue
                         coeff = val * _delta_sign(dims, c, e, d)
@@ -68,9 +72,7 @@ def letter_action(dims: Dims, side: str, a: int, b: int) -> DerivationSpec:
                             symbol(tag, c, e, dims.letter_par(c, e))
                         ).scale(coeff)
                     else:
-                        val = _pair_gen_letter(
-                            dims, symbol(tag, c, e, dims.letter_par(c, e)), letter
-                        )
+                        val = pairs.get((tag, c, e))
                         if not val:
                             continue
                         coeff = -val * _delta_sign(dims, c, e, d)
@@ -107,20 +109,6 @@ def act(side: str, u: UEl, f: CG) -> CG:
 # --------------------------------------------------------- free coefficients
 
 
-def _act_v(dims: Dims, c: int, d: int, idx: int):
-    """E_cd v_idx = delta_{d,idx} v_c."""
-    if idx == d:
-        return c, ONE
-    return None
-
-
-def _act_vb(dims: Dims, c: int, d: int, idx: int):
-    """E_cd vb_idx = -(-1)^{[c]+[c][d]} delta_{c,idx} vb_d."""
-    if idx == c:
-        return d, -sign_pow(dims.par(c) * (1 + dims.par(d)))
-    return None
-
-
 _slot_cache: dict = {}
 
 
@@ -133,6 +121,7 @@ def slot_action(dims: Dims, kind: str, a: int, b: int) -> DerivationSpec:
     if kind not in ("phi", "psi"):
         raise ValueError(f"bad slot action {kind!r}")
     upar = dims.letter_par(a, b)
+    letter = (a, b)
     images = {}
     for r in dims.indices():
         for cc in dims.indices():
@@ -140,27 +129,21 @@ def slot_action(dims: Dims, kind: str, a: int, b: int) -> DerivationSpec:
                 gsym = symbol(tag, r, cc, dims.letter_par(r, cc))
                 if kind == "phi":
                     # acts in the first tensor slot: v_col for x, vb_col for xb
-                    hit = (
-                        _act_v(dims, a, b, cc)
-                        if tag == "x"
-                        else _act_vb(dims, a, b, cc)
-                    )
-                    if hit is None:
+                    kinds = ("v",) if tag == "x" else ("vb",)
+                    hit = letter_column(dims, kinds, letter, (cc,))
+                    if not hit:
                         continue
-                    new, coeff = hit
+                    ((new,), coeff), = hit
                     if upar:
                         coeff = -coeff
                     tgt = symbol(tag, r, new, dims.letter_par(r, new))
                 else:
                     # acts in the second tensor slot: vb_row for x, v_row for xb
-                    hit = (
-                        _act_vb(dims, a, b, r)
-                        if tag == "x"
-                        else _act_v(dims, a, b, r)
-                    )
-                    if hit is None:
+                    kinds = ("vb",) if tag == "x" else ("v",)
+                    hit = letter_column(dims, kinds, letter, (r,))
+                    if not hit:
                         continue
-                    new, coeff = hit
+                    ((new,), coeff), = hit
                     colpar = dims.par(cc)
                     if tag == "x":
                         if upar and colpar:

@@ -352,8 +352,8 @@ def _monomial_pair_data(dims: Dims, mono: Monomial):
 
 # Module-side pairing kernel.  Letters act on the tensor module of a shape
 # (kinds) through integer tables, one per (m, n, kinds, letter), each filled
-# one column at a time, the first time an image reaches that basis tensor;
-# the coefficients are integers (E_aa counts the slots holding a).  Word
+# one column at a time, the first time an image reaches that basis tensor,
+# with the integer columns of :func:`ugl.letter_column`.  Word
 # images w . e_cols are filled by suffix, w . e = w[0] . (w[1:] . e), and
 # kept process-wide.  Both memos are emptied when they reach their cap (a
 # dict evicting its oldest key one at a time scans ever more deleted slots).
@@ -383,8 +383,8 @@ class _LetterTable(dict):
         self.letter = letter
 
     def __missing__(self, idx):
-        acted = letter_column(self.dims, self.kinds, self.letter, idx)
-        col = self[idx] = tuple((out, c.re) for out, c in acted)
+        col = letter_column(self.dims, self.kinds, self.letter, idx)
+        self[idx] = col
         return col
 
 
@@ -469,16 +469,6 @@ def pair(f: CG, u: UEl) -> Scalar:
         if val:
             total = total + cu * val
     return total
-
-
-def _pair_gen_letter(dims: Dims, s, letter) -> Scalar:
-    tag, a, b, _ = s
-    c, d = letter
-    if tag == "t":
-        return ONE if (a == c and b == d) else ZERO
-    if a == d and b == c:
-        return -sign_pow(dims.par(a) * dims.par(b) + dims.par(b))
-    return ZERO
 
 
 def pair_via_coproduct(f: CG, u: UEl) -> Scalar:
@@ -594,21 +584,19 @@ def is_zero_mod_j(
     mode="pairing": exact on both sides via the U(gl(m|n)) duality; see
     :func:`pairing_certificate`.  It ignores ``trials``.
 
-    Raises ValueError if mode is "generic" and trials < 1: no evaluated
-    point, no proven bound.
+    Raises ValueError for any other mode, and if mode is "generic" and
+    trials < 1: no evaluated point, no proven bound.
     """
+    if mode not in ("generic", "pairing"):
+        raise ValueError(f"unknown oracle mode {mode!r}")
     if mode == "generic" and trials < 1:
         raise ValueError("trials must be at least 1")
     if f.poly.is_zero():
         return Verdict("zero", "exact", 0, seed, "0")
     if mode == "generic":
         return _generic_zero_test(f, trials, seed)
-    if mode == "pairing":
-        zero = pairing_certificate(f)
-        return Verdict(
-            "zero" if zero else "nonzero", "pairing", 0, None, "0"
-        )
-    raise ValueError(f"unknown oracle mode {mode!r}")
+    zero = pairing_certificate(f)
+    return Verdict("zero" if zero else "nonzero", "pairing", 0, None, "0")
 
 
 # Generic-oracle points per (m, n, seed): [points, state], where state is

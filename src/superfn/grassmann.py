@@ -117,6 +117,8 @@ class GEl(LinComb):
         return GEl(self.n, divided(_zmul_sum(((x, y),)), den * den))
 
     def __pow__(self, k: int) -> "GEl":
+        if k < 0:
+            raise ValueError("negative power of a Grassmann element")
         out = GEl.scalar(self.n, 1)
         for _ in range(k):
             out = out * self

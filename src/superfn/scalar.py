@@ -1,8 +1,8 @@
 """Exact Gaussian-rational arithmetic.
 
 Every coefficient in this package is a :class:`Scalar`, an element of Q(i)
-stored as an exact real and imaginary rational part.  gmpy2 is used for the
-rational backend ``_rat`` when available; otherwise ``fractions.Fraction``.
+stored as an exact real and imaginary rational part.  The rational type
+``_rat`` is ``fractions.Fraction``.
 
 There is one class with one representation, and its parts are canonical: a
 part is a plain ``int`` when it is integral and a ``_rat`` with denominator
@@ -24,10 +24,7 @@ public constructor converts its arguments and rejects inexact ``float`` and
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as _rat
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _rat
+from fractions import Fraction as _rat
 
 _INEXACT = (float, complex)
 

@@ -245,9 +245,9 @@ class TVec(LinComb):
     """An element of a tensor module V^{(x)k} (x) V*^{(x)l}.
 
     ``factors`` is a tuple of ``"v"`` / ``"vb"`` marking each slot as the
-    natural module V (basis v_a, E_ab v_c = delta_bc v_a) or its dual V*
-    (basis vb_a, E_ab vb_c = -(-1)^{[a]+[a][b]} delta_ac vb_b).  Components
-    are stored on the index-tuple basis.
+    natural module V (basis v_a) or its dual V* (basis vb_a); letters act
+    by :func:`letter_column`.  Components are stored on the index-tuple
+    basis.
     """
 
     __slots__ = ("dims", "factors")
@@ -274,25 +274,12 @@ class TVec(LinComb):
         return TVec(dims, factors, {idx: ONE})
 
     def act_letter(self, a: int, b: int) -> "TVec":
-        """Apply E_ab by the graded Leibniz rule across the slots."""
-        dims = self.dims
-        xpar = dims.letter_par(a, b)
+        """Apply E_ab by :func:`letter_column` on each basis tensor."""
         out = {}
-        vb_coeff = MINUS_ONE if (dims.par(a) * (1 + dims.par(b))) % 2 == 0 else ONE
         for idx, c in self.terms.items():
-            prefix = 0
-            for j, kind in enumerate(self.factors):
-                coeff = c
-                if xpar and prefix:
-                    coeff = -coeff
-                if kind == "v":
-                    if idx[j] == b:
-                        add_term(out, idx[:j] + (a,) + idx[j + 1:], coeff)
-                else:
-                    if idx[j] == a:
-                        add_term(out, idx[:j] + (b,) + idx[j + 1:], coeff * vb_coeff)
-                prefix ^= dims.par(idx[j])
-        return TVec(dims, self.factors, out)
+            for o, k in letter_column(self.dims, self.factors, (a, b), idx):
+                add_term(out, o, c * k)
+        return TVec(self.dims, self.factors, out)
 
     def act_word(self, word: Word) -> "TVec":
         """Apply a word outermost-first: the last letter acts first."""
@@ -314,24 +301,54 @@ class TVec(LinComb):
         return f"TVec({self.factors}, {self.terms})"
 
 
-def letter_column(dims: Dims, factors: tuple, letter: Letter, idx) -> list:
-    """E_letter on one basis tensor of ``factors``: [(out_idx, coeff), ...],
-    empty when E_letter kills it."""
-    acted = TVec.basis(dims, factors, idx).act_letter(*letter)
-    return list(acted.terms.items())
+def letter_column(dims: Dims, factors: tuple, letter: Letter, idx) -> tuple:
+    """E_letter on the basis tensor ``idx`` of ``factors``, as
+    ((out_idx, int), ...), empty when E_letter kills it.
+
+    This is the one place the module actions are written.  On V,
+    E_ab v_c = delta_bc v_a; on V*, E_ab vb_c = -(-1)^{[a]+[a][b]} delta_ac
+    vb_b.  Across slots the graded Leibniz rule holds: an odd letter picks
+    up the Koszul sign of the slots before the one it acts on.  Equal
+    outputs are summed (E_aa on v_a (x) v_a gives 2, and on v_a (x) vb_a it
+    cancels) and zero values dropped.
+    """
+    a, b = letter
+    pa, pb = dims.par(a), dims.par(b)
+    odd = pa ^ pb
+    vb_sign = 1 if pa and not pb else -1
+    out = {}
+    prefix = 0
+    for j, kind in enumerate(factors):
+        c = idx[j]
+        if kind == "v":
+            hit, new, k = c == b, a, 1
+        else:
+            hit, new, k = c == a, b, vb_sign
+        if hit:
+            if odd and prefix:
+                k = -k
+            o = idx[:j] + (new,) + idx[j + 1:]
+            t = out.get(o, 0) + k
+            if t:
+                out[o] = t
+            else:
+                del out[o]
+        prefix ^= dims.par(c)
+    return tuple(out.items())
 
 
 def letter_matrix(dims: Dims, factors: tuple, letter: Letter) -> dict:
     """E_letter on the tensor module of ``factors``.
 
     Returns {in_idx: [(out_idx, coeff), ...]} over the index-tuple basis in
-    ``itertools.product`` order, omitting the basis vectors E_letter kills.
+    ``itertools.product`` order, omitting the basis vectors E_letter kills;
+    each coeff is a :class:`Scalar`.
     """
     mat = {}
     for idx in _iproduct(dims.indices(), repeat=len(factors)):
         col = letter_column(dims, factors, letter, idx)
         if col:
-            mat[idx] = col
+            mat[idx] = [(out, Scalar(k)) for out, k in col]
     return mat
 
 

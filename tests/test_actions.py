@@ -9,18 +9,20 @@ from superfn.actions import (
     jmath,
     letter_action,
     slot_act_word,
+    slot_action,
     x_gen,
 )
 from superfn.cg import CG, is_zero_mod_j, pair, relations
 from superfn.grading import Dims
 from superfn.scalar import Scalar, ZERO, ONE, sign_pow
 from superfn.spherical import LeviProfile, c_block
-from superfn.superpoly import Poly
+from superfn.superpoly import Poly, symbol
 from superfn.ugl import UEl
 
 D11 = Dims(1, 1)
 D21 = Dims(2, 1)
 D22 = Dims(2, 2)
+ALL_DIMS = (D11, D21, Dims(1, 2), D22)
 
 
 def gen_cg(dims, tag, a, b):
@@ -72,6 +74,113 @@ def test_left_action_closed_form():
             sign_pow((pa + pb) * (pd + 1))) if c == b \
             else CG.zero(D21)
         assert got == want, (a, b, c, d)
+
+
+def _pair_gen_letter_reference(dims, tag, a, b, letter):
+    """<g_ab, E_cd> in closed form (the duality in the cg module docstring):
+    delta_ac delta_bd for t, -(-1)^{[a][b]+[b]} delta_bc delta_ad for tbar."""
+    c, d = letter
+    if tag == "t":
+        return ONE if (a, b) == (c, d) else ZERO
+    if (a, b) == (d, c):
+        return -sign_pow(dims.par(a) * dims.par(b) + dims.par(b))
+    return ZERO
+
+
+def _gen(dims, tag, a, b):
+    return symbol(tag, a, b, dims.letter_par(a, b))
+
+
+def _letter_action_reference(dims, side, letter):
+    """Generator images of dR_x / dL_x from the formulas in the actions
+    module docstring, with the closed-form pairing above."""
+    xpar = dims.letter_par(*letter)
+    images = {}
+    for tag in ("t", "tb"):
+        for c, d in itertools.product(dims.indices(), repeat=2):
+            img = Poly.zero()
+            for e in dims.indices():
+                sign = sign_pow((dims.par(e) + dims.par(c))
+                                * (dims.par(e) + dims.par(d)))
+                if side == "right":
+                    val = _pair_gen_letter_reference(dims, tag, e, d, letter)
+                    coeff = val * sign * sign_pow(xpar * dims.letter_par(c, d))
+                    g = _gen(dims, tag, c, e)
+                else:
+                    val = _pair_gen_letter_reference(dims, tag, c, e, letter)
+                    coeff = -val * sign * sign_pow(xpar)
+                    g = _gen(dims, tag, e, d)
+                img = img + Poly.from_symbol(g).scale(coeff)
+            if not img.is_zero():
+                images[_gen(dims, tag, c, d)] = img
+    return images
+
+
+def test_letter_action_matches_closed_form_pairing():
+    for dims in ALL_DIMS:
+        for a, b in itertools.product(dims.indices(), repeat=2):
+            for tag, c, d in itertools.product(("t", "tb"), dims.indices(),
+                                               dims.indices()):
+                assert pair(gen_cg(dims, tag, c, d), UEl.letter(dims, a, b)) \
+                    == _pair_gen_letter_reference(dims, tag, c, d, (a, b))
+            for side in ("left", "right"):
+                spec = letter_action(dims, side, a, b)
+                assert spec.parity == dims.letter_par(a, b)
+                assert spec.images == \
+                    _letter_action_reference(dims, side, (a, b)), (dims, side)
+
+
+def _act_v_reference(dims, c, d, idx):
+    """E_cd v_idx = delta_{d,idx} v_c."""
+    if idx == d:
+        return c, ONE
+    return None
+
+
+def _act_vb_reference(dims, c, d, idx):
+    """E_cd vb_idx = -(-1)^{[c]+[c][d]} delta_{c,idx} vb_d."""
+    if idx == c:
+        return d, -sign_pow(dims.par(c) * (1 + dims.par(d)))
+    return None
+
+
+def _slot_action_reference(dims, kind, a, b):
+    """Generator images of phi(E_ab) / psi(E_ab), as in the actions module
+    docstring."""
+    upar = dims.letter_par(a, b)
+    images = {}
+    for r, cc in itertools.product(dims.indices(), repeat=2):
+        for tag in ("x", "xb"):
+            if kind == "phi":
+                act = _act_v_reference if tag == "x" else _act_vb_reference
+                hit = act(dims, a, b, cc)
+                if hit is None:
+                    continue
+                new, coeff = hit
+                tgt = (r, new)
+                twist = upar
+            else:
+                act = _act_vb_reference if tag == "x" else _act_v_reference
+                hit = act(dims, a, b, r)
+                if hit is None:
+                    continue
+                new, coeff = hit
+                tgt = (new, cc)
+                twist = upar * (dims.par(cc) if tag == "x"
+                                else upar + dims.par(cc))
+            images[_gen(dims, tag, r, cc)] = Poly.from_symbol(
+                _gen(dims, tag, *tgt)).scale(coeff * sign_pow(twist))
+    return images
+
+
+def test_slot_action_matches_module_reference():
+    for dims in ALL_DIMS:
+        for a, b in itertools.product(dims.indices(), repeat=2):
+            for kind in ("phi", "psi"):
+                spec = slot_action(dims, kind, a, b)
+                assert spec.parity == dims.letter_par(a, b)
+                assert spec.images == \
+                    _slot_action_reference(dims, kind, a, b), (dims, kind)
 
 
 def test_actions_are_superderivations():

@@ -249,6 +249,12 @@ def test_is_zero_mod_j_verdicts():
     assert a == b
 
 
+def test_unknown_oracle_mode_raises_even_on_zero():
+    for f in (CG.zero(D11), CG.t(D11, 1, 1)):
+        with pytest.raises(ValueError, match="unknown oracle mode 'bogus'"):
+            is_zero_mod_j(f, mode="bogus")
+
+
 def test_generic_oracle_rejects_fewer_than_one_trial(monkeypatch):
     def no_points(*args):
         raise AssertionError("a point was drawn")

@@ -254,6 +254,13 @@ def test_degree_cap_exits_3(capsys):
     assert err.startswith("resource cap:")
 
 
+def test_degree_cap_from_environment(capsys, monkeypatch):
+    monkeypatch.setenv("SUPERFN_DEGREE_CAP", "10")
+    code, out, _ = run(capsys, "--m", "1", "--n", "1", "eval", "E[1,1]^9")
+    assert code == 0
+    assert out.strip() == "*".join(["E[1,1]"] * 9)
+
+
 def test_missing_dims_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "r"])

@@ -67,6 +67,14 @@ def test_body_soul_parity_degree():
     assert GEl(3).degree() == -1
 
 
+def test_negative_power_raises():
+    x = GEl.scalar(2, 2) + GEl.gen(2, 1)
+    assert x ** 0 == GEl.scalar(2, 1) and x ** 2 == x * x
+    for k in (-1, -3):
+        with pytest.raises(ValueError, match="negative power"):
+            x ** k
+
+
 def test_conj_is_antilinear_reversal():
     # conj reverses factors, so a k-blade picks up (-1)^{k(k-1)/2}
     assert th(4, 1, 2).conj() == -th(4, 1, 2)

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from superfn.grading import Dims
-from superfn.scalar import Scalar, ONE, I, sign_pow
+from superfn.linalg import add_term
+from superfn.scalar import Scalar, ONE, MINUS_ONE, I, sign_pow
 from superfn.ugl import (
     DegreeCapError,
     TVec,
@@ -11,6 +13,7 @@ from superfn.ugl import (
     bracket,
     casimir,
     laplacian,
+    letter_column,
     split_word,
     word_parity,
     z_central,
@@ -18,6 +21,7 @@ from superfn.ugl import (
 
 D11 = Dims(1, 1)
 D21 = Dims(2, 1)
+ALL_DIMS = (Dims(1, 1), Dims(2, 1), Dims(1, 2), Dims(2, 2))
 
 
 def rand_uel(dims, rng, max_terms=3, max_len=3):
@@ -74,6 +78,18 @@ def test_degree_cap():
     u = UEl.word(D11, [(1, 1)] * 5)
     with pytest.raises(DegreeCapError):
         u * u
+
+
+def test_degree_cap_from_environment(monkeypatch):
+    monkeypatch.setenv("SUPERFN_DEGREE_CAP", "10")
+    u = UEl.letter(D11, 1, 1) ** 9
+    assert u == UEl.word(D11, [(1, 1)] * 9) and u.degree() == 9
+    with pytest.raises(DegreeCapError, match="exceeds degree cap 10"):
+        UEl.word(D11, [(1, 1)] * 11)
+    for raw in ("0", "abc"):
+        monkeypatch.setenv("SUPERFN_DEGREE_CAP", raw)
+        with pytest.raises(DegreeCapError, match="bad SUPERFN_DEGREE_CAP"):
+            UEl.word(D11, [(1, 1)])
 
 
 def test_counit():
@@ -221,3 +237,54 @@ def test_split_word_counit_slot():
     splits = dict(split_word(dims, w, 2))
     assert splits[(w, ())] == 0
     assert splits[((), w)] == 0
+
+
+def _act_letter_reference(dims, factors, letter, idx):
+    """E_letter on one basis tensor by the graded Leibniz rule on Scalars,
+    written out apart from letter_column: E_ab v_c = delta_bc v_a and
+    E_ab vb_c = -(-1)^{[a]+[a][b]} delta_ac vb_b in each slot, an odd letter
+    picking up the parity of the slots before the one it acts on."""
+    a, b = letter
+    xpar = dims.letter_par(a, b)
+    vb_coeff = MINUS_ONE if (dims.par(a) * (1 + dims.par(b))) % 2 == 0 \
+        else ONE
+    out = {}
+    prefix = 0
+    for j, kind in enumerate(factors):
+        coeff = MINUS_ONE if xpar and prefix else ONE
+        if kind == "v":
+            if idx[j] == b:
+                add_term(out, idx[:j] + (a,) + idx[j + 1:], coeff)
+        elif idx[j] == a:
+            add_term(out, idx[:j] + (b,) + idx[j + 1:], coeff * vb_coeff)
+        prefix ^= dims.par(idx[j])
+    return out
+
+
+def test_letter_column_matches_scalar_reference():
+    # every letter on every basis tensor of every v/vb shape up to 3 slots
+    for dims in ALL_DIMS:
+        letters = [(a, b) for a in dims.indices() for b in dims.indices()]
+        for k in (1, 2, 3):
+            for factors in itertools.product(("v", "vb"), repeat=k):
+                for idx in _all_comps(dims, k):
+                    vec = TVec.basis(dims, factors, idx)
+                    for letter in letters:
+                        col = letter_column(dims, factors, letter, idx)
+                        want = _act_letter_reference(dims, factors, letter,
+                                                     idx)
+                        assert all(type(c) is int and c for _, c in col)
+                        assert len(dict(col)) == len(col)
+                        assert dict(col) == want, (dims, factors, letter, idx)
+                        assert vec.act_letter(*letter).terms == want
+
+
+def test_letter_column_sums_equal_outputs():
+    # E_aa on v_a (x) v_a gives 2; on v_a (x) vb_a the two slots cancel
+    for dims in ALL_DIMS:
+        for a in dims.indices():
+            assert letter_column(dims, ("v", "v"), (a, a), (a, a)) == \
+                (((a, a), 2),)
+            assert letter_column(dims, ("v", "vb"), (a, a), (a, a)) == ()
+            assert letter_column(dims, ("vb", "vb"), (a, a), (a, a)) == \
+                (((a, a), -2),)
