@@ -48,7 +48,7 @@ from .superpoly import (
     monomial_parity,
     symbol,
 )
-from .ugl import TVec, UEl, letter_column
+from .ugl import TVec, UEl, _remember, letter_table
 
 PAIRING_FLAT_CAP = 5000
 
@@ -351,53 +351,14 @@ def _monomial_pair_data(dims: Dims, mono: Monomial):
 
 
 # Module-side pairing kernel.  Letters act on the tensor module of a shape
-# (kinds) through integer tables, one per (m, n, kinds, letter), each filled
-# one column at a time, the first time an image reaches that basis tensor,
-# with the integer columns of :func:`ugl.letter_column`.  Word
-# images w . e_cols are filled by suffix, w . e = w[0] . (w[1:] . e), and
-# kept process-wide.  Both memos are emptied when they reach their cap (a
-# dict evicting its oldest key one at a time scans ever more deleted slots).
-_LETTER_TABLES_CAP = 512
+# (kinds) through the memoised integer tables of :func:`ugl.letter_table`.
+# Word images w . e_cols are filled by suffix, w . e = w[0] . (w[1:] . e),
+# and kept process-wide; the memo is emptied when it reaches its cap.
 _WORD_IMAGES_CAP = 8192
-_letter_tables: dict = {}
 _word_images: dict = {}
 
 
-def _remember(memo: dict, cap: int, key, value):
-    if len(memo) >= cap:
-        memo.clear()
-    memo[key] = value
-
-
-class _LetterTable(dict):
-    """E_letter on the tensor module of ``kinds``: in_idx -> ((out_idx,
-    int), ...), empty for a basis tensor it kills; a column is computed
-    when first looked up."""
-
-    __slots__ = ("dims", "kinds", "letter")
-
-    def __init__(self, dims: Dims, kinds: tuple, letter):
-        super().__init__()
-        self.dims = dims
-        self.kinds = kinds
-        self.letter = letter
-
-    def __missing__(self, idx):
-        col = letter_column(self.dims, self.kinds, self.letter, idx)
-        self[idx] = col
-        return col
-
-
-def _letter_table(dims: Dims, kinds: tuple, letter) -> _LetterTable:
-    key = (dims.m, dims.n, kinds, letter)
-    table = _letter_tables.get(key)
-    if table is None:
-        table = _LetterTable(dims, kinds, letter)
-        _remember(_letter_tables, _LETTER_TABLES_CAP, key, table)
-    return table
-
-
-def _letter_times(table: _LetterTable, vec: dict) -> dict:
+def _letter_times(table: dict, vec: dict) -> dict:
     """The image of an integer vector idx -> int under a letter table."""
     out = {}
     for idx, x in vec.items():
@@ -425,7 +386,7 @@ def _word_image(dims: Dims, kinds: tuple, cols: tuple, word: tuple) -> dict:
             k, img = s, hit
             break
     for s in range(k - 1, -1, -1):
-        img = _letter_times(_letter_table(dims, kinds, word[s]), img)
+        img = _letter_times(letter_table(dims, kinds, word[s]), img)
         _remember(_word_images, _WORD_IMAGES_CAP, head + (word[s:],), img)
     return img
 
@@ -695,7 +656,7 @@ def pairing_certificate(f: CG) -> bool:
         return False
     letters = [(a, b) for a in dims.indices() for b in dims.indices()]
     tables = {
-        letter: [_letter_table(dims, kinds, letter) for kinds, _ in gens]
+        letter: [letter_table(dims, kinds, letter) for kinds, _ in gens]
         for letter in letters
     }
     frontier = [(start, ())]

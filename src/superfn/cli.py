@@ -621,6 +621,8 @@ def _cmd_verify(args, ctx: ExprContext) -> int:
         rep = verify_t51(dims, seed=args.seed, trials=args.trials,
                          mode=args.mode)
     elif args.suite == "maxrank":
+        if not dims.m or not dims.n:
+            raise CliError("--suite maxrank needs --m and --n at least 1")
         ks = [args.k] if args.k is not None else \
             list(range(1, min(dims.m, dims.n) + 1))
         cases = []

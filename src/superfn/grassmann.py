@@ -31,7 +31,7 @@ clears the coefficients of f by their common denominator q, scales a
 monomial with j generator factors by L^(D - j), D the degree of f, and
 divides the integer sum once by q * L^D.  The result is exactly the
 rational value.  GEl images appear only at the public boundary: the
-``GroupPoint`` constructor, ``t_img``/``tb_img`` and ``to_json``.
+``GroupPoint`` constructor and ``t_img``/``tb_img``.
 
 The generic oracle's points come from :func:`random_gauss_point`, in the
 Gauss form
@@ -62,7 +62,7 @@ from typing import Optional
 
 from .grading import Dims
 from .linalg import LinComb, SparseEchelon, cleared, divided
-from .scalar import Scalar, ZERO, ONE, I, _rat_str, sign_pow
+from .scalar import Scalar, ZERO, ONE, I, sign_pow
 
 _BODY_BOUND = 2 ** 20
 
@@ -127,16 +127,6 @@ class GEl(LinComb):
     def conj(self) -> "GEl":
         den, (num,) = cleared((self.terms,))
         return GEl(self.n, divided(_zconj(num), den))
-
-    def to_json(self) -> list:
-        out = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            subset = [j + 1 for j in range(self.n) if m >> j & 1]
-            out.append(
-                {"subset": subset, "re": _rat_str(c.re), "im": _rat_str(c.im)}
-            )
-        return out
 
     def __repr__(self):
         if not self.terms:
@@ -316,9 +306,10 @@ class SMat:
 
         The body B is inverted in SparseEchelon; the soul S = T - B enters
         the Neumann series T^{-1} = sum_j B^{-1} (-S B^{-1})^j.  With
-        X = d B^{-1} and S' = e S integral, the j-th term is
-        X (-S' X)^j / (d (e d)^j), and the terms are summed over their
-        common denominator L = d (e d)^J.
+        X = d B^{-1} and S' = e S integral, the j-th term is the one before
+        times -S'X / (e d).  Each term is put in its own lowest terms as it
+        is produced, and the terms are summed once over the lcm L of their
+        denominators.
         """
         size = self.dims.size
         d, x = cleared(
@@ -331,24 +322,26 @@ class SMat:
             for row in self.rows
             for entry in row
         )
-        x = [x[i * size:(i + 1) * size] for i in range(size)]
+        x_rows = [x[i * size:(i + 1) * size] for i in range(size)]
         neg_sx = [
-            _zvecmat(neg_soul[i * size:(i + 1) * size], x) for i in range(size)
+            _zvecmat(neg_soul[i * size:(i + 1) * size], x_rows)
+            for i in range(size)
         ]
-        acc, cur, den = list(x), list(x), d
-        ed = ({0: e * d}, {})
+        terms = [(d, x)]  # cleared over d, so already in lowest terms
         for _ in range(self.n):
-            # rows are replaced one at a time: row i of the next term needs
-            # only row i of this one
-            for i in range(size):
-                cur[i] = _zvecmat(cur[i], neg_sx)
-            if not any(re or im for row in cur for re, im in row):
+            den, cur = terms[-1]
+            cur = [y for i in range(size)
+                   for y in _zvecmat(cur[i * size:(i + 1) * size], neg_sx)]
+            if not any(re or im for re, im in cur):
                 break
-            for i in range(size):
-                acc[i] = [_zmul_sum(((ed, a), (_ZONE, c)))
-                          for a, c in zip(acc[i], cur[i])]
-            den *= e * d
-        return den, acc
+            terms.append(_lowest_terms([(den * e * d, cur)]))
+        den = math.lcm(*(t for t, _ in terms))
+        return den, [
+            [_zmul_sum((({0: den // t}, {}), nums[i * size + j])
+                       for t, nums in terms)
+             for j in range(size)]
+            for i in range(size)
+        ]
 
 
 def _flat(part: tuple) -> tuple:
@@ -732,25 +725,6 @@ class GroupPoint:
             and self.den == other.den
             and self.num == other.num
         )
-
-    def to_json(self) -> dict:
-        dims = self.dims
-        t_img, tb_img = self.t_img, self.tb_img
-        return {
-            "m": dims.m,
-            "n": dims.n,
-            "grassmann_generators": self.n,
-            "t": {
-                f"{a},{b}": t_img[(a, b)].to_json()
-                for a in dims.indices()
-                for b in dims.indices()
-            },
-            "tbar": {
-                f"{a},{b}": tb_img[(a, b)].to_json()
-                for a in dims.indices()
-                for b in dims.indices()
-            },
-        }
 
 
 def _scalar_diag(dims: Dims, entries) -> SMat:

@@ -20,8 +20,9 @@ from typing import Optional
 from .scalar import Scalar, ZERO, ONE, _mk, _part, _rat
 
 
-def add_term(terms: dict, key, c: Scalar):
-    """Add c into terms[key], dropping the key when the sum is zero."""
+def add_term(terms: dict, key, c):
+    """Add c, a Scalar or an int, into terms[key], dropping the key when
+    the sum is zero."""
     cur = terms.get(key)
     tot = c if cur is None else cur + c
     if tot:
@@ -266,17 +267,19 @@ class SparseEchelon:
         return {piv: divided(row, row[0][piv]) for piv, row in done.items()}
 
 
-def kernel_dense(constraint_rows, ncols: int) -> list:
+def kernel_dense(rows, ncols: int) -> list:
     """Nullspace basis of a constraint matrix.
 
-    ``constraint_rows`` iterates dicts {col: Scalar} of nonzero entries with
-    0 <= col < ncols; returns a list of dense solution vectors (lists of
-    Scalars), one per free column in increasing order, in reduced echelon
-    normal form: 1 at its own free column and 0 at the others.
+    ``rows`` iterates cleared rows, Gaussian-integer (re, im) pairs of
+    {col: int} dicts with 0 <= col < ncols, as :func:`cleared` returns
+    them; each is reduced in place.  Returns a list of dense solution
+    vectors (lists of Scalars), one per free column in increasing order, in
+    reduced echelon normal form: 1 at its own free column and 0 at the
+    others.
     """
     ech = SparseEchelon()
-    for row in constraint_rows:
-        ech.insert(row)
+    for row in rows:
+        ech._insert_cleared(row)
     rows = ech.reduced()
     basis = {free: [ZERO] * ncols for free in range(ncols) if free not in rows}
     for free, vec in basis.items():

@@ -298,8 +298,11 @@ def verify_maxrank(dims: Dims, k: int, seed: int = 0, trials: int = 3,
     On the n-side (odd corner rows), C_ab with [a] = [b] = 0 is nilpotent of
     order exactly k+1 (the vanishing is structural: odd generators square to
     zero); with [a] = [b] = 1 its powers survive.  The m-side mirrors this,
-    and mixed-parity entries square to zero structurally.
+    and mixed-parity entries square to zero structurally.  Raises
+    ValueError when m or n is 0: one side then has no corner rows.
     """
+    if not dims.m or not dims.n:
+        raise ValueError("the maxrank suite needs m >= 1 and n >= 1")
     cases = []
     for side in ("n", "m"):
         nil_par = 0 if side == "n" else 1

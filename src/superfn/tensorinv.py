@@ -23,7 +23,7 @@ from .cg import DimCapError, _case, _report
 from .grading import Dims
 from .linalg import SparseEchelon, add_term, kernel_dense
 from .scalar import ONE, MINUS_ONE
-from .ugl import TVec, letter_matrix
+from .ugl import TVec, letter_table
 
 SUBSPACE_CAP = 10000
 
@@ -117,11 +117,12 @@ def invariant_subspace(dims: Dims, k: int, l: int) -> list:
     rows = []
     for a in dims.indices():
         for b in dims.indices():
+            table = letter_table(dims, factors, (a, b))
             outputs: dict = {}
-            for idx, col in letter_matrix(dims, factors, (a, b)).items():
-                for out_idx, c in col:
+            for idx in basis:
+                for out_idx, c in table[idx]:
                     outputs.setdefault(out_idx, {})[pos[idx]] = c
-            rows.extend(outputs.values())
+            rows.extend((row, {}) for row in outputs.values())
     vectors = []
     for sol in kernel_dense(rows, len(basis)):
         terms = {basis[i]: c for i, c in enumerate(sol) if c}
@@ -161,7 +162,7 @@ def supercommutant_basis(dims: Dims, d: int) -> list:
         idx: sum(dims.par(x) for x in idx) & 1 for idx in basis
     }
     letters = [(a, b) for a in dims.indices() for b in dims.indices()]
-    mats = {letter: letter_matrix(dims, factors, letter) for letter in letters}
+    tables = {letter: letter_table(dims, factors, letter) for letter in letters}
     out = []
     for p in (0, 1):
         unknowns = [
@@ -171,20 +172,20 @@ def supercommutant_basis(dims: Dims, d: int) -> list:
         rows = []
         for letter in letters:
             q = dims.letter_par(*letter)
-            mat = mats[letter]
+            table = tables[letter]
             constraints = defaultdict(dict)
             # (pi(E) phi)[o2, i]: picks up phi[o, i] with weight pi(E)[o2, o]
             for (o, i) in unknowns:
-                for o2, c in mat.get(o, ()):
+                for o2, c in table[o]:
                     add_term(constraints[(o2, i)], upos[(o, i)], c)
             # -(-1)^{qp} (phi pi(E))[o, i2]: pi(E)[i_mid, i2] weights phi[o, i_mid]
             for i2 in basis:
-                for i_mid, c in mat.get(i2, ()):
+                for i_mid, c in table[i2]:
                     w = c if (q and p) else -c
                     for o in basis:
                         if (par[o] ^ par[i_mid]) == p:
                             add_term(constraints[(o, i2)], upos[(o, i_mid)], w)
-            rows.extend(constraints.values())
+            rows.extend((row, {}) for row in constraints.values())
         for sol in kernel_dense(rows, len(unknowns)):
             op = {unknowns[j]: c for j, c in enumerate(sol) if c}
             out.append(op)

@@ -337,19 +337,49 @@ def letter_column(dims: Dims, factors: tuple, letter: Letter, idx) -> tuple:
     return tuple(out.items())
 
 
-def letter_matrix(dims: Dims, factors: tuple, letter: Letter) -> dict:
-    """E_letter on the tensor module of ``factors``.
+# Letter tables: E_letter on the tensor module of ``kinds`` as integer
+# columns of :func:`letter_column`, one table per (m, n, kinds, letter),
+# each column filled the first time it is looked up.  The memo is emptied
+# when it reaches its cap (a dict evicting its oldest key one at a time
+# scans ever more deleted slots).
+_LETTER_TABLES_CAP = 512
+_letter_tables: dict = {}
 
-    Returns {in_idx: [(out_idx, coeff), ...]} over the index-tuple basis in
-    ``itertools.product`` order, omitting the basis vectors E_letter kills;
-    each coeff is a :class:`Scalar`.
-    """
-    mat = {}
-    for idx in _iproduct(dims.indices(), repeat=len(factors)):
-        col = letter_column(dims, factors, letter, idx)
-        if col:
-            mat[idx] = [(out, Scalar(k)) for out, k in col]
-    return mat
+
+def _remember(memo: dict, cap: int, key, value):
+    if len(memo) >= cap:
+        memo.clear()
+    memo[key] = value
+
+
+class _LetterTable(dict):
+    """E_letter on the tensor module of ``kinds``: in_idx -> ((out_idx,
+    int), ...), empty for a basis tensor it kills; a column is computed
+    when first looked up."""
+
+    __slots__ = ("dims", "kinds", "letter")
+
+    def __init__(self, dims: Dims, kinds: tuple, letter):
+        super().__init__()
+        self.dims = dims
+        self.kinds = kinds
+        self.letter = letter
+
+    def __missing__(self, idx):
+        col = letter_column(self.dims, self.kinds, self.letter, idx)
+        self[idx] = col
+        return col
+
+
+def letter_table(dims: Dims, kinds: tuple, letter: Letter) -> _LetterTable:
+    """The memoised integer table of E_letter on the tensor module of
+    ``kinds`` (see :class:`_LetterTable`).  Shared: read only."""
+    key = (dims.m, dims.n, kinds, letter)
+    table = _letter_tables.get(key)
+    if table is None:
+        table = _LetterTable(dims, kinds, letter)
+        _remember(_letter_tables, _LETTER_TABLES_CAP, key, table)
+    return table
 
 
 def z_central(dims: Dims) -> UEl:

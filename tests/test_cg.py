@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from superfn import cg, grassmann
+from superfn import cg, grassmann, ugl
 from superfn.cg import (
     CG,
     antipode_convolution,
@@ -364,7 +364,7 @@ def memo_cases():
 
 @pytest.fixture
 def cold_pairing_memos(monkeypatch):
-    monkeypatch.setattr(cg, "_letter_tables", {})
+    monkeypatch.setattr(ugl, "_letter_tables", {})
     monkeypatch.setattr(cg, "_word_images", {})
 
 
@@ -400,9 +400,9 @@ def test_letter_tables_fill_only_the_columns_images_reach(
     values = [pair_word(f, w) for w in words]
     assert values == [pair_via_coproduct(f, UEl.word(dims, w)) for w in words]
     assert any(values)
-    assert cg._letter_tables
+    assert ugl._letter_tables
     assert all(len(table) <= 1 + 16 * 6
-               for table in cg._letter_tables.values())
+               for table in ugl._letter_tables.values())
 
 
 def test_verify_hopf_both_modes():

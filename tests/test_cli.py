@@ -295,6 +295,15 @@ def test_group_counts_below_three_exit_2(capsys, count):
         2, "", "error: --count must be at least 3")
 
 
+@pytest.mark.parametrize("m, n", [("0", "1"), ("2", "0")])
+@pytest.mark.parametrize("extra", [("--json",), ("--k", "1")])
+def test_verify_maxrank_without_corner_rows_exits_2(capsys, m, n, extra):
+    code, out, err = run(capsys, "--m", m, "--n", n, "verify",
+                         "--suite", "maxrank", *extra)
+    assert (code, out, err.strip()) == (
+        2, "", "error: --suite maxrank needs --m and --n at least 1")
+
+
 def test_verify_maxrank_honours_mode(capsys):
     def cases(*extra):
         code, out, _ = run(capsys, "--m", "1", "--n", "1", "verify",

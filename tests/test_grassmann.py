@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -18,7 +17,7 @@ from superfn.grassmann import (
     real_sample_points,
     verify_group,
 )
-from superfn.linalg import add_term
+from superfn.linalg import add_term, cleared
 from superfn.scalar import Scalar, ONE, I, sign_pow
 from superfn.spherical import (
     laplacian_apply,
@@ -93,14 +92,6 @@ def test_conj_reverses_products(a, b, c):
     assert (x * y).conj() == y.conj() * x.conj()
 
 
-def test_gel_json_is_sorted_and_stable():
-    x = th(3, 2, 3).scale(Scalar(Fraction(1, 2))) + GEl.scalar(3, -1)
-    got = json.dumps(x.to_json(), sort_keys=True)
-    again = json.dumps(x.to_json(), sort_keys=True)
-    assert got == again
-    assert json.loads(got)[0]["subset"] == []
-
-
 def test_smat_inverse_is_exact():
     rng = random.Random(0)
     u1 = Scalar(Fraction(3, 5), Fraction(4, 5))
@@ -126,6 +117,20 @@ def test_smat_inverse_is_exact():
             cinv = cmat.inverse()
             assert (cmat @ cinv) == ident
             assert (cinv @ cmat) == ident
+
+
+@pytest.mark.parametrize("dims", [D22, D31, Dims(3, 2)],
+                         ids=["22", "31", "32"])
+def test_smat_inverse_series_is_over_the_least_common_denominator(dims):
+    # the soul of a random_even_invertible matrix is linear in the
+    # generators, so the j-th Neumann term has Grassmann degree j and no
+    # two terms cancel: the series' denominator is exactly the LCD of the
+    # inverse's entries
+    rng = random.Random(0)
+    for _ in range(2):
+        mat = random_even_invertible(dims, rng)
+        lcd, _ = cleared(e.terms for row in mat.inverse().rows for e in row)
+        assert mat._inverse_cleared()[0] == lcd
 
 
 def test_smat_inverse_rejects_singular_body():

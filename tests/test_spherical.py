@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from superfn import cg
+from superfn import cg, ugl
 from superfn.cg import CG, DimCapError, is_zero_mod_j
 from superfn.grading import Dims
 from superfn.scalar import Scalar, sign_pow
@@ -235,6 +235,12 @@ def test_verify_maxrank_small():
     assert rep["passed"], rep
 
 
+@pytest.mark.parametrize("dims", [Dims(0, 1), Dims(2, 0)])
+def test_verify_maxrank_rejects_dims_without_corner_rows(dims):
+    with pytest.raises(ValueError, match="needs m >= 1 and n >= 1"):
+        verify_maxrank(dims, 1)
+
+
 def test_verify_invariance_small():
     rep = verify_invariance(D11)
     assert rep["passed"], rep
@@ -249,9 +255,9 @@ def no_oracle_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("pairing oracle started before the cap check")
 
-    monkeypatch.setattr(cg, "_letter_tables", {})
+    monkeypatch.setattr(ugl, "_letter_tables", {})
     monkeypatch.setattr(cg, "_word_images", {})
-    monkeypatch.setattr(cg, "letter_column", fail)
+    monkeypatch.setattr(ugl, "letter_column", fail)
     monkeypatch.setattr(cg, "SparseEchelon", fail)
 
 
@@ -261,7 +267,7 @@ def test_t51_pairing_hits_the_workspace_cap_before_oracle_work(
     # `verify --suite t51 --mode pairing` exits 3 at every dims
     with pytest.raises(DimCapError, match="65536 exceeds cap 5000"):
         is_zero_mod_j(r_func(D11) ** 4, mode="pairing")
-    assert not cg._letter_tables and not cg._word_images
+    assert not ugl._letter_tables and not cg._word_images
 
 
 def test_degree_four_ideal_element_hits_the_cap_before_oracle_work(
@@ -277,4 +283,4 @@ def test_degree_four_ideal_element_hits_the_cap_before_oracle_work(
     with pytest.raises(DimCapError,
                        match="pairing oracle workspace 6642 exceeds cap 5000"):
         is_zero_mod_j(f, mode="pairing")
-    assert not cg._letter_tables and not cg._word_images
+    assert not ugl._letter_tables and not cg._word_images

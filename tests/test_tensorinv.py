@@ -72,6 +72,19 @@ def test_invariant_subspace_diagonal_case():
     assert contains_vector(invs, sergeev_invariant(D11, (1,), 1))
 
 
+def test_invariant_vectors_are_killed_by_every_letter():
+    # invariant_subspace builds its constraints from the memoised letter
+    # tables; TVec.act_letter applies letter_column without the memo
+    for dims, dmax in ((D11, 3), (D21, 2), (Dims(1, 2), 2)):
+        for d in range(1, dmax + 1):
+            invs = invariant_subspace(dims, d, d)
+            assert invs
+            for v in invs:
+                for a in dims.indices():
+                    for b in dims.indices():
+                        assert v.act_letter(a, b).is_zero(), (dims, d, a, b)
+
+
 def test_sergeev_span_matches_invariant_dimension():
     for dims, d in ((D11, 2), (D21, 2)):
         invs = invariant_subspace(dims, d, d)
