@@ -27,7 +27,8 @@ import re
 import sys
 
 from .actions import act, is_invariant
-from .cg import CG, DimCapError, _case, _report, is_zero_mod_j, verify_hopf
+from .cg import (CG, DimCapError, _case, _oracle_case, _report, is_zero_mod_j,
+                 verify_hopf)
 from .grading import Dims
 from .grassmann import verify_group
 from .scalar import Scalar, I, _rat_str
@@ -436,8 +437,7 @@ def _schema_case(case: dict) -> dict:
         if key in ("name", "passed"):
             continue
         if key == "failure_bound":
-            if val is not None:
-                out["failure_bound"] = val
+            out["failure_bound"] = val
         elif key == "verdict":
             witness["oracle"] = val
         else:
@@ -562,8 +562,8 @@ def _cmd_laplacian(args, ctx: ExprContext) -> int:
         + rk1.scale(Scalar(k * k))
     v = is_zero_mod_j(image - predicted, mode=args.mode, trials=args.trials,
                       seed=args.seed)
-    case = _case(f"radial Laplacian power identity at k={k}", v.is_zero, v,
-                 pretty=image.pretty())
+    case = _oracle_case(f"radial Laplacian power identity at k={k}", [v],
+                        True, pretty=image.pretty())
     return _emit_report(_report("laplacian", [case]), args.json)
 
 
@@ -581,9 +581,9 @@ def _cmd_theta(args, ctx: ExprContext) -> int:
     defect = laplacian_apply(th) - th.scale(lam)
     v = is_zero_mod_j(defect, mode=args.mode, trials=args.trials,
                       seed=args.seed)
-    case = _case(f"Laplacian eigenfunction of degree {k}, eigenvalue {lam}",
-                 v.is_zero, v, exists=True, pretty=th.pretty(),
-                 eigenvalue=str(lam))
+    case = _oracle_case(
+        f"Laplacian eigenfunction of degree {k}, eigenvalue {lam}", [v], True,
+        exists=True, pretty=th.pretty(), eigenvalue=str(lam))
     return _emit_report(_report("theta", [case]), args.json)
 
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .actions import act, is_invariant
-from .cg import CG, _case, _report, is_zero_mod_j
+from .cg import CG, _case, _oracle_case, _report, is_zero_mod_j
 from .grading import Dims
 from .scalar import Scalar, sign_pow
 from .ugl import laplacian
@@ -251,18 +251,19 @@ def verify_t51(dims: Dims, seed: int = 0, trials: int = 3,
                mode: str = "generic") -> dict:
     """Nilpotency of 1 - r at n = 1 and nonvanishing of r-powers."""
     cases = []
+
+    def case(name, f, want_zero):
+        cases.append(_oracle_case(
+            name, [is_zero_mod_j(f, mode, trials, seed)], want_zero))
+
     one_minus_r = CG.one(dims) - r_func(dims)
     if dims.n == 1:
         m = dims.m
-        v = is_zero_mod_j(one_minus_r ** (m + 1), mode, trials, seed)
-        cases.append(_case(f"(1-r)^{m + 1} vanishes", v.is_zero, v))
-        v = is_zero_mod_j(one_minus_r ** m, mode, trials, seed)
-        cases.append(_case(f"(1-r)^{m} survives", not v.is_zero, v))
-    v = is_zero_mod_j(sphere_defect(dims), mode, trials, seed)
-    cases.append(_case("sphere identity sum zbar_a z_a = 1", v.is_zero, v))
+        case(f"(1-r)^{m + 1} vanishes", one_minus_r ** (m + 1), True)
+        case(f"(1-r)^{m} survives", one_minus_r ** m, False)
+    case("sphere identity sum zbar_a z_a = 1", sphere_defect(dims), True)
     for k in range(1, 6):
-        v = is_zero_mod_j(r_func(dims) ** k, mode, trials, seed)
-        cases.append(_case(f"r^{k} survives", not v.is_zero, v))
+        case(f"r^{k} survives", r_func(dims) ** k, False)
     return _report("t51", cases)
 
 
@@ -304,6 +305,11 @@ def verify_maxrank(dims: Dims, k: int, seed: int = 0, trials: int = 3,
     if not dims.m or not dims.n:
         raise ValueError("the maxrank suite needs m >= 1 and n >= 1")
     cases = []
+
+    def survives(name, f):
+        cases.append(_oracle_case(
+            name, [is_zero_mod_j(f, mode, trials, seed)], False))
+
     for side in ("n", "m"):
         nil_par = 0 if side == "n" else 1
         evens = [a for a in dims.indices() if dims.par(a) == 0]
@@ -322,19 +328,9 @@ def verify_maxrank(dims: Dims, k: int, seed: int = 0, trials: int = 3,
                 parity_class=nil_par,
             )
         )
-        v = is_zero_mod_j(c_nil ** k, mode, trials, seed)
-        cases.append(
-            _case(f"{name}: nilpotent-class C^{k} survives", not v.is_zero, v)
-        )
+        survives(f"{name}: nilpotent-class C^{k} survives", c_nil ** k)
         for j in range(1, k + 2):
-            v = is_zero_mod_j(c_poly ** j, mode, trials, seed)
-            cases.append(
-                _case(
-                    f"{name}: polynomial-class C^{j} survives",
-                    not v.is_zero,
-                    v,
-                )
-            )
+            survives(f"{name}: polynomial-class C^{j} survives", c_poly ** j)
         cases.append(
             _case(
                 f"{name}: mixed-parity C^2 = 0 structurally",
@@ -343,10 +339,7 @@ def verify_maxrank(dims: Dims, k: int, seed: int = 0, trials: int = 3,
         )
         trace = corner_trace(dims, side, k)
         for j in range(1, k + 2):
-            v = is_zero_mod_j(trace ** j, mode, trials, seed)
-            cases.append(
-                _case(f"{name}: spherical trace^{j} survives", not v.is_zero, v)
-            )
+            survives(f"{name}: spherical trace^{j} survives", trace ** j)
     return _report("maxrank", cases)
 
 
@@ -367,36 +360,25 @@ def verify_invariance(dims: Dims, profiles=None, seed: int = 0,
             f"{lo}..{hi}" for lo, hi in blocks
         )
         pure = prof.pure_refined_indices()
+
+        def case(name, checks, want_zero):
+            verdicts = []
+            for f, side in checks:
+                _, details = is_invariant(f, blocks, side, mode, trials, seed)
+                verdicts += details.values()
+            cases.append(_oracle_case(name, verdicts, want_zero))
+
         for i in pure:
-            ok_all = True
-            for a in dims.indices():
-                for b in dims.indices():
-                    ok, _ = is_invariant(
-                        c_block(prof, i, a, b), blocks, "left",
-                        mode, trials, seed,
-                    )
-                    ok_all = ok_all and ok
-            cases.append(
-                _case(f"[{label}] C^({i})_ab all left-invariant", ok_all)
-            )
+            case(f"[{label}] C^({i})_ab all left-invariant",
+                 [(c_block(prof, i, a, b), "left") for a in dims.indices()
+                  for b in dims.indices()], True)
         for i in pure:
             for j in pure:
                 f = c_pair(prof, i, j)
-                ok_l, _ = is_invariant(f, blocks, "left", mode, trials, seed)
-                ok_r, _ = is_invariant(f, blocks, "right", mode, trials, seed)
-                cases.append(
-                    _case(
-                        f"[{label}] C^({i},{j}) two-sided invariant",
-                        ok_l and ok_r,
-                    )
-                )
-        ok_neg, _ = is_invariant(
-            CG.t(dims, 1, 1), blocks, "left", mode, trials, seed
-        )
-        cases.append(_case(f"[{label}] control t[1,1] not invariant",
-                           not ok_neg))
-        ok_neg, _ = is_invariant(z(dims, 1), blocks, "left", mode, trials,
-                                 seed)
-        cases.append(_case(f"[{label}] control z_1 not invariant",
-                           not ok_neg))
+                case(f"[{label}] C^({i},{j}) two-sided invariant",
+                     [(f, "left"), (f, "right")], True)
+        case(f"[{label}] control t[1,1] not invariant",
+             [(CG.t(dims, 1, 1), "left")], False)
+        case(f"[{label}] control z_1 not invariant",
+             [(z(dims, 1), "left")], False)
     return _report("invariance", cases)

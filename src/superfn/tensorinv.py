@@ -206,7 +206,10 @@ def rho_operator(dims: Dims, sigma: tuple, d: int) -> dict:
 def verify_fft(dims: Dims, dmax: int, mixed_total: int = 4,
                commutant_d: int = 2) -> dict:
     """The invariant-theory suite: Sergeev spanning, mixed vanishing, and
-    the double-centralizer equality."""
+    the double-centralizer equality.  Raises ValueError when dmax < 1,
+    which would drop every Sergeev case."""
+    if dmax < 1:
+        raise ValueError("dmax must be at least 1")
     cases = []
     for d in range(1, dmax + 1):
         invs = invariant_subspace(dims, d, d)

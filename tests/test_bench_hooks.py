@@ -2,27 +2,36 @@
 
 ``perfbench/spans.py`` wraps functions by module attribute and replaces
 methods through ``cls.__dict__[attr]``, so a method inherited from a base
-class would break traced runs only.  This test fails first instead.
+class would break traced runs only.  This test fails first instead.  So
+does a change to the suite report shape that ``perfbench/workloads.py``
+reads.
 """
 
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from superfn.grading import Dims
+from superfn.spherical import verify_t51
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans",
-                                                  SPANS_PATH)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-spans = _spans()
+spans = _load("spans")
+workloads = _load("workloads")
 
 
 def _resolve(module_name: str, path: str):
@@ -58,3 +67,10 @@ def test_scalar_backend_hook_resolves():
         assert type(part) in (int, _rat)
         assert _rat(part) == part
     assert not ONE.im and not half.im and I.im
+
+
+@pytest.mark.parametrize("dims", [Dims(1, 1), Dims(2, 1), Dims(3, 1),
+                                  Dims(1, 2)], ids=["11", "21", "31", "12"])
+def test_suite_check_reads_the_t51_report(dims):
+    """The dims at which the ``radial`` workload checks verify_t51."""
+    assert workloads.suite_check(json.dumps(verify_t51(dims))) is None

@@ -8,6 +8,9 @@ import pytest
 from superfn import cg, grassmann, ugl
 from superfn.cg import (
     CG,
+    Verdict,
+    _oracle_case,
+    _report,
     antipode_convolution,
     delta,
     is_zero_mod_j,
@@ -412,6 +415,65 @@ def test_verify_hopf_both_modes():
     assert rep["passed"], rep
 
 
+# ------------------------------------------------------------ oracle cases
+
+
+def zero(bound):
+    return Verdict("zero", "generic", 3, 0, bound)
+
+
+NONZERO = Verdict("nonzero", "generic", 2, 0, "0")
+
+
+@pytest.mark.parametrize("bounds", [("1/8", "1/2", "0"), ("1/2", "1/8"),
+                                    ("0", "1/8", "1/2", "1/8")])
+def test_oracle_case_reports_the_largest_zero_bound(bounds):
+    for want_zero in (True, False):
+        case = _oracle_case("c", [zero(b) for b in bounds], want_zero,
+                            extra=1)
+        assert case == {"name": "c", "passed": want_zero, "verdict": "zero",
+                        "mode": "generic", "failure_bound": "1/2",
+                        "extra": 1}
+
+
+def test_oracle_case_reports_the_first_nonzero_verdict():
+    exact = Verdict("nonzero", "pairing", 0, None, "0")
+    for verdicts in ([zero("1/2"), NONZERO, exact], [NONZERO, zero("1/2")]):
+        for want_zero in (True, False):
+            case = _oracle_case("c", iter(verdicts), want_zero)
+            assert case == {"name": "c", "passed": not want_zero,
+                            "verdict": "nonzero", "mode": "generic",
+                            "failure_bound": "0"}
+
+
+def test_oracle_case_and_report_refuse_to_pass_vacuously():
+    with pytest.raises(ValueError, match="no oracle verdict"):
+        _oracle_case("c", [], True)
+    with pytest.raises(ValueError, match="no cases"):
+        _report("hopf", [])
+
+
+@pytest.mark.parametrize("dims", [D11, D21], ids=["11", "21"])
+def test_antipode_case_reports_the_largest_generator_bound(dims):
+    rep = verify_hopf(dims)
+    gens = [CG.t(dims, a, b) for a in dims.indices() for b in dims.indices()]
+    gens += [CG.tbar(dims, a, b) for a in dims.indices()
+             for b in dims.indices()]
+    for side in ("left", "right"):
+        bounds = []
+        for g in gens:
+            defect = antipode_convolution(g, side) - CG.from_scalar(
+                dims, g.counit())
+            v = is_zero_mod_j(defect)
+            assert v.is_zero
+            bounds.append(Fraction(v.failure_bound))
+        (case,) = [c for c in rep["cases"]
+                   if c["name"].startswith(f"antipode convolution axiom "
+                                           f"({side})")]
+        assert case["verdict"] == "zero" and case["passed"]
+        assert Fraction(case["failure_bound"]) == max(bounds) > 0
+
+
 # ------------------------------------------------ generic-oracle point memo
 
 
@@ -442,7 +504,11 @@ def reference_verdict(f, trials, seed, points):
         if not point.evaluate(f).is_zero():
             return {"verdict": "nonzero", "mode": "generic", "trials": trial,
                     "seed": seed, "failure_bound": "0"}
-    bound = Fraction(max(f.degree(), 1), 2 ** 20) ** trials
+    # Schwartz-Zippel over the 2 * 2**20 + 1 body entries, given that A and
+    # D are invertible (README "Zero testing")
+    m_n = f.dims.m + f.dims.n
+    bound = Fraction(max(f.degree(), 1) * (m_n + 1),
+                     2 * 2 ** 20 + 1 - m_n) ** trials
     return {"verdict": "zero", "mode": "generic", "trials": trials,
             "seed": seed, "failure_bound": str(bound)}
 
@@ -530,3 +596,49 @@ def test_same_seed_at_other_dims_never_shares_a_stream(inversions):
             got = is_zero_mod_j(f, trials=3, seed=seed).to_dict()
             assert got == reference_verdict(f, 3, seed, points)
     assert sorted(cg._point_memo) == [(1, 1, 4), (1, 2, 4), (2, 1, 4)]
+
+
+# ------------------------------------------------------------ failure bound
+
+
+def derived_bound(dims, degree, trials, body_bound=2 ** 20):
+    """Schwartz-Zippel for (det A det D)^D times a Grassmann coefficient,
+    of degree D (m+n+1) in entries uniform on S = {-B..B}, given that A and
+    D are invertible (probability at least 1 - (m+n)/|S|)."""
+    m_n = dims.m + dims.n
+    size = 2 * body_bound + 1
+    return Fraction(max(degree, 1) * (m_n + 1), size - m_n) ** trials
+
+
+@pytest.mark.parametrize("dims", [D11, D21, D12, Dims(2, 2)],
+                         ids=["11", "21", "12", "22"])
+def test_zero_verdict_bound_is_at_least_the_derived_bound(dims):
+    rel = relations(dims)[0]
+    for extra in (0, 1, 3):
+        f = rel * CG.t(dims, 1, 1) ** extra if extra else rel
+        for trials in (1, 3):
+            v = is_zero_mod_j(f, trials=trials, seed=5)
+            assert v.is_zero
+            assert Fraction(v.failure_bound) >= derived_bound(
+                dims, 2 + extra, trials)
+
+
+@pytest.mark.parametrize("dims, want", [(D11, Fraction(3, 15)),
+                                        (D21, Fraction(4, 14))],
+                         ids=["11", "21"])
+def test_miss_rate_stays_under_the_derived_bound(dims, want, monkeypatch):
+    """With bodies drawn from {-8..8}, f = t[m+1,m+1] - 1 (degree 1, not in
+    J) vanishes at a point exactly when D's first body entry is 1."""
+    monkeypatch.setattr(grassmann, "_BODY_BOUND", 8)
+    monkeypatch.setattr(cg, "_point_memo", {})
+    k = dims.m + 1
+    f = CG.t(dims, k, k) - CG.one(dims)
+    seeds = range(2000)
+    misses = 0
+    for seed in seeds:
+        v = is_zero_mod_j(f, trials=1, seed=seed)
+        if v.is_zero:
+            misses += 1
+            assert Fraction(v.failure_bound) == want == derived_bound(
+                dims, 1, 1, body_bound=8)
+    assert 0 < Fraction(misses, len(seeds)) <= want

@@ -120,7 +120,9 @@ def test_iszero_zero_and_nonzero(capsys):
     code, out, _ = run(capsys, "--m", "1", "--n", "1", "iszero",
                        "t[1,1]*tb[1,1] + t[2,1]*tb[2,1] - 1")
     assert code == 0
-    assert out.startswith("zero (mode=generic, trials=3, failure_bound<=1/")
+    # the relation has degree 2: (2 * 3 / (2 * 2**20 + 1 - 2)) ** 3
+    assert out.strip() == ("zero (mode=generic, trials=3, "
+                           "failure_bound<=216/9223358842721533951)")
     code, out, _ = run(capsys, "--m", "1", "--n", "1", "iszero", "t[1,1]")
     assert code == 0
     assert out.strip() == "nonzero (mode=generic)"

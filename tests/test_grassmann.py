@@ -381,15 +381,17 @@ def theta_defect(dims, k):
 
 
 # generic verdicts of the default oracle (trials=3, seed=0), recorded with
-# the Fraction evaluator; each defect plus 1 is nonzero at trial 1
+# the Fraction evaluator; each defect plus 1 is nonzero at trial 1.  The
+# bounds are (5 D / 2097149)^3 at (2,2) and (4 D / 2097150)^3 at (1,2),
+# D = 2k the defect's degree
 ORACLE_PINS = [
-    ("laplacian", D22, 1, "1/144115188075855872"),
-    ("laplacian", D22, 2, "1/18014398509481984"),
-    ("laplacian", D22, 3, "27/144115188075855872"),
-    ("laplacian", D22, 4, "1/2251799813685248"),
-    ("theta", D12, 1, "1/144115188075855872"),
-    ("theta", D12, 2, "1/18014398509481984"),
-    ("theta", D12, 3, "27/144115188075855872"),
+    ("laplacian", D22, 1, "1000/9223332454492798949"),
+    ("laplacian", D22, 2, "8000/9223332454492798949"),
+    ("laplacian", D22, 3, "27000/9223332454492798949"),
+    ("laplacian", D22, 4, "64000/9223332454492798949"),
+    ("theta", D12, 1, "64/1152918206075109375"),
+    ("theta", D12, 2, "512/1152918206075109375"),
+    ("theta", D12, 3, "64/42700674299078125"),
 ]
 
 

@@ -249,6 +249,24 @@ def test_verify_invariance_small():
     assert rep["passed"], rep
 
 
+@pytest.mark.parametrize("dims", [D11, D22], ids=["11", "22"])
+def test_invariance_cases_report_their_deciding_verdict(dims):
+    """The letter actions vanish on the representatives, so the invariant
+    cases are exact zeros; each control is decided by a nonzero witness."""
+    cases = verify_invariance(dims)["cases"]
+    for case in cases:
+        control = "control" in case["name"]
+        assert case["passed"], case
+        assert (case["verdict"], case["mode"], case["failure_bound"]) == (
+            ("nonzero", "generic", "0") if control else ("zero", "exact", "0"))
+    assert sum("control" in c["name"] for c in cases) == 2
+
+
+def test_verify_invariance_without_profiles_is_not_a_vacuous_pass():
+    with pytest.raises(ValueError, match="no cases"):
+        verify_invariance(D11, profiles=[])
+
+
 @pytest.fixture
 def no_oracle_work(monkeypatch):
     """Empty pairing memos, and every piece of pairing work raises."""

@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from superfn.cg import DimCapError
 from superfn.grading import Dims
 from superfn.scalar import Scalar, ZERO, ONE
@@ -174,6 +176,14 @@ def test_verify_fft_reports():
     assert rep["passed"], rep
     names = [c["name"] for c in rep["cases"]]
     assert any("mixed" in n for n in names)
+
+
+def test_verify_fft_refuses_to_pass_without_a_sergeev_case():
+    # dmax < 1 would drop every Sergeev case, and with nothing else asked
+    # for the report had no case at all
+    for dmax, extra in ((-2, dict(mixed_total=0, commutant_d=0)), (0, {})):
+        with pytest.raises(ValueError, match="dmax must be at least 1"):
+            verify_fft(D11, dmax, **extra)
 
 
 def test_verify_fft_catches_a_non_invariant_sergeev_element(monkeypatch):
