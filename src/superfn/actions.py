@@ -98,12 +98,14 @@ def act_word(dims: Dims, side: str, word: tuple, poly: Poly) -> Poly:
 
 def act(side: str, u: UEl, f: CG) -> CG:
     """dL_u(f) for side="left", dR_u(f) for side="right"."""
+    if side not in ("left", "right"):
+        raise ValueError(f"bad side {side!r}")
     if u.dims != f.dims:
         raise ValueError("mismatched gl(m|n) dimensions")
-    out = Poly.zero()
+    out = CG.zero(f.dims)
     for w, c in u.terms.items():
-        out = out + act_word(u.dims, side, w, f.poly).scale(c)
-    return CG(f.dims, out)
+        out = out + act_word(u.dims, side, w, f).scale(c)
+    return out
 
 
 # --------------------------------------------------------- free coefficients
@@ -173,7 +175,7 @@ def jmath(dims: Dims, p: Poly) -> CG:
             ((rename[s[0]], s[1], s[2], s[3]), e) for s, e in mono
         )
         out[new] = c
-    return CG(dims, Poly(out))
+    return CG(dims, out)
 
 
 def slot_act_word(dims: Dims, kind: str, word: tuple, p: Poly) -> Poly:

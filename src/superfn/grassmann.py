@@ -613,21 +613,24 @@ class GroupPoint:
                 raise ValueError("matrix does not define a group point")
 
     def evaluate(self, f) -> GEl:
-        """Evaluate a function-algebra element (CG or its Poly).
+        """Evaluate a function-algebra element: a CG of this point's dims,
+        or a bare Poly in t[a,b] and tb[a,b] with a, b in 1..m+n.
 
         f's coefficients are cleared by their common denominator q, and a
         monomial with j generator factors is scaled by den^(D - j), D the
         degree of f; the sum then runs on integers and is divided once, by
-        q * den^D.
+        q * den^D.  Raises ValueError for a CG of other dims and for any
+        other symbol.
         """
-        poly = getattr(f, "poly", f)
-        if not poly.terms:
+        if f._shape() not in ((), self.dims):  # a bare Poly has shape ()
+            raise ValueError("mismatched gl(m|n) dimensions")
+        if not f.terms:
             return GEl(self.n)
-        top = poly.degree()
-        q, coeffs = cleared({0: c} for c in poly.terms.values())
+        top = f.degree()
+        q, coeffs = cleared({0: c} for c in f.terms.values())
 
         def scaled_terms():
-            for (cre, cim), mono in zip(coeffs, poly.terms):
+            for (cre, cim), mono in zip(coeffs, f.terms):
                 prod, j = self._monomial(mono)
                 k = self.den ** (top - j)
                 yield ({0: c * k for c in cre.values()},
@@ -640,9 +643,12 @@ class GroupPoint:
         """(den^j times the image of mono, its degree j)."""
         prod, j = _ZONE, 0
         for s, e in mono:
-            if s[0] != "t" and s[0] != "tb":
-                raise ValueError(f"cannot evaluate tag {s[0]!r}")
-            img = self.num[s[:3]]
+            img = self.num.get(s[:3])
+            if img is None:
+                if s[0] != "t" and s[0] != "tb":
+                    raise ValueError(f"cannot evaluate tag {s[0]!r}")
+                raise ValueError(f"symbol {s[0]}[{s[1]},{s[2]}] outside "
+                                 f"1..{self.dims.size}")
             for _ in range(e):
                 prod = _zmul_sum(((prod, img),)) if j else img
                 j += 1

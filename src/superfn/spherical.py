@@ -320,7 +320,7 @@ def verify_maxrank(dims: Dims, k: int, seed: int = 0, trials: int = 3,
         c_poly = corner_invariant(dims, side, k, poly_idx, poly_idx)
         c_mixed = corner_invariant(dims, side, k, evens[0], odds[0])
         name = f"{side}-side rank {k}"
-        structural = (c_nil ** (k + 1)).is_zero_poly()
+        structural = (c_nil ** (k + 1)).is_zero()
         cases.append(
             _case(
                 f"{name}: nilpotent-class C^{k + 1} = 0 structurally",
@@ -334,7 +334,7 @@ def verify_maxrank(dims: Dims, k: int, seed: int = 0, trials: int = 3,
         cases.append(
             _case(
                 f"{name}: mixed-parity C^2 = 0 structurally",
-                (c_mixed ** 2).is_zero_poly(),
+                (c_mixed ** 2).is_zero(),
             )
         )
         trace = corner_trace(dims, side, k)

@@ -137,12 +137,12 @@ class Poly(LinComb):
                 if sgn:
                     c = -c
                 add_term(out, mono, c)
-        return Poly(out)
+        return self._like(out)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.one()
+        out = self._like({(): ONE})
         for _ in range(k):
             out = out * self
         return out
@@ -157,7 +157,7 @@ class Poly(LinComb):
         return pretty(self)
 
     def __repr__(self):
-        return f"Poly({pretty(self)})"
+        return f"{type(self).__name__}({pretty(self)})"
 
 
 class DerivationSpec:
@@ -165,7 +165,7 @@ class DerivationSpec:
 
     ``apply`` extends the images by the graded Leibniz rule
     ``d(fg) = d(f) g + (-1)^{[d][f]} f d(g)``; generators without an image
-    map to zero.
+    map to zero.  The result is built by ``p._like``, so a CG keeps its dims.
     """
 
     __slots__ = ("parity", "images")
@@ -192,7 +192,7 @@ class DerivationSpec:
                     for mm, cc in term.terms.items():
                         add_term(out, mm, cc)
                 prefix_par ^= (e & 1) & s[3]
-        return Poly(out)
+        return p._like(out)
 
 
 class StarSpec:
@@ -200,7 +200,8 @@ class StarSpec:
 
     ``apply`` conjugates coefficients and reverses products:
     ``(fg)* = g* f*`` with no extra sign.  Images must preserve parity;
-    generators without an image map to themselves.
+    generators without an image map to themselves.  The result is built by
+    ``p._like``, so a CG keeps its dims.
     """
 
     __slots__ = ("images",)
@@ -220,7 +221,7 @@ class StarSpec:
                     prod = prod * img
             for mm, cc in prod.terms.items():
                 add_term(out, mm, cc)
-        return Poly(out)
+        return p._like(out)
 
 
 def _scalar_body(c: Scalar):

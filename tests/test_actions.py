@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from superfn.actions import (
     act,
     act_word,
@@ -214,7 +216,7 @@ def test_action_pairing_contract():
             f = rng.choice(gens)
             if rng.random() < 0.5:
                 f = f * rng.choice(gens)
-                if f.is_zero_poly():
+                if f.is_zero():
                     continue
             xl = rng.choice(letters)
             x = UEl.letter(dims, *xl)
@@ -362,7 +364,7 @@ def test_corrected_mixed_block_derivative_signs():
                 want = prod.scale(
                     sign_pow(pa + pb) if xl == (2, 3) else sign_pow(pa))
                 got = act("left", x, f)
-                assert (got - want).is_zero_poly(), (name, a, b)
+                assert (got - want).is_zero(), (name, a, b)
                 sgn = sign_pow(xpar * f.parity())
                 rhs = [pair(f, u) * sgn for u in sx_basis]
                 assert all(pair(want, y) == r
@@ -375,3 +377,12 @@ def test_corrected_mixed_block_derivative_signs():
                if name == "E23" or not D22.par(b)}
     assert len(differs) == 24
     assert stated_rejected == differs
+
+
+def test_act_refuses_a_bad_side_with_no_letter_to_apply():
+    """The empty word and scalars apply no letter action, so the side is
+    checked before any work."""
+    f = CG.t(D11, 1, 2)
+    for u in (UEl.one(D11), UEl.from_scalar(D11, 3), UEl.zero(D11)):
+        with pytest.raises(ValueError, match="bad side 'middle'"):
+            act("middle", u, f)

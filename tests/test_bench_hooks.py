@@ -3,8 +3,8 @@
 ``perfbench/spans.py`` wraps functions by module attribute and replaces
 methods through ``cls.__dict__[attr]``, so a method inherited from a base
 class would break traced runs only.  This test fails first instead.  So
-does a change to the suite report shape that ``perfbench/workloads.py``
-reads.
+do a change to the suite report shape that ``perfbench/workloads.py``
+reads and a change to the package internals that ``spans.py`` reads.
 """
 
 import importlib
@@ -15,8 +15,12 @@ from pathlib import Path
 
 import pytest
 
+from superfn import cg, ugl
+from superfn.cg import CG
 from superfn.grading import Dims
 from superfn.spherical import verify_t51
+from superfn.superpoly import Poly, symbol
+from superfn.ugl import UEl
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -74,3 +78,27 @@ def test_scalar_backend_hook_resolves():
 def test_suite_check_reads_the_t51_report(dims):
     """The dims at which the ``radial`` workload checks verify_t51."""
     assert workloads.suite_check(json.dumps(verify_t51(dims))) is None
+
+
+def test_oracle_term_count_reads_the_oracle_argument():
+    """The traced oracle counts ``len(f.poly.terms)`` of its argument."""
+    dims = Dims(1, 1)
+    f = CG.t(dims, 1, 1) * CG.tbar(dims, 1, 1) + CG.one(dims)
+    assert type(f.poly) is Poly
+    assert f.poly == Poly.from_symbol(symbol("t", 1, 1, 0)) * \
+        Poly.from_symbol(symbol("tb", 1, 1, 0)) + Poly.one()
+    tracer = spans.Tracer()
+    oracle = tracer._make("cg.oracle")(cg.is_zero_mod_j)
+    assert not oracle(f, "pairing").is_zero
+    assert tracer.counts["cg.oracle.terms_in"] == 2
+    assert tracer.calls["cg.oracle_pairing"] == 1
+
+
+def test_normalize_cache_metric_reads_the_cache_word_fills(monkeypatch):
+    """``spans.py`` reads ``ugl._normalize_cache`` with a default of (), so a
+    rename would read 0 entries instead of failing."""
+    monkeypatch.setattr(ugl, "_normalize_cache", {})
+    UEl.word(Dims(1, 1), ((2, 1), (1, 2)))
+    assert type(ugl._normalize_cache) is dict and ugl._normalize_cache
+    metrics = spans.Tracer().layer_metrics()
+    assert metrics["ugl.normalize_cache.entries"] == len(ugl._normalize_cache)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -114,8 +115,8 @@ def test_pairing_respects_products_in_u():
             v = UEl.word(dims, rand_word(dims, rng, max_len=2))
             acc = ZERO
             for (m1, m2), c in delta(f).terms.items():
-                f1 = CG(dims, type(f.poly)({m1: c}))
-                f2 = CG(dims, type(f.poly)({m2: ONE}))
+                f1 = CG(dims, {m1: c})
+                f2 = CG(dims, {m2: ONE})
                 p1 = f1.parity()
                 sgn = ONE
                 u_par = u.parity()
@@ -190,18 +191,16 @@ def test_coassociativity_random():
 
 def test_counit_axiom_random():
     rng = random.Random(13)
-    from superfn.superpoly import Poly
-
     for dims in (D11, D21):
         for _ in range(25):
             f = rand_cg(dims, rng, max_terms=2, max_len=2)
             left = CG.zero(dims)
             right = CG.zero(dims)
             for (m1, m2), c in delta(f).terms.items():
-                left = left + CG(dims, Poly({m2: c})).scale(
-                    CG(dims, Poly({m1: ONE})).counit())
-                right = right + CG(dims, Poly({m1: c})).scale(
-                    CG(dims, Poly({m2: ONE})).counit())
+                left = left + CG(dims, {m2: c}).scale(
+                    CG(dims, {m1: ONE}).counit())
+                right = right + CG(dims, {m1: c}).scale(
+                    CG(dims, {m2: ONE}).counit())
             assert left == f and right == f
 
 
@@ -235,6 +234,22 @@ def test_antipode_convolution_lands_in_ideal():
                     dims, g.counit())
                 v = is_zero_mod_j(defect, mode="generic", trials=3, seed=0)
                 assert v.is_zero
+
+
+def test_operands_of_other_dims_are_refused():
+    """t[1,1] has the same representative at (1|1) and (2|1); only the
+    dims tell the two apart, and they must not combine."""
+    f, g = CG.t(D11, 1, 1), CG.t(D21, 1, 1)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError):
+            op(f, g)
+    assert not f == g
+    assert f == CG.t(D11, 1, 1)
+
+
+def test_antipode_convolution_refuses_a_bad_side_on_zero():
+    with pytest.raises(ValueError, match="bad side 'middle'"):
+        antipode_convolution(CG.zero(D11), "middle")
 
 
 def test_is_zero_mod_j_verdicts():
@@ -326,7 +341,7 @@ def test_cyclic_certificate_agrees_with_generic_oracle(dims, monkeypatch):
         const = CG.from_scalar(dims, rng.choice((1, 2, -3)))
         gen = rng.choice(all_gens(dims)).scale(rng.choice((1, -2)))
         for f in (base, base + const, base + gen):
-            if f.is_zero_poly():
+            if f.is_zero():
                 continue
             const_terms += () in f.poly.terms
             degrees += len({len(m) for m in f.poly.terms}) > 1

@@ -368,6 +368,20 @@ def test_evaluate_rejects_unknown_tag():
         p.evaluate(Poly.from_symbol(symbol("x", 1, 1, 0)))
 
 
+def test_evaluate_refuses_other_dims_and_indices():
+    """A point of GL(1|1) evaluates neither a (2|1) element, whose
+    representative it could otherwise read, nor a symbol outside 1..2."""
+    p = random_gauss_point(D11, random.Random(0))
+    with pytest.raises(ValueError, match="mismatched"):
+        p.evaluate(CG.t(D21, 2, 2))
+    for sym in (symbol("t", 3, 3, 0), symbol("tb", 1, 3, 1),
+                symbol("t", 0, 1, 0)):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            p.evaluate(Poly.from_symbol(sym))
+    assert p.evaluate(CG.t(D11, 2, 2)) == p.evaluate(
+        Poly.from_symbol(symbol("t", 2, 2, 0)))
+
+
 def laplacian_defect(dims, k):
     rr = r_func(dims)
     rhs = (rr ** k).scale(Scalar(k * (dims.m - dims.n - k + 1))) \
