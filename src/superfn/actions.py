@@ -20,7 +20,9 @@ The free coefficient algebra on tags ``x``/``xb`` carries the slot actions
     psi(u)(xb_ab) = (-1)^{[u]([u]+[b])} xb_{u.a, b} (u acting in V)
 
 and the tag-renaming isomorphism :func:`jmath` onto t/tbar intertwines
-psi with dL and phi with dR.
+psi with dL and phi with dR.  :func:`slot_action` is built that way: it
+renames the generator images of :func:`letter_action`, the one place
+where the signs of the translation actions are written.
 """
 
 from __future__ import annotations
@@ -111,53 +113,33 @@ def act(side: str, u: UEl, f: CG) -> CG:
 # --------------------------------------------------------- free coefficients
 
 
-_slot_cache: dict = {}
+_TO_FREE = {"t": "x", "tb": "xb"}
+_TO_FUNCTION = {"x": "t", "xb": "tb"}
+
+
+def _rename(s, tags: dict):
+    return (tags[s[0]],) + s[1:]
+
+
+def _renamed(terms: dict, tags: dict) -> dict:
+    """terms with every symbol's tag renamed by tags.  Tag order is kept
+    (t < tb, x < xb), so canonical monomials stay canonical."""
+    return {
+        tuple((_rename(s, tags), e) for s, e in mono): c
+        for mono, c in terms.items()
+    }
 
 
 def slot_action(dims: Dims, kind: str, a: int, b: int) -> DerivationSpec:
-    """phi(E_ab) (kind="phi") or psi(E_ab) ("psi") on the x/xb alphabet."""
-    key = (dims.m, dims.n, kind, a, b)
-    spec = _slot_cache.get(key)
-    if spec is not None:
-        return spec
+    """phi(E_ab) (kind="phi") or psi(E_ab) ("psi") on the x/xb alphabet:
+    dR_{E_ab} or dL_{E_ab} read through the renaming t -> x, tb -> xb."""
     if kind not in ("phi", "psi"):
         raise ValueError(f"bad slot action {kind!r}")
-    upar = dims.letter_par(a, b)
-    letter = (a, b)
-    images = {}
-    for r in dims.indices():
-        for cc in dims.indices():
-            for tag in ("x", "xb"):
-                gsym = symbol(tag, r, cc, dims.letter_par(r, cc))
-                if kind == "phi":
-                    # acts in the first tensor slot: v_col for x, vb_col for xb
-                    kinds = ("v",) if tag == "x" else ("vb",)
-                    hit = letter_column(dims, kinds, letter, (cc,))
-                    if not hit:
-                        continue
-                    ((new,), coeff), = hit
-                    if upar:
-                        coeff = -coeff
-                    tgt = symbol(tag, r, new, dims.letter_par(r, new))
-                else:
-                    # acts in the second tensor slot: vb_row for x, v_row for xb
-                    kinds = ("vb",) if tag == "x" else ("v",)
-                    hit = letter_column(dims, kinds, letter, (r,))
-                    if not hit:
-                        continue
-                    ((new,), coeff), = hit
-                    colpar = dims.par(cc)
-                    if tag == "x":
-                        if upar and colpar:
-                            coeff = -coeff
-                    else:
-                        if upar and (upar + colpar) % 2:
-                            coeff = -coeff
-                    tgt = symbol(tag, new, cc, dims.letter_par(new, cc))
-                images[gsym] = Poly.from_symbol(tgt).scale(coeff)
-    spec = DerivationSpec(upar, images)
-    _slot_cache[key] = spec
-    return spec
+    spec = letter_action(dims, "right" if kind == "phi" else "left", a, b)
+    return DerivationSpec(spec.parity, {
+        _rename(s, _TO_FREE): Poly(_renamed(img.terms, _TO_FREE))
+        for s, img in spec.images.items()
+    })
 
 
 def x_gen(dims: Dims, tag: str, a: int, b: int) -> Poly:
@@ -168,14 +150,7 @@ def x_gen(dims: Dims, tag: str, a: int, b: int) -> Poly:
 
 def jmath(dims: Dims, p: Poly) -> CG:
     """Rename x -> t, xb -> tbar; an isomorphism onto the function algebra."""
-    rename = {"x": "t", "xb": "tb"}
-    out = {}
-    for mono, c in p.terms.items():
-        new = tuple(
-            ((rename[s[0]], s[1], s[2], s[3]), e) for s, e in mono
-        )
-        out[new] = c
-    return CG(dims, out)
+    return CG(dims, _renamed(p.terms, _TO_FUNCTION))
 
 
 def slot_act_word(dims: Dims, kind: str, word: tuple, p: Poly) -> Poly:

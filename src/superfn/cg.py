@@ -92,6 +92,16 @@ class CG(Poly):
         return CG(dims, Poly.from_symbol(_gen_symbol(dims, "tb", a, b)).terms)
 
     @staticmethod
+    def from_symbol(dims: Dims, sym) -> "CG":
+        """The generator sym, a t or tb symbol of dims with its parity."""
+        if not (isinstance(sym, tuple) and len(sym) == 4
+                and sym[0] in ("t", "tb")
+                and sym[1] in dims.indices() and sym[2] in dims.indices()
+                and sym == _gen_symbol(dims, *sym[:3])):
+            raise ValueError(f"{sym!r} is not a generator of {dims!r}")
+        return CG(dims, {((sym, 1),): ONE})
+
+    @staticmethod
     def one(dims: Dims) -> "CG":
         return CG(dims, {(): ONE})
 

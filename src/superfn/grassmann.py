@@ -614,7 +614,8 @@ class GroupPoint:
 
     def evaluate(self, f) -> GEl:
         """Evaluate a function-algebra element: a CG of this point's dims,
-        or a bare Poly in t[a,b] and tb[a,b] with a, b in 1..m+n.
+        or a bare Poly in t[a,b] and tb[a,b] with a, b in 1..m+n and
+        parity [a]+[b].
 
         f's coefficients are cleared by their common denominator q, and a
         monomial with j generator factors is scaled by den^(D - j), D the
@@ -641,7 +642,7 @@ class GroupPoint:
 
     def _monomial(self, mono) -> tuple:
         """(den^j times the image of mono, its degree j)."""
-        prod, j = _ZONE, 0
+        prod, j, m = _ZONE, 0, self.dims.m
         for s, e in mono:
             img = self.num.get(s[:3])
             if img is None:
@@ -649,6 +650,10 @@ class GroupPoint:
                     raise ValueError(f"cannot evaluate tag {s[0]!r}")
                 raise ValueError(f"symbol {s[0]}[{s[1]},{s[2]}] outside "
                                  f"1..{self.dims.size}")
+            par = (s[1] > m) ^ (s[2] > m)  # [a]+[b]
+            if s[3] != par:
+                raise ValueError(f"symbol {s[0]}[{s[1]},{s[2]}] has parity "
+                                 f"{s[3]!r}, not {int(par)}")
             for _ in range(e):
                 prod = _zmul_sum(((prod, img),)) if j else img
                 j += 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .linalg import LinComb, add_term
-from .scalar import Scalar, ZERO, ONE, _rat_str
+from .scalar import Scalar, ONE, _rat_str
 
 Symbol = tuple  # (tag, row, col, par)
 Monomial = tuple  # ((symbol, exp), ...)
@@ -114,16 +114,6 @@ class Poly(LinComb):
         if len(pars) == 1:
             return pars.pop()
         return None
-
-    def symbols(self) -> set:
-        out = set()
-        for m in self.terms:
-            for s, _ in m:
-                out.add(s)
-        return out
-
-    def coeff(self, m: Monomial) -> Scalar:
-        return self.terms.get(m, ZERO)
 
     def __mul__(self, other: "Poly") -> "Poly":
         out = {}

@@ -15,7 +15,7 @@ import time
 
 from conftest import record_criterion
 
-from superfn.actions import act, act_word, invariant_letters, is_invariant
+from superfn.actions import act, act_word
 from superfn.cg import (
     CG,
     is_zero_mod_j,

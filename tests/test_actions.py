@@ -176,7 +176,7 @@ def _slot_action_reference(dims, kind, a, b):
 
 
 def test_slot_action_matches_module_reference():
-    for dims in ALL_DIMS:
+    for dims in ALL_DIMS + (Dims(3, 2), Dims(2, 3), Dims(1, 0), Dims(0, 2)):
         for a, b in itertools.product(dims.indices(), repeat=2):
             for kind in ("phi", "psi"):
                 spec = slot_action(dims, kind, a, b)

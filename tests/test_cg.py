@@ -28,7 +28,8 @@ from superfn.grassmann import (
     random_even_invertible,
     random_gauss_point,
 )
-from superfn.scalar import Scalar, ZERO, ONE, I, sign_pow
+from superfn.scalar import Scalar, ZERO, ONE, sign_pow
+from superfn.superpoly import symbol
 from superfn.ugl import UEl
 
 D11 = Dims(1, 1)
@@ -245,6 +246,18 @@ def test_operands_of_other_dims_are_refused():
             op(f, g)
     assert not f == g
     assert f == CG.t(D11, 1, 1)
+
+
+def test_from_symbol_builds_a_generator_of_its_dims():
+    sym = symbol("t", 1, 2, 1)
+    f = CG.from_symbol(D11, sym)
+    assert isinstance(f, CG) and f.dims == D11
+    assert f == CG.t(D11, 1, 2)
+    assert CG.from_symbol(D21, symbol("tb", 3, 3, 0)) == CG.tbar(D21, 3, 3)
+    for bad in (symbol("t", 1, 2, 0), symbol("x", 1, 1, 0),
+                symbol("t", 3, 1, 1), symbol("tb", 0, 1, 1), ("t", 1, 1)):
+        with pytest.raises(ValueError, match="not a generator"):
+            CG.from_symbol(D11, bad)
 
 
 def test_antipode_convolution_refuses_a_bad_side_on_zero():

@@ -18,7 +18,7 @@ from superfn.grassmann import (
     verify_group,
 )
 from superfn.linalg import add_term, cleared
-from superfn.scalar import Scalar, ONE, I, sign_pow
+from superfn.scalar import Scalar, I, sign_pow
 from superfn.spherical import (
     laplacian_apply,
     r_func,
@@ -380,6 +380,18 @@ def test_evaluate_refuses_other_dims_and_indices():
             p.evaluate(Poly.from_symbol(sym))
     assert p.evaluate(CG.t(D11, 2, 2)) == p.evaluate(
         Poly.from_symbol(symbol("t", 2, 2, 0)))
+
+
+def test_evaluate_refuses_a_symbol_of_the_wrong_parity():
+    """t[1,2] is odd at (1|1); an even t[1,2] would otherwise read the odd
+    image, and its square would evaluate to 0."""
+    p = random_gauss_point(D11, random.Random(0))
+    for f in (Poly.from_symbol(symbol("t", 1, 2, 0)) ** 2,
+              Poly.from_symbol(symbol("tb", 2, 2, 1))):
+        with pytest.raises(ValueError, match="parity"):
+            p.evaluate(f)
+    assert not p.evaluate(Poly.from_symbol(symbol("t", 2, 2, 0)) ** 2) \
+        .is_zero()
 
 
 def laplacian_defect(dims, k):

@@ -25,7 +25,7 @@ from superfn.spherical import (
     z,
     zbar,
 )
-from superfn.ugl import UEl, casimir
+from superfn.ugl import casimir
 from superfn.actions import act
 
 D11 = Dims(1, 1)

@@ -11,7 +11,7 @@ from superfn.superpoly import (
     monomial_parity,
     symbol,
 )
-from superfn.scalar import Scalar, ONE, I
+from superfn.scalar import Scalar, I
 
 # a small fixed alphabet: two even symbols, two odd
 X = symbol("t", 1, 1, 0)

@@ -4,7 +4,7 @@ import pytest
 
 from superfn.cg import DimCapError
 from superfn.grading import Dims
-from superfn.scalar import Scalar, ZERO, ONE
+from superfn.scalar import ZERO, ONE
 from superfn.tensorinv import (
     contains_vector,
     invariant_subspace,
@@ -17,7 +17,7 @@ from superfn.tensorinv import (
     swap_slots,
     verify_fft,
 )
-from superfn.ugl import TVec, UEl
+from superfn.ugl import TVec
 
 D11 = Dims(1, 1)
 D21 = Dims(2, 1)
