@@ -6,10 +6,11 @@ spliced mechanically out of the coproduct and the duality pairing:
     dR_x(g_cd) = (-1)^{[x][g]} sum_e sign(c,e,d) g_ce <g_ed, x>
     dL_x(g_cd) = -(-1)^{[x]}   sum_e <g_ce, x> sign(c,e,d) g_ed
 
-with ``sign(c,e,d) = (-1)^{([e]+[c])([e]+[d])}`` the coproduct sign (the
-antipode S(x) = -x accounts for the leading minus in dL).  Letters act as
-superderivations of parity [x]; a word acts by composing its letters with
-the rightmost letter applied first.  The two actions supercommute:
+with ``sign(c,e,d) = (-1)^{([e]+[c])([e]+[d])}`` the coproduct sign of
+:func:`grading.delta_sign` (the antipode S(x) = -x accounts for the
+leading minus in dL).  Letters act as superderivations of parity [x]; a
+word acts by composing its letters with the rightmost letter applied
+first.  The two actions supercommute:
 dL_x dR_y = (-1)^{[x][y]} dR_y dL_x.
 
 The free coefficient algebra on tags ``x``/``xb`` carries the slot actions
@@ -28,16 +29,12 @@ where the signs of the translation actions are written.
 from __future__ import annotations
 
 from .cg import CG, is_zero_mod_j
-from .grading import Dims
-from .scalar import Scalar, sign_pow
+from .grading import Dims, delta_sign
+from .scalar import sign_pow
 from .superpoly import DerivationSpec, Poly, symbol
 from .ugl import UEl, letter_column
 
 _letter_cache: dict = {}
-
-
-def _delta_sign(dims: Dims, c: int, e: int, d: int) -> Scalar:
-    return sign_pow((dims.par(e) + dims.par(c)) * (dims.par(e) + dims.par(d)))
 
 
 def letter_action(dims: Dims, side: str, a: int, b: int) -> DerivationSpec:
@@ -67,7 +64,7 @@ def letter_action(dims: Dims, side: str, a: int, b: int) -> DerivationSpec:
                         val = pairs.get((tag, e, d))
                         if not val:
                             continue
-                        coeff = val * _delta_sign(dims, c, e, d)
+                        coeff = val * sign_pow(delta_sign(dims, c, e, d))
                         if xpar and dims.letter_par(c, d):
                             coeff = -coeff
                         img = img + Poly.from_symbol(
@@ -77,7 +74,7 @@ def letter_action(dims: Dims, side: str, a: int, b: int) -> DerivationSpec:
                         val = pairs.get((tag, c, e))
                         if not val:
                             continue
-                        coeff = -val * _delta_sign(dims, c, e, d)
+                        coeff = -val * sign_pow(delta_sign(dims, c, e, d))
                         if xpar:
                             coeff = -coeff
                         img = img + Poly.from_symbol(
@@ -149,7 +146,13 @@ def x_gen(dims: Dims, tag: str, a: int, b: int) -> Poly:
 
 
 def jmath(dims: Dims, p: Poly) -> CG:
-    """Rename x -> t, xb -> tbar; an isomorphism onto the function algebra."""
+    """Rename x -> t, xb -> tbar; an isomorphism onto the function algebra.
+    Raises ValueError unless each renamed symbol passes CG.from_symbol."""
+    for mono in p.terms:
+        for s, _ in mono:
+            if s[0] not in _TO_FUNCTION:
+                raise ValueError(f"{s!r} is not an x or xb symbol")
+            CG.from_symbol(dims, _rename(s, _TO_FUNCTION))
     return CG(dims, _renamed(p.terms, _TO_FUNCTION))
 
 

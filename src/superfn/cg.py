@@ -24,6 +24,10 @@ and the compact-form star structure
 
 a conjugate-linear anti-automorphism with omega^2 = id.
 
+These signs are implemented once, in :func:`grading.delta_sign`,
+:func:`grading.antipode_image` and :func:`grading.omega_image`, which the
+group points of :mod:`superfn.grassmann` read too.
+
 Duality with U(gl(m|n)) is the graded pairing determined by
 ``<t_ab, E_cd> = delta_ac delta_bd`` and
 ``<tbar_ab, E_cd> = -(-1)^{[a][b]+[b]} delta_bc delta_ad`` together with
@@ -38,7 +42,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import grassmann
-from .grading import Dims
+from .grading import Dims, antipode_image, delta_sign, omega_image
 from .linalg import LinComb, SparseEchelon, add_term, cleared
 from .scalar import Scalar, ZERO, ONE, sign_pow
 from .superpoly import (
@@ -131,7 +135,7 @@ class CG(Poly):
             k = sum(e for s, e in mono if s[3])
             prod = Poly.from_scalar(c * sign_pow(k * (k - 1) // 2))
             for s, e in reversed(mono):
-                img = _antipode_gen(self.dims, s)
+                img = _gen_image(self.dims, antipode_image(self.dims, *s[:3]))
                 for _ in range(e):
                     prod = prod * img
             out = out + prod
@@ -144,16 +148,10 @@ class CG(Poly):
         return delta(self)
 
 
-def _antipode_gen(dims: Dims, s) -> Poly:
-    tag, a, b, _ = s
-    pa, pb = dims.par(a), dims.par(b)
-    if tag == "t":
-        img = Poly.from_symbol(_gen_symbol(dims, "tb", b, a))
-        return img.scale(sign_pow(pa * pb + pa))
-    if tag == "tb":
-        img = Poly.from_symbol(_gen_symbol(dims, "t", b, a))
-        return img.scale(sign_pow(pa * pb + pb))
-    raise ValueError(f"antipode undefined for tag {tag!r}")
+def _gen_image(dims: Dims, image: tuple) -> Poly:
+    """(-1)^e g for a generator image (e, key) of the grading sign rules."""
+    e, key = image
+    return Poly.from_symbol(_gen_symbol(dims, *key)).scale(sign_pow(e))
 
 
 _omega_cache: dict = {}
@@ -163,17 +161,12 @@ def _omega_spec(dims: Dims) -> StarSpec:
     key = (dims.m, dims.n)
     spec = _omega_cache.get(key)
     if spec is None:
-        images = {}
-        for a in dims.indices():
-            for b in dims.indices():
-                sgn = sign_pow(dims.par(b) * (dims.par(a) + dims.par(b)))
-                images[_gen_symbol(dims, "t", a, b)] = Poly.from_symbol(
-                    _gen_symbol(dims, "tb", a, b)
-                ).scale(sgn)
-                images[_gen_symbol(dims, "tb", a, b)] = Poly.from_symbol(
-                    _gen_symbol(dims, "t", a, b)
-                ).scale(sgn)
-        spec = StarSpec(images)
+        spec = StarSpec({
+            _gen_symbol(dims, tag, a, b):
+                _gen_image(dims, omega_image(dims, tag, a, b))
+            for tag in ("t", "tb")
+            for a in dims.indices() for b in dims.indices()
+        })
         _omega_cache[key] = spec
     return spec
 
@@ -251,12 +244,9 @@ def _delta_gen(dims: Dims, s) -> TensorCG:
     tag, a, b, _ = s
     out = {}
     for c in dims.indices():
-        sgn = sign_pow(
-            (dims.par(c) + dims.par(a)) * (dims.par(c) + dims.par(b))
-        )
         m1 = ((_gen_symbol(dims, tag, a, c), 1),)
         m2 = ((_gen_symbol(dims, tag, c, b), 1),)
-        add_term(out, (m1, m2), sgn)
+        add_term(out, (m1, m2), sign_pow(delta_sign(dims, a, c, b)))
     return TensorCG(dims, 2, out)
 
 

@@ -3,6 +3,10 @@
 Indices run 1..m+n; index ``a`` is even iff ``a <= m``.  A weight is a tuple
 of m+n exact scalars in the epsilon basis; the invariant form is
 ``(eps_a, eps_b) = (-1)^{[a]} delta_ab``.
+
+The Hopf signs on the generators t_ab, tbar_ab, keyed (tag, a, b) with tag
+"t" or "tb", are written here once as parity exponents, for the function
+algebra and the group points alike.
 """
 
 from __future__ import annotations
@@ -48,6 +52,32 @@ class Dims:
 
     def __repr__(self):
         return f"Dims({self.m}, {self.n})"
+
+
+def delta_sign(dims: Dims, a: int, c: int, b: int) -> int:
+    """e with Delta(g_ab) = sum_c (-1)^e g_ac (x) g_cb, g = t or tbar:
+    e = ([c]+[a])([c]+[b])."""
+    pc = dims.par(c)
+    return (pc ^ dims.par(a)) & (pc ^ dims.par(b))
+
+
+def antipode_image(dims: Dims, tag: str, a: int, b: int) -> tuple:
+    """(e, key) with S(tag_ab) = (-1)^e key:
+    S(t_ab) = (-1)^{[a][b]+[a]} tbar_ba, S(tbar_ab) = (-1)^{[a][b]+[b]} t_ba."""
+    pa, pb = dims.par(a), dims.par(b)
+    if tag == "t":
+        return (pa & pb) ^ pa, ("tb", b, a)
+    if tag == "tb":
+        return (pa & pb) ^ pb, ("t", b, a)
+    raise ValueError(f"antipode undefined for tag {tag!r}")
+
+
+def omega_image(dims: Dims, tag: str, a: int, b: int) -> tuple:
+    """(e, key) with omega(tag_ab) = (-1)^e key, for the compact star
+    omega(t_ab) = (-1)^{[b]([a]+[b])} tbar_ab and
+    omega(tbar_ab) = (-1)^{[b]([a]+[b])} t_ab."""
+    pb = dims.par(b)
+    return pb & (dims.par(a) ^ pb), ("tb" if tag == "t" else "t", a, b)
 
 
 def _as_scalar(x) -> Scalar:

@@ -26,7 +26,9 @@ its soul Neumann series on such elements and divides once per entry;
 denominator L, and every point operation works on them there:
 ``convolve`` sums the twisted matrix product over the product of the two
 denominators and reduces it, while ``inverse_point``, ``theta_dual`` and
-``is_real`` transpose, negate and conjugate at the same L.  ``evaluate``
+``is_real`` precompose with the antipode and the star omega: at the same
+L, ``_precomposed`` moves and signs the images by the generator rules of
+:mod:`superfn.grading`, where every Hopf sign is written.  ``evaluate``
 clears the coefficients of f by their common denominator q, scales a
 monomial with j generator factors by L^(D - j), D the degree of f, and
 divides the integer sum once by q * L^D.  The result is exactly the
@@ -60,7 +62,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .grading import Dims
+from .grading import Dims, antipode_image, delta_sign, omega_image
 from .linalg import LinComb, SparseEchelon, cleared, divided
 from .scalar import Scalar, ZERO, ONE, I, sign_pow
 
@@ -668,65 +670,50 @@ class GroupPoint:
         """
         if self.dims != other.dims or self.n != other.n:
             raise ValueError("mismatched group points")
-        par, indices = self.dims.par, self.dims.indices()
+        dims = self.dims
         keys = list(self.num)
-        # (-1)^{([c]+[a])([c]+[b])} = -1 exactly when [a] = [b] != [c]
         nums = [
             _zmul_sum(
                 (self.num[(tag, a, c)],
-                 _zneg(other.num[(tag, c, b)]) if par(a) == par(b) != par(c)
+                 _zneg(other.num[(tag, c, b)]) if delta_sign(dims, a, c, b)
                  else other.num[(tag, c, b)])
-                for c in indices
+                for c in dims.indices()
             )
             for tag, a, b in keys
         ]
         den, nums = _lowest_terms([(self.den * other.den, nums)])
         return GroupPoint._new(self.dims, self.n, den, dict(zip(keys, nums)))
 
-    def inverse_point(self) -> "GroupPoint":
-        """Precompose with the antipode: the convolution inverse.
-
-        alpha'(t_ab) = (-1)^{[a][b]+[a]} alpha(tbar_ba) and
-        alpha'(tbar_ab) = (-1)^{[a][b]+[b]} alpha(t_ba), at the same den.
-        """
-        par = self.dims.par
+    def _precomposed(self, *maps) -> "GroupPoint":
+        """The generator images of alpha after the generator maps ``maps``,
+        applied in the order given, each a grading sign rule
+        (dims, tag, a, b) -> (e, image key): the image of g is
+        +-num[image key], at the same den."""
         num = {}
-        for tag, a, b in self.num:
-            swapped, x = ("tb", a) if tag == "t" else ("t", b)
-            img = self.num[(swapped, b, a)]
-            # (-1)^{[a][b]+[x]} = -1 exactly when [x] = 1 and [a] != [b]
-            flip = par(x) and par(a) != par(b)
-            num[(tag, a, b)] = _zneg(img) if flip else img
+        for key in self.num:
+            e, image = 0, key
+            for gen_map in maps:
+                d, image = gen_map(self.dims, *image)
+                e ^= d
+            num[key] = _zneg(self.num[image]) if e else self.num[image]
         return GroupPoint._new(self.dims, self.n, self.den, num)
+
+    def inverse_point(self) -> "GroupPoint":
+        """Precompose with the antipode: the convolution inverse."""
+        return self._precomposed(antipode_image)
 
     def is_real(self) -> bool:
-        """Whether alpha(omega(t_ab)) = conj(alpha(t_ab)) for all a, b,
-        that is (-1)^{[b]([a]+[b])} alpha(tbar_ab) = conj(alpha(t_ab)).
-
-        The tbar condition follows formally from this one.
-        """
-        par = self.dims.par
-        return all(
-            (_zneg(img) if par(b) and not par(a) else img)
-            == _zconj(self.num[("t", a, b)])
-            for (tag, a, b), img in self.num.items()
-            if tag == "tb"
-        )
+        """Whether alpha(omega(g)) = conj(alpha(g)) for every generator g."""
+        starred = self._precomposed(omega_image).num
+        return all(starred[key] == _zconj(num)
+                   for key, num in self.num.items())
 
     def theta_dual(self) -> "GroupPoint":
-        """The point f -> conj(alpha(omega(S(f)))), at the same den.
-
-        On generators: omega(S(t_ab)) = t_ba and
-        omega(S(tbar_ab)) = (-1)^{[a]+[b]} tbar_ba.  For real points this
-        equals the convolution inverse.
-        """
-        par = self.dims.par
-        num = {}
-        for tag, a, b in self.num:
-            img = _zconj(self.num[(tag, b, a)])
-            flip = tag == "tb" and par(a) != par(b)
-            num[(tag, a, b)] = _zneg(img) if flip else img
-        return GroupPoint._new(self.dims, self.n, self.den, num)
+        """The point f -> conj(alpha(omega(S(f)))), at the same den.  For
+        real points this equals the convolution inverse."""
+        dual = self._precomposed(antipode_image, omega_image)
+        return GroupPoint._new(self.dims, self.n, self.den, {
+            key: _zconj(num) for key, num in dual.num.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -749,7 +736,7 @@ def _scalar_diag(dims: Dims, entries) -> SMat:
     return SMat(dims, 0, rows)
 
 
-def real_sample_points(dims: Dims, count: int = 5) -> list:
+def real_sample_points(dims: Dims) -> list:
     """Constructed points of the real form: unit-modulus diagonals and a
     parity-preserving permutation when one exists."""
     u1 = Scalar(Fraction(3, 5), Fraction(4, 5))
@@ -772,8 +759,7 @@ def real_sample_points(dims: Dims, count: int = 5) -> list:
         mats.append(SMat(dims, 0, rows))
     else:
         mats.append(_scalar_diag(dims, [-ONE] * size))
-    points = [GroupPoint.from_matrix(dims, mat) for mat in mats[:count]]
-    return points
+    return [GroupPoint.from_matrix(dims, mat) for mat in mats]
 
 
 def verify_group(dims: Dims, count: int = 20, seed: int = 0) -> dict:

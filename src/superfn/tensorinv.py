@@ -26,6 +26,8 @@ from .scalar import ONE, MINUS_ONE
 from .ugl import TVec, letter_table
 
 SUBSPACE_CAP = 10000
+MIXED_TOTAL = 4
+COMMUTANT_D = 2
 
 
 def _check_subspace_cap(dims: Dims, slots: int):
@@ -36,39 +38,19 @@ def _check_subspace_cap(dims: Dims, slots: int):
         )
 
 
-def swap_slots(tv: TVec, i: int) -> TVec:
-    """Graded swap of slots i, i+1 (0-based); both slots must be V."""
+def rho(sigma: tuple, tv: TVec) -> TVec:
+    """The graded place-permutation action of sigma (0-based image tuple):
+    the factor in slot p moves to slot sigma[p], with the Koszul sign of the
+    odd factors that cross, ``sergeev_sign`` of sigma^{-1}."""
     dims = tv.dims
+    inv = [0] * len(sigma)
+    for p, j in enumerate(sigma):
+        inv[j] = p
     out = {}
     for idx, c in tv.terms.items():
-        new = idx[:i] + (idx[i + 1], idx[i]) + idx[i + 2:]
-        coeff = c
-        if dims.par(idx[i]) and dims.par(idx[i + 1]):
-            coeff = -coeff
-        add_term(out, new, coeff)
+        sign = sergeev_sign(inv, [dims.par(a) for a in idx])
+        add_term(out, tuple(idx[p] for p in inv), -c if sign else c)
     return TVec(dims, tv.factors, out)
-
-
-def _adjacent_factorization(sigma: tuple) -> list:
-    """Positions i_1..i_r with sigma = s_{i_r} ... s_{i_1} in S_d."""
-    perm = list(sigma)
-    swaps = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(perm) - 1):
-            if perm[i] > perm[i + 1]:
-                perm[i], perm[i + 1] = perm[i + 1], perm[i]
-                swaps.append(i)
-                changed = True
-    return swaps
-
-
-def rho(sigma: tuple, tv: TVec) -> TVec:
-    """The graded place-permutation action of sigma (0-based image tuple)."""
-    for i in _adjacent_factorization(sigma):
-        tv = swap_slots(tv, i)
-    return tv
 
 
 def sergeev_sign(sigma: tuple, parities: tuple) -> int:
@@ -203,11 +185,11 @@ def rho_operator(dims: Dims, sigma: tuple, d: int) -> dict:
     return op
 
 
-def verify_fft(dims: Dims, dmax: int, mixed_total: int = 4,
-               commutant_d: int = 2) -> dict:
-    """The invariant-theory suite: Sergeev spanning, mixed vanishing, and
-    the double-centralizer equality.  Raises ValueError when dmax < 1,
-    which would drop every Sergeev case."""
+def verify_fft(dims: Dims, dmax: int) -> dict:
+    """The invariant-theory suite: Sergeev spanning, mixed vanishing up to
+    total degree MIXED_TOTAL, and the double-centralizer equality at
+    d = COMMUTANT_D.  Raises ValueError when dmax < 1, which would drop
+    every Sergeev case."""
     if dmax < 1:
         raise ValueError("dmax must be at least 1")
     cases = []
@@ -225,26 +207,25 @@ def verify_fft(dims: Dims, dmax: int, mixed_total: int = 4,
             f"d={d}: Sergeev rank {rank} = invariant dim {len(invs)}",
             rank == len(invs),
         ))
-    for k in range(mixed_total + 1):
-        for l in range(mixed_total + 1 - k):
+    for k in range(MIXED_TOTAL + 1):
+        for l in range(MIXED_TOTAL + 1 - k):
             if k == l or dims.size ** (k + l) > SUBSPACE_CAP:
                 continue
             dim = len(invariant_subspace(dims, k, l))
             cases.append(_case(f"mixed ({k},{l}) invariants vanish", dim == 0))
-    if commutant_d:
-        d = commutant_d
-        comm = supercommutant_basis(dims, d)
-        ech = SparseEchelon()
-        rho_rank = 0
-        for sigma in permutations(range(d)):
-            if ech.insert(rho_operator(dims, sigma, d)) is not None:
-                rho_rank += 1
-        for op in comm:
-            ech.insert(op)
-        equal = len(comm) == rho_rank == ech.rank
-        cases.append(_case(
-            f"d={d}: centralizer dim {len(comm)} = "
-            f"group-algebra image dim {rho_rank}",
-            equal,
-        ))
+    d = COMMUTANT_D
+    comm = supercommutant_basis(dims, d)
+    ech = SparseEchelon()
+    rho_rank = 0
+    for sigma in permutations(range(d)):
+        if ech.insert(rho_operator(dims, sigma, d)) is not None:
+            rho_rank += 1
+    for op in comm:
+        ech.insert(op)
+    equal = len(comm) == rho_rank == ech.rank
+    cases.append(_case(
+        f"d={d}: centralizer dim {len(comm)} = "
+        f"group-algebra image dim {rho_rank}",
+        equal,
+    ))
     return _report("fft", cases)

@@ -294,6 +294,15 @@ def test_slot_actions_intertwine_with_renaming():
                 assert got.poly == want, ("phi", xl, p)
 
 
+def test_jmath_refuses_a_symbol_that_is_no_free_generator_of_its_dims():
+    for p in (x_gen(D21, "x", 3, 3),  # index outside 1..2
+              CG.t(D11, 1, 1),  # a t symbol, not x
+              Poly.from_symbol(symbol("xb", 1, 2, 0))):  # parity not 1
+        with pytest.raises(ValueError):
+            jmath(D11, p)
+    assert jmath(D11, x_gen(D11, "xb", 1, 2)) == CG.tbar(D11, 1, 2)
+
+
 def test_invariant_letters_layout():
     blocks = [(1, 3), (4, 4)]
     letters = invariant_letters(D22, blocks)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -212,6 +213,60 @@ def test_real_points_dual_equals_inverse():
         for p in pts:
             assert p.is_real()
             assert p.theta_dual() == p.inverse_point()
+
+
+def unitary_soul_point(dims, n, rng):
+    """The point of exp(X) for an even supermatrix X of souls with
+    X^+ = -X, where X^+_ba = (-1)^{[a]+[b]} conj(X_ab): a point of the real
+    form whose odd images are nonzero.  X^(n+1) = 0 ends the series."""
+    size = dims.size
+    x = [[GEl(n)] * size for _ in range(size)]
+    for a in dims.indices():
+        x[a - 1][a - 1] = th(n, 1, 2).scale(Scalar(rng.randint(1, 3)))
+        for b in range(a + 1, size + 1):
+            blades = itertools.combinations(range(1, n + 1),
+                                            2 - dims.letter_par(a, b))
+            x[a - 1][b - 1] = sum(
+                (th(n, *js).scale(Scalar(rng.randint(-3, 3),
+                                         rng.randint(-3, 3)))
+                 for js in blades), GEl(n))
+            x[b - 1][a - 1] = x[a - 1][b - 1].conj().scale(
+                sign_pow(1 + dims.letter_par(a, b)))
+    mat = SMat(dims, n, x)
+    term = total = SMat.identity(dims, n)
+    for k in range(1, n + 1):
+        term = term @ mat
+        term = SMat(dims, n, [[e.scale(Scalar(Fraction(1, k))) for e in row]
+                              for row in term.rows])
+        total = SMat(dims, n, [[e + f for e, f in zip(r, s)]
+                               for r, s in zip(total.rows, term.rows)])
+    return GroupPoint.from_matrix(dims, total)
+
+
+@pytest.mark.parametrize("dims", [D11, D21, D12, D22],
+                         ids=["11", "21", "12", "22"])
+def test_point_operations_are_precompositions_with_the_symbolic_maps(dims):
+    # inverse_point is alpha o S and theta_dual is conj o alpha o omega o S
+    # on every generator, and is_real compares alpha o omega with conj o alpha
+    rng = random.Random(19)
+    gens = [g(dims, a, b) for g in (CG.t, CG.tbar)
+            for a in dims.indices() for b in dims.indices()]
+    real = unitary_soul_point(dims, 3, rng)
+    points = [random_gauss_point(dims, rng) for _ in range(2)]
+    points += [GroupPoint.from_matrix(dims, random_even_invertible(dims, rng)),
+               real] + real_sample_points(dims)
+    verdicts = []
+    for p in points:
+        inv, dual = p.inverse_point(), p.theta_dual()
+        for g in gens:
+            assert inv.evaluate(g) == p.evaluate(g.antipode())
+            assert dual.evaluate(g) == p.evaluate(g.antipode().omega()).conj()
+        verdicts.append(p.is_real())
+        assert verdicts[-1] == all(p.evaluate(g.omega()) == p.evaluate(g).conj()
+                                   for g in gens)
+    assert verdicts == [False] * 3 + [True] * 6
+    odd = [CG.t(dims, 1, dims.size), CG.tbar(dims, dims.size, 1)]
+    assert all(not real.evaluate(g).is_zero() for g in odd)
 
 
 def test_nonreal_point_detected():

@@ -1,4 +1,5 @@
-"""No module of the package or of the tests imports a name it never uses.
+"""No module of the package, the tests or the benchmark imports a name it
+never uses.
 
 A name counts as used when it occurs as a bare name anywhere in the module
 (an attribute chain ``a.b`` uses ``a``).  ``from __future__`` imports and
@@ -31,6 +32,7 @@ def unused_imports(source: str) -> list:
 def test_no_unused_imports():
     paths = sorted((ROOT / "src" / "superfn").glob("*.py"))
     paths += sorted((ROOT / "tests").glob("*.py"))
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
     assert len(paths) > 20
     found = [f"{path.relative_to(ROOT)}:{line} {name}"
              for path in paths if path.name != "__init__.py"

@@ -14,7 +14,6 @@ from superfn.tensorinv import (
     sergeev_sign,
     span_rank,
     supercommutant_basis,
-    swap_slots,
     verify_fft,
 )
 from superfn.ugl import TVec
@@ -26,9 +25,9 @@ D21 = Dims(2, 1)
 def test_swap_is_graded():
     # v_2 (x) v_2 is odd (x) odd at (1,1): swap gives a minus sign
     t = TVec.basis(D11, ("v", "v"), (2, 2))
-    assert swap_slots(t, 0) == t.scale(-ONE)
+    assert rho((1, 0), t) == t.scale(-ONE)
     t = TVec.basis(D11, ("v", "v"), (1, 2))
-    assert swap_slots(t, 0) == TVec.basis(D11, ("v", "v"), (2, 1))
+    assert rho((1, 0), t) == TVec.basis(D11, ("v", "v"), (2, 1))
 
 
 def test_rho_is_a_representation():
@@ -179,11 +178,10 @@ def test_verify_fft_reports():
 
 
 def test_verify_fft_refuses_to_pass_without_a_sergeev_case():
-    # dmax < 1 would drop every Sergeev case, and with nothing else asked
-    # for the report had no case at all
-    for dmax, extra in ((-2, dict(mixed_total=0, commutant_d=0)), (0, {})):
+    # dmax < 1 would drop every Sergeev case
+    for dmax in (-2, 0):
         with pytest.raises(ValueError, match="dmax must be at least 1"):
-            verify_fft(D11, dmax, **extra)
+            verify_fft(D11, dmax)
 
 
 def test_verify_fft_catches_a_non_invariant_sergeev_element(monkeypatch):
@@ -197,7 +195,7 @@ def test_verify_fft_catches_a_non_invariant_sergeev_element(monkeypatch):
         return real(dims, sigma, d) + stray
 
     monkeypatch.setattr(tensorinv, "sergeev_invariant", spoiled)
-    rep = verify_fft(D11, 2, mixed_total=0, commutant_d=0)
+    rep = verify_fft(D11, 2)
     verdicts = {c["name"]: c["passed"] for c in rep["cases"]}
     assert verdicts["d=1: Sergeev elements are invariant"] is False
     assert verdicts["d=2: Sergeev elements are invariant"] is False
