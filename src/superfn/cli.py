@@ -502,9 +502,9 @@ def _cmd_act(args, ctx: ExprContext) -> int:
     u = ctx.eval_u(args.elem)
     f = ctx.eval_cg(args.on)
     side = "left" if args.side == "dL" else "right"
-    result = act(side, u, f)
-    payload = {"verb": "act", "side": args.side, "pretty": result.pretty()}
-    return _emit_value(payload, result.pretty(), args.json)
+    pretty = act(side, u, f).pretty()
+    payload = {"verb": "act", "side": args.side, "pretty": pretty}
+    return _emit_value(payload, pretty, args.json)
 
 
 def _cmd_iszero(args, ctx: ExprContext) -> int:

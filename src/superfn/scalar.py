@@ -18,8 +18,8 @@ path: when both imaginary parts are zero, ``+``, ``-`` and ``*`` make one
 operation on the real parts, and division by a real divides each part once.
 Complex operands use the full Q(i) formulas.  Operators build their results
 with :func:`_mk` from canonical parts, without converting them again.  The
-public constructor converts its arguments and rejects inexact ``float`` and
-``complex`` parts.
+public constructor stores two plain ``int`` parts as they are; otherwise it
+converts its arguments and rejects inexact ``float`` and ``complex`` parts.
 """
 
 from __future__ import annotations
@@ -35,13 +35,18 @@ class Scalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        if re.__class__ is int and im.__class__ is int:
+            # plain ints are canonical parts already
+            _set(self, "re", re)
+            _set(self, "im", im)
+            return
         if isinstance(re, _INEXACT) or isinstance(im, _INEXACT):
             raise TypeError(
                 f"Scalar parts must be exact, got {type(re).__name__} "
                 f"and {type(im).__name__}"
             )
-        object.__setattr__(self, "re", _part(_rat(re)))
-        object.__setattr__(self, "im", _part(_rat(im)))
+        _set(self, "re", _part(_rat(re)))
+        _set(self, "im", _part(_rat(im)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")

@@ -91,10 +91,18 @@ def sergeev_invariant(dims: Dims, sigma, d: int) -> TVec:
 
 
 def invariant_subspace(dims: Dims, k: int, l: int) -> list:
-    """Exact basis of the joint kernel of all letters on V^{(x)k} (x) V*^{(x)l}."""
+    """Exact basis of the joint kernel of all letters on V^{(x)k} (x) V*^{(x)l}.
+
+    The basis is in reduced echelon form as :class:`SparseEchelon` keeps
+    it: each vector is ``ONE`` at its least index key, and no other vector
+    has a term at that key.  The columns handed to :func:`kernel_dense` run
+    through the index tuples in decreasing order, so each solution's own
+    free column is its least key; inserting the basis into an echelon then
+    takes no elimination step.
+    """
     _check_subspace_cap(dims, k + l)
     factors = ("v",) * k + ("vb",) * l
-    basis = list(_iproduct(dims.indices(), repeat=k + l))
+    basis = list(_iproduct(dims.indices(), repeat=k + l))[::-1]
     pos = {idx: i for i, idx in enumerate(basis)}
     rows = []
     for a in dims.indices():
@@ -112,21 +120,27 @@ def invariant_subspace(dims: Dims, k: int, l: int) -> list:
     return vectors
 
 
-def _echelon(vectors) -> SparseEchelon:
-    """An echelon basis of the span of a list of TVec."""
+def _echelon(vectors, target=None) -> SparseEchelon:
+    """An echelon basis of the span of a list of TVec.  The vectors, and
+    target when given, must share one (dims, factors); ValueError
+    otherwise."""
     ech = SparseEchelon()
     for v in vectors:
+        (vectors[0] if target is None else target)._check(v)
         ech.insert(v.terms)
     return ech
 
 
 def span_rank(vectors) -> int:
-    """Rank of a list of TVec over Q(i)."""
+    """Rank of a list of TVec over Q(i), all of one (dims, factors).  Each
+    call eliminates the vectors again."""
     return _echelon(vectors).rank
 
 
 def contains_vector(vectors, target: TVec) -> bool:
-    return _echelon(vectors).contains(target.terms)
+    """Whether target lies in the span of vectors, all of target's (dims,
+    factors).  Each call eliminates the vectors again."""
+    return _echelon(vectors, target).contains(target.terms)
 
 
 def supercommutant_basis(dims: Dims, d: int) -> list:

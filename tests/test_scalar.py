@@ -169,6 +169,19 @@ def test_inexact_parts_are_rejected(parts):
         Scalar(*parts)
 
 
+@pytest.mark.parametrize("re, im", [(0, 0), (1, 0), (-3, 7), (2**70, -1)])
+def test_int_parts_are_stored_as_given(re, im):
+    s = Scalar(re, im)
+    slow = Scalar(Fraction(re), Fraction(im))
+    assert s.re.__class__ is int and s.im.__class__ is int
+    assert (s.re, s.im) == (slow.re, slow.im) == (re, im)
+    assert s == slow and hash(s) == hash(slow)
+    with pytest.raises(TypeError):
+        Scalar(1.0)
+    with pytest.raises(TypeError):
+        Scalar(re, 1.0)
+
+
 def test_exact_parts_are_accepted():
     assert Scalar(Fraction(1, 10)) == Scalar.rational(1, 10)
     assert Scalar(True) == ONE

@@ -6,6 +6,7 @@ from superfn.cg import DimCapError
 from superfn.grading import Dims
 from superfn.scalar import ZERO, ONE
 from superfn.tensorinv import (
+    _echelon,
     contains_vector,
     invariant_subspace,
     rho,
@@ -94,6 +95,33 @@ def test_sergeev_span_matches_invariant_dimension():
         assert span_rank(serg) == len(invs)
         for s in serg:
             assert contains_vector(invs, s)
+
+
+def test_invariant_basis_is_in_reduced_echelon_form():
+    # each vector is ONE at its least key, which no other vector touches,
+    # so an echelon takes the basis as it is, one row per vector
+    for dims, dmax in ((D11, 4), (D21, 2), (Dims(1, 2), 2)):
+        for d in range(1, dmax + 1):
+            invs = invariant_subspace(dims, d, d)
+            leads = [min(v.terms) for v in invs]
+            assert len(set(leads)) == len(invs), (dims, d)
+            for v, lead in zip(invs, leads):
+                assert v.terms[lead] == ONE, (dims, d, lead)
+                assert not any(o in v.terms for o in leads if o != lead)
+            assert sorted(_echelon(invs).rows) == sorted(leads), (dims, d)
+
+
+def test_span_queries_refuse_vectors_of_another_module():
+    invs = invariant_subspace(D11, 1, 1)
+    (v,) = invs
+    with pytest.raises(ValueError):
+        contains_vector(invs, TVec(D11, ("v", "v"), dict(v.terms)))
+    with pytest.raises(ValueError):
+        contains_vector(invs, TVec(Dims(2, 0), v.factors, dict(v.terms)))
+    with pytest.raises(ValueError):
+        span_rank([v, TVec(D11, ("v", "v"), dict(v.terms))])
+    assert contains_vector(invs, TVec(D11, v.factors, dict(v.terms)))
+    assert span_rank([v, v.scale(2)]) == 1
 
 
 def test_mixed_powers_have_no_invariants():
