@@ -21,6 +21,7 @@ from .ugl import (
     UEl,
     casimir,
     degree_cap,
+    invariant_letters,
     laplacian,
     split_word,
     z_central,
@@ -52,7 +53,6 @@ from .grassmann import (
 )
 from .actions import (
     act,
-    invariant_letters,
     is_invariant,
     jmath,
     letter_action,

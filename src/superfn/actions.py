@@ -32,7 +32,7 @@ from .cg import CG, is_zero_mod_j
 from .grading import Dims, delta_sign
 from .scalar import sign_pow
 from .superpoly import DerivationSpec, Poly, symbol
-from .ugl import UEl, letter_column
+from .ugl import UEl, invariant_letters, letter_column
 
 _letter_cache: dict = {}
 
@@ -164,17 +164,6 @@ def slot_act_word(dims: Dims, kind: str, word: tuple, p: Poly) -> Poly:
 
 
 # ------------------------------------------------------------- invariance
-
-
-def invariant_letters(dims: Dims, blocks) -> list:
-    """Generating letters of the Levi subalgebra of a block partition:
-    every Cartan E_aa, plus the Chevalley pairs internal to each block."""
-    letters = [(a, a) for a in dims.indices()]
-    for lo, hi in blocks:
-        for c in range(lo, hi):
-            letters.append((c, c + 1))
-            letters.append((c + 1, c))
-    return letters
 
 
 def is_invariant(

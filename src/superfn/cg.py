@@ -37,6 +37,7 @@ Duality with U(gl(m|n)) is the graded pairing determined by
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -52,7 +53,7 @@ from .superpoly import (
     monomial_parity,
     symbol,
 )
-from .ugl import TVec, UEl, _remember, letter_table
+from .ugl import TVec, UEl, _remember, invariant_letters, letter_table
 
 PAIRING_FLAT_CAP = 5000
 
@@ -586,10 +587,13 @@ def pairing_certificate(f: CG) -> bool:
     (kinds, cols) of f's monomials, one summand per such generator, and phi
     reads c (-1)^sign (.)[rows] off each monomial's summand.  So f lies in J
     exactly when phi vanishes on the cyclic submodule U . v0.  That
-    submodule is saturated from v0 by left letter action, keeping each
-    vector that is new to the echelon basis, with its word as payload; phi
-    is checked on v0 and on every kept vector, and the first nonzero value
-    is an exact witness that f is not in J.
+    submodule is saturated from v0 breadth-first, shorter words first, by
+    the left action of the generating letters of
+    :func:`ugl.invariant_letters` with the one block (1, m+n): a subspace
+    closed under generators of gl(m|n) is closed under U.  Each vector new
+    to the echelon basis is kept, with its word as payload; phi is checked
+    on v0 and on every kept vector, and the first nonzero value is an exact
+    witness that f is not in J.
 
     The cap still measures the flat workspace sum (m+n)^(2s) over f's
     shapes, and fires before any oracle work.
@@ -623,14 +627,14 @@ def pairing_certificate(f: CG) -> bool:
     ech._insert_cleared((dict(start), {}), payload=())
     if pairs_nonzero(start):
         return False
-    letters = [(a, b) for a in dims.indices() for b in dims.indices()]
+    letters = invariant_letters(dims, ((1, size),))
     tables = {
         letter: [letter_table(dims, kinds, letter) for kinds, _ in gens]
         for letter in letters
     }
-    frontier = [(start, ())]
+    frontier = deque([(start, ())])
     while frontier:
-        vec, word = frontier.pop()
+        vec, word = frontier.popleft()
         for letter in letters:
             by_gen = tables[letter]
             new = {}

@@ -12,18 +12,35 @@ V^{(x)d} (x) V*^{(x)d} is spanned by the signed diagonal sums
 where sgn(sigma, a) is the sign of sigma restricted to the positions
 carrying odd indices.  Mixed tensor powers V^{(x)k} (x) V*^{(x)l} with
 k != l carry no invariants at all (the grading element acts by k - l).
+
+The invariant and centralizer solves use the weight argument behind the
+super first fundamental theorem (Sergeev 1985; Berele-Regev 1987), and
+all read their letters from one rule, :func:`ugl.invariant_letters` with
+the single block (1, m+n):
+
+- every Cartan letter E_aa kills an invariant, so an invariant lies in the
+  span of the weight-zero tensors, whose v-indices are a permutation of
+  their vb-indices;
+- a centralizer operator commutes with every E_aa, so it preserves each
+  weight space;
+- the joint kernel of a generating set is the joint kernel of all
+  letters: if E x = F x = 0, then [E, F] x = 0.
+
+So both solve in :func:`_joint_kernel` over only the unknowns that can be
+nonzero, with 3(m+n)-2 letters in place of (m+n)^2.  A subspace has one
+reduced echelon basis for a fixed column order, so the bases they return
+are those of the full solve.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import permutations, product as _iproduct
 
 from .cg import DimCapError, _case, _report
 from .grading import Dims
 from .linalg import SparseEchelon, add_term, kernel_dense
 from .scalar import ONE, MINUS_ONE
-from .ugl import TVec, letter_table
+from .ugl import TVec, invariant_letters, letter_table
 
 SUBSPACE_CAP = 10000
 MIXED_TOTAL = 4
@@ -90,8 +107,45 @@ def sergeev_invariant(dims: Dims, sigma, d: int) -> TVec:
     return TVec(dims, factors, out)
 
 
+def _weight_zero(idx: tuple, k: int) -> bool:
+    """Whether the tensor ``idx`` of V^{(x)k} (x) V*^{(x)l} has weight zero:
+    its v-indices are a permutation of its vb-indices."""
+    return sorted(idx[:k]) == sorted(idx[k:])
+
+
+def _joint_kernel(dims: Dims, factors: tuple, basis: list, letters) -> list:
+    """The vectors in the span of ``basis`` (index tuples of the tensor
+    module of ``factors``) that every letter kills, as {idx: Scalar} dicts.
+
+    The basis is :func:`kernel_dense`'s reduced echelon basis with columns
+    in the order of ``basis``: each vector is ``ONE`` at its own free
+    column, where no other vector has a term, and that column is its last.
+    """
+    rows = []
+    for letter in letters:
+        table = letter_table(dims, factors, letter)
+        outputs: dict = {}
+        for j, idx in enumerate(basis):
+            for out_idx, c in table[idx]:
+                outputs.setdefault(out_idx, {})[j] = c
+        rows.extend((row, {}) for row in outputs.values())
+    return [
+        {basis[j]: c for j, c in enumerate(sol) if c}
+        for sol in kernel_dense(rows, len(basis))
+    ]
+
+
 def invariant_subspace(dims: Dims, k: int, l: int) -> list:
-    """Exact basis of the joint kernel of all letters on V^{(x)k} (x) V*^{(x)l}.
+    """Exact basis of the U(gl(m|n))-invariants in V^{(x)k} (x) V*^{(x)l}.
+
+    This is the joint kernel of :func:`ugl.invariant_letters` with the one
+    block (1, m+n), which generate gl(m|n).  For k == l it is solved over
+    the weight-zero tensors only: an invariant is killed by every Cartan
+    letter E_aa, which acts on a basis tensor by the scalar (#v slots
+    holding a) - (#vb slots holding a), so it lies in their span.  For
+    k != l no tensor has weight zero (the weights sum to k - l), and the
+    solve runs over the full basis, so the answer [] is derived, not
+    assumed.
 
     The basis is in reduced echelon form as :class:`SparseEchelon` keeps
     it: each vector is ``ONE`` at its least index key, and no other vector
@@ -103,21 +157,13 @@ def invariant_subspace(dims: Dims, k: int, l: int) -> list:
     _check_subspace_cap(dims, k + l)
     factors = ("v",) * k + ("vb",) * l
     basis = list(_iproduct(dims.indices(), repeat=k + l))[::-1]
-    pos = {idx: i for i, idx in enumerate(basis)}
-    rows = []
-    for a in dims.indices():
-        for b in dims.indices():
-            table = letter_table(dims, factors, (a, b))
-            outputs: dict = {}
-            for idx in basis:
-                for out_idx, c in table[idx]:
-                    outputs.setdefault(out_idx, {})[pos[idx]] = c
-            rows.extend((row, {}) for row in outputs.values())
-    vectors = []
-    for sol in kernel_dense(rows, len(basis)):
-        terms = {basis[i]: c for i, c in enumerate(sol) if c}
-        vectors.append(TVec(dims, factors, terms))
-    return vectors
+    if k == l:
+        basis = [idx for idx in basis if _weight_zero(idx, k)]
+    letters = invariant_letters(dims, ((1, dims.size),))
+    return [
+        TVec(dims, factors, terms)
+        for terms in _joint_kernel(dims, factors, basis, letters)
+    ]
 
 
 def _echelon(vectors, target=None) -> SparseEchelon:
@@ -146,46 +192,32 @@ def contains_vector(vectors, target: TVec) -> bool:
 def supercommutant_basis(dims: Dims, d: int) -> list:
     """Basis of the graded centralizer of U(gl(m|n)) in End(V^{(x)d}).
 
-    An operator phi of parity p lies in the centralizer iff
-    pi(E) phi = (-1)^{[E] p} phi pi(E) for every letter; the two parity
-    blocks are solved separately.  Returns flattened operators as
-    {(out_idx, in_idx): Scalar} dicts.
+    An operator phi lies in the centralizer iff
+    pi(E) phi = (-1)^{[E][phi]} phi pi(E) for every letter, that is, iff
+    the letters kill it under the adjoint action.  Sending the matrix unit
+    (o, i) to v_o (x) vb_{i reversed} identifies End(V^{(x)d}) with
+    V^{(x)d} (x) V*^{(x)d} as a module with no sign (each vb slot pairs
+    with its mirror v slot, so the contractions are nested and cross
+    nothing).  So the centralizer is a joint kernel of the generating
+    letters, and a weight argument restricts its unknowns: phi commutes
+    with every E_aa, so it maps each weight space into itself, and only the
+    entries (o, i) with sorted(o) == sorted(i) can be nonzero.  Those are
+    all even, so the centralizer is even.
+
+    Returns flattened operators as {(out_idx, in_idx): Scalar} dicts, in
+    reduced echelon form over the unknowns (o, i) in increasing order.
     """
     _check_subspace_cap(dims, 2 * d)
-    factors = ("v",) * d
+    factors = ("v",) * d + ("vb",) * d
     basis = list(_iproduct(dims.indices(), repeat=d))
-    par = {
-        idx: sum(dims.par(x) for x in idx) & 1 for idx in basis
-    }
-    letters = [(a, b) for a in dims.indices() for b in dims.indices()]
-    tables = {letter: letter_table(dims, factors, letter) for letter in letters}
-    out = []
-    for p in (0, 1):
-        unknowns = [
-            (o, i) for o in basis for i in basis if (par[o] ^ par[i]) == p
-        ]
-        upos = {u: j for j, u in enumerate(unknowns)}
-        rows = []
-        for letter in letters:
-            q = dims.letter_par(*letter)
-            table = tables[letter]
-            constraints = defaultdict(dict)
-            # (pi(E) phi)[o2, i]: picks up phi[o, i] with weight pi(E)[o2, o]
-            for (o, i) in unknowns:
-                for o2, c in table[o]:
-                    add_term(constraints[(o2, i)], upos[(o, i)], c)
-            # -(-1)^{qp} (phi pi(E))[o, i2]: pi(E)[i_mid, i2] weights phi[o, i_mid]
-            for i2 in basis:
-                for i_mid, c in table[i2]:
-                    w = c if (q and p) else -c
-                    for o in basis:
-                        if (par[o] ^ par[i_mid]) == p:
-                            add_term(constraints[(o, i2)], upos[(o, i_mid)], w)
-            rows.extend((row, {}) for row in constraints.values())
-        for sol in kernel_dense(rows, len(unknowns)):
-            op = {unknowns[j]: c for j, c in enumerate(sol) if c}
-            out.append(op)
-    return out
+    unknowns = [
+        o + i[::-1] for o in basis for i in basis if _weight_zero(o + i, d)
+    ]
+    letters = invariant_letters(dims, ((1, dims.size),))
+    return [
+        {(idx[:d], idx[d:][::-1]): c for idx, c in op.items()}
+        for op in _joint_kernel(dims, factors, unknowns, letters)
+    ]
 
 
 def rho_operator(dims: Dims, sigma: tuple, d: int) -> dict:

@@ -382,6 +382,22 @@ def letter_table(dims: Dims, kinds: tuple, letter: Letter) -> _LetterTable:
     return table
 
 
+def invariant_letters(dims: Dims, blocks) -> list:
+    """Generating letters of the Levi subalgebra of a block partition:
+    every Cartan E_aa, plus the Chevalley pairs E_{c,c+1}, E_{c+1,c}
+    internal to each block ``(lo, hi)``.  The single block ``(1, m+n)``
+    gives 3(m+n)-2 letters that generate gl(m|n): brackets of neighbours
+    reach every E_ab.  Raises ValueError unless 1 <= lo <= hi <= m+n."""
+    letters = [(a, a) for a in dims.indices()]
+    for lo, hi in blocks:
+        if not 1 <= lo <= hi <= dims.size:
+            raise ValueError(f"block ({lo}, {hi}) is not within 1..{dims.size}")
+        for c in range(lo, hi):
+            letters.append((c, c + 1))
+            letters.append((c + 1, c))
+    return letters
+
+
 def z_central(dims: Dims) -> UEl:
     """The grading element sum_a E_aa."""
     return UEl(dims, {((a, a),): ONE for a in dims.indices()})

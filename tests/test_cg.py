@@ -23,6 +23,7 @@ from superfn.cg import (
     verify_hopf,
 )
 from superfn.grading import Dims
+from superfn.linalg import SparseEchelon
 from superfn.grassmann import (
     GroupPoint,
     random_even_invertible,
@@ -374,6 +375,85 @@ def test_cyclic_certificate_agrees_with_generic_oracle(dims, monkeypatch):
             assert all(not pair_word(f, w) for w in words[:-1])
             assert bool(pair_word(f, words[-1])) == (not certified.is_zero)
     assert const_terms and degrees
+
+
+def reference_certificate(f):
+    """The pairing certificate saturating by all (m+n)^2 letters, frontier
+    popped last-in-first-out: (verdict is zero, rank of the kept vectors)."""
+    dims = f.dims
+    data = cg._pair_data(f)
+    gens = sorted({(kinds, cols) for kinds, _, cols, _ in data})
+    index = {g: i for i, g in enumerate(gens)}
+    _, ((phi_re, phi_im),) = cg.cleared(
+        ({(index[kinds, cols], rows): c for kinds, rows, cols, c in data},))
+
+    def pairs_nonzero(vec):
+        return any(sum(w * vec.get(key, 0) for key, w in part.items())
+                   for part in (phi_re, phi_im))
+
+    start = {(g, cols): 1 for g, (_, cols) in enumerate(gens)}
+    ech = SparseEchelon()
+    ech._insert_cleared((dict(start), {}))
+    if pairs_nonzero(start):
+        return False, ech.rank
+    letters = [(a, b) for a in dims.indices() for b in dims.indices()]
+    frontier = [start]
+    while frontier:
+        vec = frontier.pop()
+        for letter in letters:
+            new = {}
+            for (g, idx), x in vec.items():
+                table = ugl.letter_table(dims, gens[g][0], letter)
+                for o, c in table[idx]:
+                    new[g, o] = new.get((g, o), 0) + c * x
+            new = {key: x for key, x in new.items() if x}
+            if new and ech._insert_cleared((dict(new), {})) is not None:
+                if pairs_nonzero(new):
+                    return False, ech.rank
+                frontier.append(new)
+    return True, ech.rank
+
+
+@pytest.mark.parametrize("dims", [D11, D21, D12, Dims(2, 2)],
+                         ids=["11", "21", "12", "22"])
+def test_breadth_first_certificate_matches_the_all_letter_reference(
+        dims, monkeypatch):
+    echelons = []
+
+    class Recording(cg.SparseEchelon):
+        def __init__(self):
+            super().__init__()
+            echelons.append(self)
+
+    monkeypatch.setattr(cg, "SparseEchelon", Recording)
+    rng = random.Random(2026 + 10 * dims.m + dims.n)
+    rule = set(ugl.invariant_letters(dims, [(1, dims.size)]))
+    verdicts = set()
+    for _ in range(6):
+        base = random_ideal_element(dims, rng)
+        const = CG.from_scalar(dims, rng.choice((1, 2, -3)))
+        gen = rng.choice(all_gens(dims)).scale(rng.choice((1, -2)))
+        for f in (base, base + const, base + gen):
+            if f.is_zero():
+                continue
+            echelons.clear()
+            zero = pairing_certificate(f)
+            want_zero, want_rank = reference_certificate(f)
+            assert zero == want_zero, f
+            verdicts.add(zero)
+            (ech,) = echelons
+            if zero:
+                assert ech.rank == want_rank, f
+            # kept words come from the rule, shortest first; every one but
+            # the last pairs to zero, and the last is a nonzero verdict's
+            # witness
+            words = list(ech.payloads.values())
+            assert words[0] == ()
+            assert all(set(w) <= rule for w in words)
+            assert [len(w) for w in words] == sorted(len(w) for w in words)
+            assert all(not pair_word(f, w) for w in words[:-1])
+            assert bool(pair_word(f, words[-1])) == (not zero)
+    assert verdicts == {True, False}
 
 
 def memo_cases():

@@ -1,9 +1,13 @@
 import itertools
+from collections import defaultdict
+from math import factorial
 
 import pytest
 
+from superfn import tensorinv
 from superfn.cg import DimCapError
 from superfn.grading import Dims
+from superfn.linalg import add_term, kernel_dense
 from superfn.scalar import ZERO, ONE
 from superfn.tensorinv import (
     _echelon,
@@ -17,10 +21,68 @@ from superfn.tensorinv import (
     supercommutant_basis,
     verify_fft,
 )
-from superfn.ugl import TVec
+from superfn.ugl import TVec, letter_table
 
 D11 = Dims(1, 1)
 D21 = Dims(2, 1)
+D12 = Dims(1, 2)
+D22 = Dims(2, 2)
+
+
+def all_letters(dims):
+    return [(a, b) for a in dims.indices() for b in dims.indices()]
+
+
+def reference_invariant_subspace(dims, k, l):
+    """The joint kernel of all (m+n)^2 letters over every tensor of
+    V^{(x)k} (x) V*^{(x)l}, columns in decreasing order."""
+    factors = ("v",) * k + ("vb",) * l
+    basis = list(itertools.product(dims.indices(), repeat=k + l))[::-1]
+    pos = {idx: i for i, idx in enumerate(basis)}
+    rows = []
+    for letter in all_letters(dims):
+        table = letter_table(dims, factors, letter)
+        outputs = {}
+        for idx in basis:
+            for out_idx, c in table[idx]:
+                outputs.setdefault(out_idx, {})[pos[idx]] = c
+        rows.extend((row, {}) for row in outputs.values())
+    return [TVec(dims, factors, {basis[i]: c for i, c in enumerate(sol) if c})
+            for sol in kernel_dense(rows, len(basis))]
+
+
+def reference_supercommutant_basis(dims, d):
+    """The graded centralizer solved over every entry (o, i) of End(V^d),
+    one parity block at a time, from pi(E) phi = (-1)^{[E] p} phi pi(E)
+    for all (m+n)^2 letters."""
+    factors = ("v",) * d
+    basis = list(itertools.product(dims.indices(), repeat=d))
+    par = {idx: sum(dims.par(x) for x in idx) & 1 for idx in basis}
+    letters = all_letters(dims)
+    out = []
+    for p in (0, 1):
+        unknowns = [(o, i) for o in basis for i in basis
+                    if (par[o] ^ par[i]) == p]
+        upos = {u: j for j, u in enumerate(unknowns)}
+        rows = []
+        for letter in letters:
+            q = dims.letter_par(*letter)
+            table = letter_table(dims, factors, letter)
+            constraints = defaultdict(dict)
+            for (o, i) in unknowns:
+                for o2, c in table[o]:
+                    add_term(constraints[(o2, i)], upos[(o, i)], c)
+            for i2 in basis:
+                for i_mid, c in table[i2]:
+                    w = c if (q and p) else -c
+                    for o in basis:
+                        if (par[o] ^ par[i_mid]) == p:
+                            add_term(constraints[(o, i2)],
+                                     upos[(o, i_mid)], w)
+            rows.extend((row, {}) for row in constraints.values())
+        for sol in kernel_dense(rows, len(unknowns)):
+            out.append({unknowns[j]: c for j, c in enumerate(sol) if c})
+    return out
 
 
 def test_swap_is_graded():
@@ -228,3 +290,98 @@ def test_verify_fft_catches_a_non_invariant_sergeev_element(monkeypatch):
     assert verdicts["d=1: Sergeev elements are invariant"] is False
     assert verdicts["d=2: Sergeev elements are invariant"] is False
     assert not rep["passed"]
+
+
+@pytest.mark.parametrize("dims,dmax", [(D11, 4), (D21, 3), (D12, 3),
+                                       (D22, 2)],
+                         ids=["11", "21", "12", "22"])
+def test_weight_zero_invariants_equal_the_full_solve(dims, dmax):
+    for d in range(1, dmax + 1):
+        assert invariant_subspace(dims, d, d) == \
+            reference_invariant_subspace(dims, d, d), (dims, d)
+    for k, l in ((1, 0), (0, 1), (2, 1), (1, 2)):
+        assert invariant_subspace(dims, k, l) == \
+            reference_invariant_subspace(dims, k, l) == [], (dims, k, l)
+
+
+@pytest.mark.parametrize("dims,d", [(D11, 1), (D11, 2), (D21, 1), (D21, 2),
+                                    (D21, 3), (D12, 1), (D12, 2), (D22, 1),
+                                    (D22, 2)],
+                         ids=["11-1", "11-2", "21-1", "21-2", "21-3", "12-1",
+                              "12-2", "22-1", "22-2"])
+def test_weight_preserving_commutant_equals_the_full_solve(dims, d):
+    assert supercommutant_basis(dims, d) == \
+        reference_supercommutant_basis(dims, d)
+
+
+@pytest.mark.parametrize("dims", [D11, D21, D22], ids=["11", "21", "22"])
+def test_every_mixed_case_solves_a_nonempty_system(dims, monkeypatch):
+    # no tensor of V^k (x) V*^l, k != l, has weight zero, so a mixed case
+    # run over the weight-zero tensors would pass by construction; each
+    # mixed solve is recorded as (k, l) -> (basis size, nonempty rows)
+    solves = {}
+    pending = []
+    real_joint_kernel = tensorinv._joint_kernel
+    real_kernel_dense = tensorinv.kernel_dense
+
+    def joint_kernel(dims, factors, basis, letters):
+        pending.append(((factors.count("v"), factors.count("vb")),
+                        len(basis)))
+        return real_joint_kernel(dims, factors, basis, letters)
+
+    def recording_kernel_dense(rows, ncols):
+        rows = list(rows)
+        (k, l), size = pending.pop()
+        if k != l:
+            solves[k, l] = (size, sum(1 for re, im in rows if re or im))
+        return real_kernel_dense(rows, ncols)
+
+    monkeypatch.setattr(tensorinv, "_joint_kernel", joint_kernel)
+    monkeypatch.setattr(tensorinv, "kernel_dense", recording_kernel_dense)
+    rep = verify_fft(dims, 1)
+    assert rep["passed"], rep
+    want = {(k, l) for k in range(tensorinv.MIXED_TOTAL + 1)
+            for l in range(tensorinv.MIXED_TOTAL + 1 - k)
+            if k != l and dims.size ** (k + l) <= tensorinv.SUBSPACE_CAP}
+    assert set(solves) == want
+    names = [c["name"] for c in rep["cases"]]
+    for k, l in want:
+        assert f"mixed ({k},{l}) invariants vanish" in names
+        size, nonempty_rows = solves[k, l]
+        assert size == dims.size ** (k + l) and nonempty_rows, (k, l)
+
+
+def hook_dimension(dims, d):
+    """sum (f^lambda)^2 over the partitions lambda of d in the (m, n) hook
+    (lambda_{m+1} <= n), f^lambda by the hook length formula: the
+    dimension of the invariants in V^{(x)d} (x) V*^{(x)d}."""
+    def partitions(rest, top):
+        if not rest:
+            yield ()
+        for part in range(min(rest, top), 0, -1):
+            for tail in partitions(rest - part, part):
+                yield (part,) + tail
+
+    total = 0
+    for lam in partitions(d, d):
+        if len(lam) > dims.m and lam[dims.m] > dims.n:
+            continue
+        conj = [sum(1 for part in lam if part > j) for j in range(lam[0])]
+        hooks = 1
+        for i, part in enumerate(lam):
+            for j in range(part):
+                hooks *= part - j + conj[j] - i - 1
+        total += (factorial(d) // hooks) ** 2
+    return total
+
+
+@pytest.mark.parametrize("dims,d,dim", [(D11, 5, 70), (D22, 3, 6)],
+                         ids=["11-d5", "22-d3"])
+def test_invariant_dimension_is_the_hook_formula(dims, d, dim):
+    invs = invariant_subspace(dims, d, d)
+    assert len(invs) == hook_dimension(dims, d) == dim
+    serg = [sergeev_invariant(dims, s, d)
+            for s in itertools.permutations(range(1, d + 1))]
+    ech = _echelon(invs)
+    assert all(ech.contains(s.terms) for s in serg)
+    assert span_rank(serg) == dim

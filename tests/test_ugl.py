@@ -12,6 +12,7 @@ from superfn.ugl import (
     UEl,
     bracket,
     casimir,
+    invariant_letters,
     laplacian,
     letter_column,
     split_word,
@@ -288,3 +289,26 @@ def test_letter_column_sums_equal_outputs():
             assert letter_column(dims, ("v", "vb"), (a, a), (a, a)) == ()
             assert letter_column(dims, ("vb", "vb"), (a, a), (a, a)) == \
                 (((a, a), -2),)
+
+
+@pytest.mark.parametrize("dims", ALL_DIMS + (Dims(3, 2), Dims(1, 0)),
+                         ids=["11", "21", "12", "22", "32", "10"])
+def test_single_block_rule_generates_gl(dims):
+    # 3(m+n)-2 letters whose brackets span all (m+n)^2 letters
+    letters = invariant_letters(dims, [(1, dims.size)])
+    assert len(letters) == len(set(letters)) == 3 * dims.size - 2
+    span = set(letters)
+    grown = True
+    while grown:
+        new = {w for x in span for y in span for w in bracket(dims, x, y)}
+        grown = not new <= span
+        span |= new
+    assert span == {(a, b) for a in dims.indices() for b in dims.indices()}
+
+
+def test_invariant_letters_refuses_blocks_outside_the_indices():
+    for blocks in ([(1, 3)], [(2, 1)], [(0, 1)], [(1, 2), (2, 3)]):
+        with pytest.raises(ValueError, match="block"):
+            invariant_letters(D11, blocks)
+    assert invariant_letters(D11, [(1, 2)]) == [(1, 1), (2, 2), (1, 2), (2, 1)]
+    assert invariant_letters(D11, [(1, 1), (2, 2)]) == [(1, 1), (2, 2)]
