@@ -299,8 +299,24 @@ def _module_kind(tag: str) -> str:
     raise ValueError(f"tag {tag!r} does not pair with U(gl(m|n))")
 
 
+# Monomial pair data, one entry per (m, n, monomial), kept process-wide;
+# the memo is emptied when it reaches its cap.
+_PAIR_DATA_CAP = 4096
+_pair_data_memo: dict = {}
+
+
 def _monomial_pair_data(dims: Dims, mono: Monomial):
-    """(kinds, rows, cols, sign) for the module-action pairing formula."""
+    """(kinds, rows, cols, sign) for the module-action pairing formula,
+    memoised per (m, n, monomial)."""
+    key = (dims.m, dims.n, mono)
+    data = _pair_data_memo.get(key)
+    if data is None:
+        data = _compute_pair_data(dims, mono)
+        _remember(_pair_data_memo, _PAIR_DATA_CAP, key, data)
+    return data
+
+
+def _compute_pair_data(dims: Dims, mono: Monomial):
     kinds = []
     rows = []
     cols = []
@@ -345,10 +361,13 @@ def _word_image(dims: Dims, kinds: tuple, cols: tuple, word: tuple) -> dict:
     Extends the longest memoised suffix of the word one letter at a time,
     keeping every suffix image it makes.  The result is shared: read only.
     """
+    img = _word_images.get((dims.m, dims.n, kinds, cols, word))
+    if img is not None:
+        return img
     head = (dims.m, dims.n, kinds, cols)
     k = len(word)
     img = {cols: 1}
-    for s in range(len(word) + 1):
+    for s in range(1, len(word) + 1):
         hit = _word_images.get(head + (word[s:],))
         if hit is not None:
             k, img = s, hit
@@ -368,33 +387,29 @@ def _pair_data(f: CG) -> list:
     return out
 
 
-def _pair_data_word(dims: Dims, data: list, word: tuple) -> Scalar:
-    """<f, word> from f's :func:`_pair_data`."""
-    total = ZERO
-    for kinds, rows, cols, c in data:
-        val = _word_image(dims, kinds, cols, word).get(rows)
-        if val:
-            total = total + c * val
-    return total
-
-
 def pair_word(f: CG, word: tuple) -> Scalar:
-    """Pairing of f against one PBW word (no normalization required).
-
-    A monomial with module data (kinds, rows, cols, sign) pairs with the
-    word to (-1)^sign (word . e_cols)[rows], read from the word-image memo.
-    """
-    return _pair_data_word(f.dims, _pair_data(f), word)
+    """Pairing of f against one PBW word (no normalization required):
+    :func:`pair` with the word as a one-term element."""
+    return pair(f, UEl(f.dims, {word: ONE}))
 
 
 def pair(f: CG, u: UEl) -> Scalar:
-    """The duality pairing <f, u>."""
-    if f.dims != u.dims:
+    """The duality pairing <f, u>, term by term of u.
+
+    A monomial of f with module data (kinds, rows, cols, sign) pairs with a
+    word to (-1)^sign (word . e_cols)[rows], read from the word-image memo.
+    """
+    dims = f.dims
+    if dims != u.dims:
         raise ValueError("mismatched gl(m|n) dimensions")
     data = _pair_data(f)
     total = ZERO
     for w, cu in u.terms.items():
-        val = _pair_data_word(f.dims, data, w)
+        val = ZERO
+        for kinds, rows, cols, c in data:
+            x = _word_image(dims, kinds, cols, w).get(rows)
+            if x:
+                val = val + c * x
         if val:
             total = total + cu * val
     return total

@@ -15,16 +15,29 @@ from .scalar import Scalar, ZERO, ONE, MINUS_ONE
 
 
 class Dims:
-    """Ambient size (m, n) of gl(m|n).  Indices are 1-based."""
+    """Ambient size (m, n) of gl(m|n).  Indices are 1-based.
+
+    Interned: ``Dims(m, n)`` is one object per (m, n), so two dims are
+    equal exactly when they are the same object, and equality and hashing
+    are the identity ones of ``object``."""
 
     __slots__ = ("m", "n", "size")
 
-    def __init__(self, m: int, n: int):
+    def __new__(cls, m: int, n: int):
+        if not isinstance(m, int) or not isinstance(n, int):
+            raise TypeError(f"dimensions must be integers, got ({m!r}, {n!r})")
+        m, n = int(m), int(n)
+        self = _interned.get((m, n))
+        if self is not None:
+            return self
         if m < 0 or n < 0 or m + n == 0:
             raise ValueError(f"invalid dimensions ({m}, {n})")
+        self = object.__new__(cls)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "size", m + n)
+        _interned[m, n] = self
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Dims is immutable")
@@ -42,16 +55,11 @@ class Dims:
     def indices(self) -> range:
         return range(1, self.size + 1)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Dims) and self.m == other.m and self.n == other.n
-        )
-
-    def __hash__(self):
-        return hash((self.m, self.n))
-
     def __repr__(self):
         return f"Dims({self.m}, {self.n})"
+
+
+_interned: dict = {}
 
 
 def delta_sign(dims: Dims, a: int, c: int, b: int) -> int:

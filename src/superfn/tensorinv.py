@@ -27,7 +27,8 @@ the single block (1, m+n):
   letters: if E x = F x = 0, then [E, F] x = 0.
 
 So both solve in :func:`_joint_kernel` over only the unknowns that can be
-nonzero, with 3(m+n)-2 letters in place of (m+n)^2.  A subspace has one
+nonzero, with the 2(m+n)-2 Chevalley letters of the rule in place of
+(m+n)^2: the Cartan letters act by 0 on those unknowns.  A subspace has one
 reduced echelon basis for a fixed column order, so the bases they return
 are those of the full solve.
 """
@@ -113,9 +114,19 @@ def _weight_zero(idx: tuple, k: int) -> bool:
     return sorted(idx[:k]) == sorted(idx[k:])
 
 
+def _off_cartan(letters) -> list:
+    """The letters E_ab with a != b, in order."""
+    return [(a, b) for a, b in letters if a != b]
+
+
 def _joint_kernel(dims: Dims, factors: tuple, basis: list, letters) -> list:
     """The vectors in the span of ``basis`` (index tuples of the tensor
     module of ``factors``) that every letter kills, as {idx: Scalar} dicts.
+
+    A solve over weight-zero tensors only (see :func:`_weight_zero`) passes
+    the letters of :func:`_off_cartan`: E_aa acts on a basis tensor by the
+    scalar (#v slots holding a) - (#vb slots holding a), which is 0 on a
+    weight-zero tensor, so a Cartan letter's rows there are empty.
 
     The basis is :func:`kernel_dense`'s reduced echelon basis with columns
     in the order of ``basis``: each vector is ``ONE`` at its own free
@@ -140,9 +151,10 @@ def invariant_subspace(dims: Dims, k: int, l: int) -> list:
 
     This is the joint kernel of :func:`ugl.invariant_letters` with the one
     block (1, m+n), which generate gl(m|n).  For k == l it is solved over
-    the weight-zero tensors only: an invariant is killed by every Cartan
-    letter E_aa, which acts on a basis tensor by the scalar (#v slots
-    holding a) - (#vb slots holding a), so it lies in their span.  For
+    the weight-zero tensors only, by the letters other than the Cartan
+    ones: an invariant is killed by every E_aa, which acts on a basis
+    tensor by a scalar (see :func:`_joint_kernel`), so it lies in the span
+    of the tensors where that scalar is 0 for every a.  For
     k != l no tensor has weight zero (the weights sum to k - l), and the
     solve runs over the full basis, so the answer [] is derived, not
     assumed.
@@ -157,9 +169,10 @@ def invariant_subspace(dims: Dims, k: int, l: int) -> list:
     _check_subspace_cap(dims, k + l)
     factors = ("v",) * k + ("vb",) * l
     basis = list(_iproduct(dims.indices(), repeat=k + l))[::-1]
+    letters = invariant_letters(dims, ((1, dims.size),))
     if k == l:
         basis = [idx for idx in basis if _weight_zero(idx, k)]
-    letters = invariant_letters(dims, ((1, dims.size),))
+        letters = _off_cartan(letters)
     return [
         TVec(dims, factors, terms)
         for terms in _joint_kernel(dims, factors, basis, letters)
@@ -213,7 +226,7 @@ def supercommutant_basis(dims: Dims, d: int) -> list:
     unknowns = [
         o + i[::-1] for o in basis for i in basis if _weight_zero(o + i, d)
     ]
-    letters = invariant_letters(dims, ((1, dims.size),))
+    letters = _off_cartan(invariant_letters(dims, ((1, dims.size),)))
     return [
         {(idx[:d], idx[d:][::-1]): c for idx, c in op.items()}
         for op in _joint_kernel(dims, factors, unknowns, letters)

@@ -141,8 +141,10 @@ class UEl(LinComb):
     @staticmethod
     def word(dims: Dims, letters: Iterable[tuple]) -> "UEl":
         w = tuple((a, b) for a, b in letters)
+        size = dims.size
         for a, b in w:
-            dims.par(a), dims.par(b)
+            if not 0 < a <= size >= b > 0:
+                dims.par(a), dims.par(b)  # raises the index range error
         _check_cap(len(w))
         return UEl(dims, dict(_normalize_word(dims, w)))
 
@@ -158,16 +160,24 @@ class UEl(LinComb):
         return None
 
     def __mul__(self, other: "UEl") -> "UEl":
+        """The product, straightened through the memoised normal forms;
+        a coefficient product of 1 adds their Scalars as they are."""
         self._check(other)
-        if self.terms and other.terms:
-            _check_cap(self.degree() + other.degree())
+        dims, t1, t2 = self.dims, self.terms, other.terms
+        if t1 and t2:
+            _check_cap(max(map(len, t1)) + max(map(len, t2)))
         out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
+        for w1, c1 in t1.items():
+            for w2, c2 in t2.items():
                 c = c1 * c2
-                for w, cc in _normalize_word(self.dims, w1 + w2).items():
-                    add_term(out, w, c * cc)
-        return UEl(self.dims, out)
+                normal = _normalize_word(dims, w1 + w2).items()
+                if c == 1:
+                    for w, cc in normal:
+                        add_term(out, w, cc)
+                else:
+                    for w, cc in normal:
+                        add_term(out, w, c * cc)
+        return UEl(dims, out)
 
     def __pow__(self, k: int) -> "UEl":
         if k < 0:
@@ -387,15 +397,16 @@ def invariant_letters(dims: Dims, blocks) -> list:
     every Cartan E_aa, plus the Chevalley pairs E_{c,c+1}, E_{c+1,c}
     internal to each block ``(lo, hi)``.  The single block ``(1, m+n)``
     gives 3(m+n)-2 letters that generate gl(m|n): brackets of neighbours
-    reach every E_ab.  Raises ValueError unless 1 <= lo <= hi <= m+n."""
-    letters = [(a, a) for a in dims.indices()]
+    reach every E_ab.  Overlapping blocks give each letter once, at its
+    first occurrence.  Raises ValueError unless 1 <= lo <= hi <= m+n."""
+    letters = {(a, a): None for a in dims.indices()}
     for lo, hi in blocks:
         if not 1 <= lo <= hi <= dims.size:
             raise ValueError(f"block ({lo}, {hi}) is not within 1..{dims.size}")
         for c in range(lo, hi):
-            letters.append((c, c + 1))
-            letters.append((c + 1, c))
-    return letters
+            letters[c, c + 1] = None
+            letters[c + 1, c] = None
+    return list(letters)
 
 
 def z_central(dims: Dims) -> UEl:

@@ -498,6 +498,44 @@ def test_word_image_memo_stays_under_its_cap(cold_pairing_memos,
         assert len(cg._word_images) <= 5
 
 
+def pair_cases(rng):
+    """Seeded (f, u) pairs: f with rational and complex coefficients, u a
+    sum of up to three words of length <= 2; then one monomial at two
+    dims."""
+    cases = []
+    for dims in (D11, D21, D12, Dims(2, 2)):
+        for _ in range(12):
+            f = rand_cg(dims, rng, max_terms=3, max_len=2)
+            f = f.scale(Scalar.rational(rng.choice((1, -3)), rng.choice((1, 2))))
+            u = UEl.zero(dims)
+            for _ in range(rng.randint(1, 3)):
+                c = Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
+                u = u + UEl.word(dims, rand_word(dims, rng, 2)).scale(c)
+            cases.append((f, u))
+    # one monomial whose Koszul sign differs between (2,1) and (1,2): the
+    # row 2 before the odd t[3,1] is even at (2,1) and odd at (1,2)
+    for dims in (D21, D12):
+        cases.append((CG.t(dims, 2, 2) * CG.t(dims, 3, 1),
+                      UEl.word(dims, [(2, 2), (3, 1)])))
+    return cases
+
+
+def test_pair_matches_coproduct_reference_with_the_pair_data_memo(
+        cold_pairing_memos, monkeypatch):
+    monkeypatch.setattr(cg, "_pair_data_memo", {})
+    cases = pair_cases(random.Random(22))
+    want = [pair_via_coproduct(f, u) for f, u in cases]
+    assert any(want) and not all(want)
+    for _ in ("cold", "warm"):
+        assert [pair(f, u) for f, u in cases] == want
+    assert cg._pair_data_memo
+    monkeypatch.setattr(cg, "_pair_data_memo", {})
+    monkeypatch.setattr(cg, "_PAIR_DATA_CAP", 3)
+    for (f, u), value in zip(cases, want):
+        assert pair(f, u) == value
+        assert len(cg._pair_data_memo) <= 3
+
+
 def test_letter_tables_fill_only_the_columns_images_reach(
         cold_pairing_memos):
     # a six-slot monomial at (2,2) lives in a module of dimension 4^6; its

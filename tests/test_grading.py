@@ -52,3 +52,34 @@ def test_dominance_rejects_nonintegral_quotient():
     d = Dims(3, 1)
     assert is_dominant(d, (2, 1, 0, 4))
     assert not is_dominant(d, (2, 0, 1, 0))
+
+
+def test_dims_are_interned():
+    assert Dims(2, 1) is Dims(2, 1)
+    assert Dims(2, 1) is not Dims(1, 2)
+    assert Dims(True, 1) is Dims(1, 1)
+
+
+def test_invalid_dims_are_refused():
+    for m, n in ((0, 0), (-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="invalid dimensions"):
+            Dims(m, n)
+    with pytest.raises(TypeError):
+        Dims(1.0, 1)
+
+
+def test_dims_are_immutable():
+    d = Dims(2, 1)
+    for name, value in (("m", 3), ("size", 4), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(d, name, value)
+    assert (d.m, d.n, d.size) == (2, 1, 3)
+
+
+def test_dims_as_keys_and_in_inequality_checks():
+    table = {Dims(1, 1): "a", Dims(2, 1): "b"}
+    assert table[Dims(2, 1)] == "b" and Dims(1, 2) not in table
+    assert Dims(2, 1) == Dims(2, 1) and not Dims(2, 1) != Dims(2, 1)
+    assert Dims(2, 1) != Dims(1, 2) and Dims(2, 1) != Dims(2, 2)
+    for other in (None, (2, 1), 3, "Dims(2, 1)"):
+        assert Dims(2, 1) != other

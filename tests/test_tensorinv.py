@@ -351,6 +351,39 @@ def test_every_mixed_case_solves_a_nonempty_system(dims, monkeypatch):
         assert size == dims.size ** (k + l) and nonempty_rows, (k, l)
 
 
+@pytest.mark.parametrize("dims,dmax", [(D11, 4), (D21, 3), (D22, 2)],
+                         ids=["11", "21", "22"])
+def test_weight_zero_solves_skip_the_cartan_letters(dims, dmax, monkeypatch):
+    # every weight-zero solve is handed no Cartan letter, every mixed one
+    # keeps them all, and each returned basis equals, as a list, the solve
+    # by all (m+n)^2 letters over the same basis
+    real_joint_kernel = tensorinv._joint_kernel
+    cartan = {(a, a) for a in dims.indices()}
+    calls = []
+
+    def joint_kernel(dims, factors, basis, letters):
+        got = real_joint_kernel(dims, factors, basis, letters)
+        weight_zero = factors.count("v") == factors.count("vb")
+        if weight_zero:
+            assert not cartan & set(letters), factors
+        else:
+            assert cartan <= set(letters), factors
+        assert got == real_joint_kernel(dims, factors, basis,
+                                        all_letters(dims)), factors
+        calls.append((factors.count("v"), factors.count("vb")))
+        return got
+
+    monkeypatch.setattr(tensorinv, "_joint_kernel", joint_kernel)
+    for d in range(1, dmax + 1):
+        invariant_subspace(dims, d, d)
+    for k, l in ((1, 0), (2, 1)):
+        assert invariant_subspace(dims, k, l) == []
+    for d in range(1, min(dmax, 2) + 1):
+        supercommutant_basis(dims, d)
+    assert calls == [(d, d) for d in range(1, dmax + 1)] + \
+        [(1, 0), (2, 1)] + [(d, d) for d in range(1, min(dmax, 2) + 1)]
+
+
 def hook_dimension(dims, d):
     """sum (f^lambda)^2 over the partitions lambda of d in the (m, n) hook
     (lambda_{m+1} <= n), f^lambda by the hook length formula: the

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from superfn import ugl
 from superfn.grading import Dims
 from superfn.linalg import add_term
 from superfn.scalar import Scalar, ONE, MINUS_ONE, I, sign_pow
@@ -312,3 +313,116 @@ def test_invariant_letters_refuses_blocks_outside_the_indices():
             invariant_letters(D11, blocks)
     assert invariant_letters(D11, [(1, 2)]) == [(1, 1), (2, 2), (1, 2), (2, 1)]
     assert invariant_letters(D11, [(1, 1), (2, 2)]) == [(1, 1), (2, 2)]
+
+
+def reference_mul(u, v):
+    """The product with every coefficient product multiplied through the
+    normal form, unit or not."""
+    out = {}
+    for w1, c1 in u.terms.items():
+        for w2, c2 in v.terms.items():
+            c = c1 * c2
+            for w, cc in ugl._normalize_word(u.dims, w1 + w2).items():
+                add_term(out, w, c * cc)
+    return UEl(u.dims, out)
+
+
+# pairs within the pool multiply to 1 (2 * 1/2, i * -i, -1 * -1) and to
+# -1 (i * i, 1 * -1)
+COEFFS = (ONE, MINUS_ONE, Scalar(2), Scalar.rational(1, 2), I, -I,
+          Scalar.rational(-3, 4) + Scalar.rational(1, 3) * I)
+
+
+def seeded_uel(dims, rng, max_terms=3, max_len=3):
+    letters = [(a, b) for a in dims.indices() for b in dims.indices()]
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len)))
+        terms[w] = rng.choice(COEFFS)
+    return UEl(dims, terms)
+
+
+@pytest.mark.parametrize("dims", ALL_DIMS, ids=["11", "21", "12", "22"])
+def test_product_matches_the_multiply_through_reference(dims):
+    rng = random.Random(22)
+    products = {1: 0, -1: 0}
+    for _ in range(60):
+        u = seeded_uel(dims, rng)
+        v = seeded_uel(dims, rng, max_len=2)
+        for c1 in u.terms.values():
+            for c2 in v.terms.values():
+                for unit in products:
+                    products[unit] += c1 * c2 == unit
+        got = u * v
+        assert got == reference_mul(u, v), (u, v)
+        assert all(type(c) is Scalar and c for c in got.terms.values())
+    assert products[1] and products[-1]
+    # odd squares vanish whatever the unit coefficients
+    odd = [(a, b) for a in dims.indices() for b in dims.indices()
+           if dims.letter_par(a, b)]
+    for a, b in odd:
+        x = UEl.letter(dims, a, b)
+        for c in (ONE, MINUS_ONE, I):
+            y = x.scale(c)
+            for lhs, rhs in ((x, x), (y, y.scale(ONE / c)), (y, x)):
+                assert (lhs * rhs).is_zero()
+                assert reference_mul(lhs, rhs).is_zero()
+
+
+def test_word_checks_every_index_and_takes_list_letters():
+    for dims in ALL_DIMS:
+        s = dims.size
+        for bad in (0, s + 1, -1):
+            for letters in ([(bad, 1)], [(1, bad)], [(1, 1), (1, bad)]):
+                with pytest.raises(ValueError,
+                                   match=rf"index {bad} out of range 1\.\.{s}"):
+                    UEl.word(dims, letters)
+        u = UEl.word(dims, [[1, s], [s, 1]])
+        assert u == UEl.word(dims, [(1, s), (s, 1)])
+        assert all(type(x) is tuple for w in u.terms for x in w)
+
+
+def reference_invariant_letters(dims, blocks):
+    """Every Cartan letter, then each block's Chevalley pairs, repeats
+    kept."""
+    letters = [(a, a) for a in dims.indices()]
+    for lo, hi in blocks:
+        for c in range(lo, hi):
+            letters += [(c, c + 1), (c + 1, c)]
+    return letters
+
+
+def compositions(size):
+    """Every partition of 1..size into consecutive blocks."""
+    for cuts in itertools.product((False, True), repeat=size - 1):
+        blocks, lo = [], 1
+        for c, cut in enumerate(cuts, start=1):
+            if cut:
+                blocks.append((lo, c))
+                lo = c + 1
+        yield blocks + [(lo, size)]
+
+
+def test_overlapping_blocks_give_each_letter_once():
+    d22 = Dims(2, 2)
+    letters = invariant_letters(d22, [(1, 3), (2, 4)])
+    assert len(letters) == len(set(letters)) == 10
+    ref = reference_invariant_letters(d22, [(1, 3), (2, 4)])
+    assert len(ref) == 12
+    assert letters == list(dict.fromkeys(ref))
+    assert invariant_letters(d22, [(1, 4), (1, 2), (3, 4)]) == \
+        invariant_letters(d22, [(1, 4)])
+
+
+@pytest.mark.parametrize("dims", ALL_DIMS + (Dims(3, 2), Dims(1, 0)),
+                         ids=["11", "21", "12", "22", "32", "10"])
+def test_partitions_keep_their_letter_lists(dims):
+    # a partition's blocks share no letter, so every LeviProfile keeps its
+    # letter list, and is_invariant, which tests exactly these letters,
+    # keeps its verdicts
+    from superfn.spherical import LeviProfile
+
+    for blocks in compositions(dims.size):
+        prof = LeviProfile(dims, blocks)
+        assert invariant_letters(dims, prof.blocks) == \
+            reference_invariant_letters(dims, prof.blocks), blocks
