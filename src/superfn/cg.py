@@ -543,9 +543,10 @@ def is_zero_mod_j(
     return Verdict("zero" if zero else "nonzero", "pairing", 0, None, "0")
 
 
-# Generic-oracle points per (m, n, seed): [points, state], where state is
-# the random.Random(seed) state after drawing those points.  Both caps keep
-# memory bounded: a (3,2) point holds about 31 KB (tracemalloc).
+# Generic-oracle points per (m, n, seed): (points, rng), where rng is the
+# live random.Random(seed) that drew those points and has drawn nothing
+# else.  Both caps keep memory bounded: a (3,2) point holds about 31 KB
+# (tracemalloc).
 _POINT_STREAMS_CAP = 8
 _POINTS_PER_STREAM_CAP = 8
 _point_memo: dict = {}
@@ -559,29 +560,37 @@ def _oracle_points(dims: Dims, seed: int):
     D, each redrawn while singular, and the 2mn generators as beta and
     gamma, in T = [[A + A beta gamma, A beta], [D gamma, D]].  Every even
     invertible supermatrix factors this way, so the points are generic on
-    all of GL(m|n), and T^{-1} is closed form.  The first
-    ``_POINTS_PER_STREAM_CAP`` are kept; later ones are built from a copy of
-    the saved RNG state and dropped.  At most ``_POINT_STREAMS_CAP`` streams
-    are kept, the least recently used evicted first.
+    all of GL(m|n), and T^{-1} is closed form.
+
+    The first ``_POINTS_PER_STREAM_CAP`` are kept, drawn from the stream's
+    own live RNG, which every generator of the stream shares: a point is
+    drawn only when no generator has drawn it yet, so the RNG stays just
+    past the kept points.  Later points are built from a copy of it and
+    dropped.  A draw that raises evicts its stream, whose RNG may then be
+    part-way through a point.  At most ``_POINT_STREAMS_CAP`` streams are
+    kept, the least recently used evicted first.
     """
     key = (dims.m, dims.n, seed)
     stream = _point_memo.pop(key, None)
     if stream is None:
-        stream = [[], random.Random(seed).getstate()]
+        stream = ([], random.Random(seed))
         if len(_point_memo) >= _POINT_STREAMS_CAP:
             del _point_memo[next(iter(_point_memo))]
     _point_memo[key] = stream
-    points = stream[0]
-    rng = random.Random()
+    points, rng = stream
     for k in range(_POINTS_PER_STREAM_CAP):
         if k == len(points):
-            rng.setstate(stream[1])
-            points.append(grassmann.random_gauss_point(dims, rng))
-            stream[1] = rng.getstate()
+            try:
+                points.append(grassmann.random_gauss_point(dims, rng))
+            except BaseException:
+                if _point_memo.get(key) is stream:
+                    del _point_memo[key]
+                raise
         yield points[k]
-    rng.setstate(stream[1])
+    late = random.Random()
+    late.setstate(rng.getstate())
     while True:
-        yield grassmann.random_gauss_point(dims, rng)
+        yield grassmann.random_gauss_point(dims, late)
 
 
 def _generic_zero_test(f: CG, trials: int, seed: int) -> Verdict:

@@ -31,7 +31,7 @@ from .cg import (CG, DimCapError, _case, _oracle_case, _report, is_zero_mod_j,
                  verify_hopf)
 from .grading import Dims
 from .grassmann import verify_group
-from .scalar import Scalar, I, _rat_str
+from .scalar import Scalar, I
 from .spherical import (
     LeviProfile,
     c_block,
@@ -226,65 +226,6 @@ class _Parser:
 
 def parse_expr(text: str):
     return _Parser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# printer (parse(print_expr(ast)) == ast)
-
-
-def _scalar_literal(c: Scalar) -> str:
-    if c.im == 0:
-        return _rat_str(c.re)
-    if c.re != 0:
-        raise ValueError("scalar literals are pure rational or imaginary")
-    return "i" if c.im == 1 else _rat_str(c.im) + "i"
-
-
-def print_expr(node) -> str:
-    kind = node[0]
-    if kind == "num":
-        return _scalar_literal(node[1])
-    if kind == "gen":
-        _, name, args = node
-        if not args:
-            return name
-        if name == "C":
-            return f"C[{args[0]};{args[1]},{args[2]}]"
-        return f"{name}[{','.join(str(a) for a in args)}]"
-    if kind in ("add", "sub"):
-        _, left, right = node
-        ls = print_expr(left)
-        rs = print_expr(right)
-        if right[0] in ("add", "sub") or _starts_negative(right):
-            rs = f"({rs})"
-        return f"{ls} {'+' if kind == 'add' else '-'} {rs}"
-    if kind == "mul":
-        _, left, right = node
-        ls = print_expr(left)
-        if left[0] in ("add", "sub") or _starts_negative(left):
-            ls = f"({ls})"
-        rs = print_expr(right)
-        if right[0] in ("add", "sub", "mul") or _starts_negative(right):
-            rs = f"({rs})"
-        return f"{ls}*{rs}"
-    if kind == "pow":
-        _, base, e = node
-        bs = print_expr(base)
-        if base[0] in ("add", "sub", "mul", "pow") or _starts_negative(base):
-            bs = f"({bs})"
-        return f"{bs}^{e}"
-    raise ValueError(f"unknown node kind {kind!r}")
-
-
-def _starts_negative(node) -> bool:
-    """Whether the printed form would begin with '-'.
-
-    A leading minus binds into a scalar literal, so such subterms must be
-    parenthesized everywhere except at the very start of an expression.
-    """
-    while node[0] in ("add", "sub", "mul", "pow"):
-        node = node[1]
-    return node[0] == "num" and _scalar_literal(node[1]).startswith("-")
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,11 @@ the entries of beta (m x n) and gamma (n x m).  Its inverse is closed form,
               [-gamma A^{-1}, (1 + gamma beta) D^{-1}]],
 
 so no image has Grassmann degree above 2 and only det A and det D enter
-the denominators: no Neumann series.  The body of every T in GL(m|n) is
+the denominators: no Neumann series.  Such a point is built on integers
+alone: each block is inverted by :func:`_block_inverse` from the integer
+back-substitution of SparseEchelon, at lowest terms, and the images are
+written over the lcm of the two block denominators, which is already
+their least common denominator.  The body of every T in GL(m|n) is
 block diagonal and invertible, so (A, D, beta, gamma) -> T is an
 isomorphism GL_m x GL_n x A^{0|2mn} -> GL(m|n), and these points are as
 generic as arbitrary even supermatrices (Berezin, *Introduction to
@@ -424,18 +428,25 @@ def random_even_invertible(dims: Dims, rng: random.Random) -> SMat:
 
 
 def _block_inverse(rows: list) -> tuple:
-    """(d, x) with rows^{-1} = x / d, for a square integer matrix, by one
-    ``_invert_scalar_matrix`` call; raises ValueError when it is singular.
+    """(d, x) with rows^{-1} = x / d at lowest terms, for a square integer
+    matrix, on integers throughout: [A | I] goes into SparseEchelon and
+    row i of its integer back-substitution is (P_i e_i | P_i (A^{-1})_i),
+    primitive, so P_i is the least denominator of that row and d is the
+    lcm of the P_i.  Raises ValueError when the matrix is singular.
     """
     k = len(rows)
-    d, nums = cleared(
-        {0: c}
-        for row in _invert_scalar_matrix([[Scalar(c) for c in row]
-                                          for row in rows])
-        for c in row
-    )
-    flat = [re.get(0, 0) for re, _ in nums]
-    return d, [flat[i * k:(i + 1) * k] for i in range(k)]
+    ech = SparseEchelon()
+    for i, row in enumerate(rows):
+        aug = {j: c for j, c in enumerate(row) if c}
+        aug[k + i] = 1
+        ech._insert_cleared((aug, {}))
+    if any(p not in ech.rows for p in range(k)):
+        raise ValueError("singular body matrix")
+    done = ech._reduced_cleared()
+    reals = [done[i][0] for i in range(k)]  # the im parts are empty
+    d = math.lcm(*(re[i] for i, re in enumerate(reals)))
+    return d, [[re.get(k + j, 0) * (d // re[i]) for j in range(k)]
+               for i, re in enumerate(reals)]
 
 
 def _random_block(k: int, rng: random.Random) -> tuple:
@@ -463,7 +474,13 @@ def _gauss_point(dims: Dims, a_block: tuple, d_block: tuple) -> "GroupPoint":
     Each block is (rows, (d, x)) with rows^{-1} = x / d.  beta[i][j] is
     generator i n + j + 1 and gamma[i][j] generator m n + i m + j + 1, so
     every beta precedes every gamma: beta gamma keeps the sign of its mask
-    and gamma beta flips it.  T^{-1} is put over lcm(d_A, d_D).
+    and gamma beta flips it.
+
+    The images are written over den = lcm(d_A, d_D) as they are: the t
+    images den T with the eta twist (-1 on the D gamma block) and the tbar
+    images the transpose of den T^{-1}.  den is already their least common
+    denominator, because each block inverse is at lowest terms and the body
+    entries of den T^{-1} are den x_A / d_A and den x_D / d_D.
     """
     m, n = dims.m, dims.n
     a, (da, xa) = a_block
@@ -480,27 +497,32 @@ def _gauss_point(dims: Dims, a_block: tuple, d_block: tuple) -> "GroupPoint":
     def real(pairs):
         return {mask: c for mask, c in pairs if c}, {}
 
-    mat, inv = [], []  # T and den * T^{-1}, row by row
+    mat, inv = [], []  # den T twisted, and den T^{-1}, row by row
     for i in range(m):
-        mat += [real([(0, a[i][j])] + [(beta(k, l) | gamma(l, j), a[i][k])
-                                        for k in range(m) for l in range(n)])
+        mat += [real([(0, den * a[i][j])]
+                     + [(beta(k, l) | gamma(l, j), den * a[i][k])
+                        for k in range(m) for l in range(n)])
                 for j in range(m)]
-        mat += [real((beta(k, j), a[i][k]) for k in range(m))
+        mat += [real((beta(k, j), den * a[i][k]) for k in range(m))
                 for j in range(n)]
         inv += [real([(0, ka * xa[i][j])]) for j in range(m)]
         inv += [real((beta(i, k), -kd * xd[k][j]) for k in range(n))
                 for j in range(n)]
     for i in range(n):
-        mat += [real((gamma(k, j), d[i][k]) for k in range(n))
+        mat += [real((gamma(k, j), -den * d[i][k]) for k in range(n))
                 for j in range(m)]
-        mat += [real([(0, d[i][j])]) for j in range(n)]
+        mat += [real([(0, den * d[i][j])]) for j in range(n)]
         inv += [real((gamma(i, k), -ka * xa[k][j]) for k in range(m))
                 for j in range(m)]
         inv += [real([(0, kd * xd[i][j])]
                      + [(gamma(i, k) | beta(k, l), -kd * xd[l][j])
                         for k in range(m) for l in range(n)])
                 for j in range(n)]
-    return GroupPoint._from_cleared(dims, 2 * m * n, (1, mat), (den, inv))
+    size = dims.size
+    keys = [(i, j) for i in dims.indices() for j in dims.indices()]
+    num = {("t", i, j): img for (i, j), img in zip(keys, mat)}
+    num.update((("tb", i, j), inv[(j - 1) * size + i - 1]) for i, j in keys)
+    return GroupPoint._new(dims, 2 * m * n, den, num)
 
 
 def eta(dims: Dims, a: int, b: int) -> Scalar:

@@ -251,11 +251,19 @@ class SparseEchelon:
 
     def reduced(self) -> dict:
         """Back-substitution: {pivot: row}, each row a key -> Scalar dict
-        equal to 1 at its pivot and zero at every other pivot.
+        equal to 1 at its pivot and zero at every other pivot; each row of
+        :meth:`_reduced_cleared` divided by its pivot entry."""
+        return {piv: divided(row, row[0][piv])
+                for piv, row in self._reduced_cleared().items()}
+
+    def _reduced_cleared(self) -> dict:
+        """Back-substitution on integers: {pivot: row}, each row a primitive
+        Gaussian-integer pair with a positive integer P at its pivot and
+        zero at every other pivot, so that row / P is the reduced row at
+        lowest terms: P is the least common denominator of its entries.
 
         A row's keys are never below its pivot, so the rows are finished
-        from the highest pivot down, each cleared by the finished rows above
-        on integers and divided by its pivot entry at the end.
+        from the highest pivot down, each cleared by the finished rows above.
         """
         done: dict = {}
         for piv in sorted(self.rows, reverse=True):
@@ -264,7 +272,7 @@ class SparseEchelon:
             for q in [k for k in rr.keys() | ri.keys() if k in done]:
                 _eliminate(row, q, done[q])
             done[piv] = _primitive(row)
-        return {piv: divided(row, row[0][piv]) for piv, row in done.items()}
+        return done
 
 
 def kernel_dense(rows, ncols: int) -> list:

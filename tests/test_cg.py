@@ -625,16 +625,17 @@ def test_antipode_case_reports_the_largest_generator_bound(dims):
 
 @pytest.fixture
 def inversions(monkeypatch):
-    """Start the test with an empty point memo; log each body inversion."""
+    """Start the test with an empty point memo; log the size of each body
+    block that the Gauss-form sampler inverts."""
     monkeypatch.setattr(cg, "_point_memo", {})
     inversions = []
-    invert = grassmann._invert_scalar_matrix
+    invert = grassmann._block_inverse
 
-    def counting(mat):
-        inversions.append(len(mat))
-        return invert(mat)
+    def counting(rows):
+        inversions.append(len(rows))
+        return invert(rows)
 
-    monkeypatch.setattr(grassmann, "_invert_scalar_matrix", counting)
+    monkeypatch.setattr(grassmann, "_block_inverse", counting)
     return inversions
 
 
@@ -742,6 +743,94 @@ def test_same_seed_at_other_dims_never_shares_a_stream(inversions):
             got = is_zero_mod_j(f, trials=3, seed=seed).to_dict()
             assert got == reference_verdict(f, 3, seed, points)
     assert sorted(cg._point_memo) == [(1, 1, 4), (1, 2, 4), (2, 1, 4)]
+
+
+def assert_reference_verdicts(dims, seed, points, trials=(1, 3, 10)):
+    """The oracle answers every corpus element as the reference points
+    say, for runs inside and past the kept points."""
+    for f in oracle_corpus(dims, points[:4]):
+        for t in trials:
+            got = is_zero_mod_j(f, trials=t, seed=seed).to_dict()
+            assert got == reference_verdict(f, t, seed, points)
+
+
+def test_interleaved_generators_share_one_stream(inversions):
+    seed = 11
+    points = reference_points(D21, seed, 12)
+    inversions.clear()
+    first, second = cg._oracle_points(D21, seed), cg._oracle_points(D21, seed)
+    got_first = [next(first) for _ in range(2)]
+    got_second = [next(second) for _ in range(5)]
+    got_first += [next(first) for _ in range(8)]
+    got_second += [next(second) for _ in range(7)]
+    assert got_first == points[:10] and got_second == points
+    # 8 kept points, then 2 + 4 built past them from copies of the RNG
+    assert len(inversions) == 2 * (8 + 2 + 4)
+    assert_reference_verdicts(D21, seed, points)
+
+
+def test_abandoned_generators_leave_the_stream_intact(inversions):
+    seed = 12
+    points = reference_points(D11, seed, 12)
+    early = cg._oracle_points(D11, seed)
+    assert [next(early) for _ in range(3)] == points[:3]
+    early.close()
+    late = cg._oracle_points(D11, seed)
+    assert [next(late) for _ in range(11)] == points[:11]
+    del late  # abandoned while drawing from its copy
+    assert_reference_verdicts(D11, seed, points)
+
+
+def test_a_stream_evicted_under_a_suspended_generator(inversions):
+    seed = 13
+    points = reference_points(D12, seed, 12)
+    held = cg._oracle_points(D12, seed)
+    assert [next(held) for _ in range(2)] == points[:2]
+    for other in range(100, 108):
+        is_zero_mod_j(relations(D11)[0], trials=1, seed=other)
+    assert (1, 2, seed) not in cg._point_memo
+    # a fresh stream for the same key, then the held one resumes
+    assert_reference_verdicts(D12, seed, points)
+    assert [next(held) for _ in range(10)] == points[2:]
+    assert_reference_verdicts(D12, seed, points)
+
+
+def test_a_draw_that_raises_evicts_its_stream(inversions, monkeypatch):
+    seed = 14
+    points = reference_points(D11, seed, 10)
+    draw = grassmann.random_gauss_point
+
+    def interrupted(dims, rng):
+        rng.random()  # part-way through a point
+        raise KeyboardInterrupt
+
+    assert is_zero_mod_j(relations(D11)[0], trials=2, seed=seed).is_zero
+    monkeypatch.setattr(grassmann, "random_gauss_point", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        is_zero_mod_j(relations(D11)[0], trials=3, seed=seed)
+    assert (1, 1, seed) not in cg._point_memo
+    monkeypatch.setattr(grassmann, "random_gauss_point", draw)
+    assert_reference_verdicts(D11, seed, points)
+
+
+def test_a_warm_stream_builds_no_rng(inversions, monkeypatch):
+    rel = relations(D11)[0]
+    made = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    assert is_zero_mod_j(rel, trials=3, seed=15).is_zero
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    assert is_zero_mod_j(rel, trials=3, seed=15).is_zero
+    assert made == []
+    # a cold stream builds its own; a run past the kept points, one copy
+    assert is_zero_mod_j(rel, trials=3, seed=16).is_zero
+    assert made == [(16,)]
+    assert is_zero_mod_j(rel, trials=10, seed=16).is_zero
+    assert made == [(16,), ()]
 
 
 # ------------------------------------------------------------ failure bound

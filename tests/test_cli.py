@@ -1,14 +1,17 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from superfn import cli
-from superfn.cli import main, parse_expr, print_expr, tokenize, CliError
-
-GEN_ARITY = {"t": 2, "tb": 2, "E": 2, "z": 1, "zb": 1,
-             "r": 0, "C": 3, "CP": 2, "theta": 1}
-
+from superfn.cg import CG, relations
+from superfn.cli import (CliError, ExprContext, main, parse_expr, tokenize,
+                         u_pretty)
+from superfn.grading import Dims
+from superfn.scalar import Scalar
+from superfn.spherical import LeviProfile, c_block, c_pair, r_func, z, zbar
+from superfn.ugl import UEl
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -43,33 +46,142 @@ def test_parse_basic_shapes():
     assert parse_expr("(1-r)^3")[0] == "pow"
 
 
-def rand_ast(rng, depth):
-    roll = rng.random()
-    if depth <= 0 or roll < 0.3:
+# Round trips: every printed element is valid input, and generated texts
+# parse to the values the library builds for them.
+
+ROUND_TRIP_DIMS = [Dims(1, 1), Dims(2, 1), Dims(1, 2), Dims(2, 2)]
+
+
+def rand_scalar(rng):
+    """A Gaussian rational with parts num/den, num in -9..9, den in 1..9;
+    half of them complex."""
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    return Scalar(part(), part() if rng.random() < 0.5 else 0)
+
+
+def rand_function(dims, rng):
+    """A scaled power of r plus one or two ideal elements, each a defining
+    relation times a generator and a complex scalar."""
+    rels = relations(dims)
+    f = (r_func(dims) ** rng.randint(0, 3)).scale(rand_scalar(rng))
+    for _ in range(rng.randint(1, 2)):
+        a, b = rng.randint(1, dims.size), rng.randint(1, dims.size)
+        gen = rng.choice((CG.t, CG.tbar))(dims, a, b)
+        f = f + (rng.choice(rels) * gen).scale(rand_scalar(rng))
+    return f
+
+
+def rand_enveloping(dims, rng):
+    """A sum of up to three PBW words of length 0..3 with complex
+    coefficients."""
+    u = UEl.from_scalar(dims, 0)
+    for _ in range(rng.randint(1, 3)):
+        word = UEl.one(dims)
+        for _ in range(rng.randint(0, 3)):
+            word = word * UEl.letter(dims, rng.randint(1, dims.size),
+                                     rng.randint(1, dims.size))
+        u = u + word.scale(rand_scalar(rng))
+    return u
+
+
+@pytest.mark.parametrize("dims", ROUND_TRIP_DIMS,
+                         ids=["11", "21", "12", "22"])
+def test_printed_elements_parse_back_to_themselves(dims):
+    rng = random.Random(dims.m * 10 + dims.n)
+    ctx = ExprContext(dims)
+    for _ in range(50):
+        f = rand_function(dims, rng)
+        assert ctx.eval_cg(f.pretty()) == f, f.pretty()
+        u = rand_enveloping(dims, rng)
+        assert ctx.eval_u(u_pretty(u)) == u, u_pretty(u)
+
+
+# Grammar levels of a generated text: what it may stand under unbracketed.
+SUM, PRODUCT, POWER, ATOM = 1, 2, 3, 4
+
+
+def rand_literal(rng):
+    """(text, value) of a scalar literal: num/den with num in -9..9 and den
+    in 1..9, imaginary three times in ten."""
+    num, den = rng.randint(-9, 9), rng.randint(1, 9)
+    text = str(num) if den == 1 else f"{num}/{den}"
+    q = Fraction(num, den)
+    if rng.random() < 0.3:
+        return text + "i", Scalar(0, q)
+    return text, Scalar(q)
+
+
+def rand_atom(dims, side, rng):
+    """(text, value) of a generator of the given side."""
+    size = dims.size
+    if side == "u":
+        a, b = rng.randint(1, size), rng.randint(1, size)
+        return f"E[{a},{b}]", UEl.letter(dims, a, b)
+    profile = LeviProfile.projective(dims)
+    blocks = len(profile.refined())
+    name = rng.choice(("t", "tb", "z", "zb", "r", "C", "CP"))
+    a, b = rng.randint(1, size), rng.randint(1, size)
+    i, j = rng.randint(1, blocks), rng.randint(1, blocks)
+    return {
+        "t": lambda: (f"t[{a},{b}]", CG.t(dims, a, b)),
+        "tb": lambda: (f"tb[{a},{b}]", CG.tbar(dims, a, b)),
+        "z": lambda: (f"z[{a}]", z(dims, a)),
+        "zb": lambda: (f"zb[{a}]", zbar(dims, a)),
+        "r": lambda: ("r", r_func(dims)),
+        "C": lambda: (f"C[{i};{a},{b}]", c_block(profile, i, a, b)),
+        "CP": lambda: (f"CP[{i},{j}]", c_pair(profile, i, j)),
+    }[name]()
+
+
+def rand_text(dims, side, rng, depth):
+    """(text, level, value): a random expression of nesting depth at most
+    ``depth`` over add, sub, mul and pow 0..5, printed with the fewest
+    brackets the grammar needs plus some spare ones, and its value built
+    through the library."""
+    one = CG.one(dims) if side == "cg" else UEl.one(dims)
+    if depth <= 0 or rng.random() < 0.3:
         if rng.random() < 0.4:
-            num = rng.randint(-9, 9)
-            den = rng.randint(1, 9)
-            from fractions import Fraction
-            from superfn.scalar import Scalar
-            q = Fraction(num, den)
-            if rng.random() < 0.3:
-                return ("num", Scalar(0, q) if q else Scalar(0))
-            return ("num", Scalar(q))
-        name = rng.choice(list(GEN_ARITY))
-        args = tuple(rng.randint(1, 4) for _ in range(GEN_ARITY[name]))
-        return ("gen", name, args)
+            text, c = rand_literal(rng)
+            return text, ATOM, one.scale(c)
+        text, value = rand_atom(dims, side, rng)
+        return text, ATOM, value
+
+    def operand(need):
+        text, level, value = rand_text(dims, side, rng, depth - 1)
+        if level < need or rng.random() < 0.1:
+            text, level = f"({text})", ATOM
+        return text, value
+
     op = rng.choice(("add", "sub", "mul", "pow"))
     if op == "pow":
-        return ("pow", rand_ast(rng, depth - 1), rng.randint(0, 5))
-    return (op, rand_ast(rng, depth - 1), rand_ast(rng, depth - 1))
+        base, value = operand(ATOM)
+        # powers of sums stay small, and so do the values
+        e = rng.randint(0, 5 if len(value.terms) == 1 else 2)
+        out = one
+        for _ in range(e):
+            out = out * value
+        return f"{base}^{e}", POWER, out
+    if op == "mul":
+        (lt, lv), (rt, rv) = operand(PRODUCT), operand(POWER)
+        return f"{lt}*{rt}", PRODUCT, lv * rv
+    (lt, lv), (rt, rv) = operand(SUM), operand(PRODUCT)
+    if op == "add":
+        return f"{lt} + {rt}", SUM, lv + rv
+    return f"{lt} - {rt}", SUM, lv - rv
 
 
-def test_print_parse_round_trip():
-    rng = random.Random(99)
-    for _ in range(250):
-        ast = rand_ast(rng, rng.randint(1, 4))
-        text = print_expr(ast)
-        assert parse_expr(text) == ast, text
+@pytest.mark.parametrize("dims", [Dims(1, 1), Dims(2, 1)], ids=["11", "21"])
+def test_generated_texts_parse_to_their_library_values(dims, monkeypatch):
+    monkeypatch.setenv("SUPERFN_DEGREE_CAP", "40")  # for long E words
+    rng = random.Random(99 + dims.m)
+    ctx = ExprContext(dims)
+    for k in range(400):
+        side = "u" if k % 3 == 2 else "cg"
+        text, _, want = rand_text(dims, side, rng, rng.randint(1, 4))
+        got = ctx.eval_u(text) if side == "u" else ctx.eval_cg(text)
+        assert got == want, text
 
 
 # ------------------------------------------------------------- verbs

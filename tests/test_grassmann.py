@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superfn import grassmann
+from superfn import scalar as scalar_module
 from superfn.cg import CG, is_zero_mod_j, relations
 from superfn.grading import Dims
 from superfn.grassmann import (
@@ -598,6 +600,143 @@ def test_gauss_sampler_redraws_a_singular_block(monkeypatch):
     assert next(draws, None) is None
     assert p == GroupPoint.from_matrix(D12, gauss_matrix(D12, [[5]],
                                                          [[2, 3], [0, 1]]))
+
+
+def scalar_block_inverse(rows):
+    """The Scalar route to (d, x): invert over Q(i) by
+    ``_invert_scalar_matrix``, then clear the entries."""
+    k = len(rows)
+    inv = grassmann._invert_scalar_matrix([[Scalar(c) for c in row]
+                                           for row in rows])
+    d, nums = cleared({0: c} for row in inv for c in row)
+    flat = [re.get(0, 0) for re, _ in nums]
+    return d, [flat[i * k:(i + 1) * k] for i in range(k)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_integer_block_inverse_matches_the_scalar_route(k):
+    rng = random.Random(40 + k)
+    singular = 0
+    for trial in range(60):
+        # small entries make singular blocks common; wide ones are the
+        # sampler's own range
+        bound = 1 if trial % 2 else 2 ** 20
+        rows = [[rng.randint(-bound, bound) for _ in range(k)]
+                for _ in range(k)]
+        try:
+            want = scalar_block_inverse(rows)
+        except ValueError as exc:
+            singular += 1
+            with pytest.raises(ValueError, match=str(exc)):
+                grassmann._block_inverse(rows)
+            continue
+        d, x = grassmann._block_inverse(rows)
+        assert (d, x) == want
+        assert math.gcd(d, *(c for row in x for c in row)) == 1
+    assert singular >= (0 if k == 0 else 5)
+
+
+def lowest_terms_gauss_point(dims, a_block, d_block):
+    """The Gauss point assembled the slow way: T and d T^{-1} built block
+    by block over d = lcm(d_A, d_D), the t images twisted, the tbar images
+    transposed, and everything put over its least common denominator by a
+    gcd pass."""
+    m, n, size = dims.m, dims.n, dims.size
+    a, (da, xa) = a_block
+    d, (dd, xd) = d_block
+    den = math.lcm(da, dd)
+    ka, kd = den // da, den // dd
+
+    def beta(i, j):
+        return 1 << (i * n + j)
+
+    def gamma(i, j):
+        return 1 << (m * n + i * m + j)
+
+    def real(pairs):
+        return {mask: c for mask, c in pairs if c}, {}
+
+    mat, inv = [], []  # T and den * T^{-1}, row by row
+    for i in range(m):
+        mat += [real([(0, a[i][j])] + [(beta(k, l) | gamma(l, j), a[i][k])
+                                        for k in range(m) for l in range(n)])
+                for j in range(m)]
+        mat += [real((beta(k, j), a[i][k]) for k in range(m))
+                for j in range(n)]
+        inv += [real([(0, ka * xa[i][j])]) for j in range(m)]
+        inv += [real((beta(i, k), -kd * xd[k][j]) for k in range(n))
+                for j in range(n)]
+    for i in range(n):
+        mat += [real((gamma(k, j), d[i][k]) for k in range(n))
+                for j in range(m)]
+        mat += [real([(0, d[i][j])]) for j in range(n)]
+        inv += [real((gamma(i, k), -ka * xa[k][j]) for k in range(m))
+                for j in range(m)]
+        inv += [real([(0, kd * xd[i][j])]
+                     + [(gamma(i, k) | beta(k, l), -kd * xd[l][j])
+                        for k in range(m) for l in range(n)])
+                for j in range(n)]
+    keys = [(p, q) for p in dims.indices() for q in dims.indices()]
+    t_nums = [({k: -c for k, c in re.items()}, im)
+              if dims.par(p) and not dims.par(q) else (re, im)
+              for (p, q), (re, im) in zip(keys, mat)]
+    tb_nums = [inv[(q - 1) * size + p - 1] for p, q in keys]
+    parts = [(1, t_nums), (den, tb_nums)]
+    g = den
+    for part_den, nums in parts:
+        for re, im in nums:
+            g = math.gcd(g, *(c * (den // part_den) for c in re.values()))
+    out = {}
+    for tag, (part_den, nums) in zip(("t", "tb"), parts):
+        for (p, q), (re, im) in zip(keys, nums):
+            out[(tag, p, q)] = (
+                {k: c * (den // part_den) // g for k, c in re.items()}, im)
+    return den // g, out
+
+
+GAUSS_DIMS = [Dims(1, 0), Dims(0, 1), Dims(2, 0), Dims(0, 2), D11, D21, D12,
+              D22, D32]
+
+
+@pytest.mark.parametrize("dims", GAUSS_DIMS,
+                         ids=["10", "01", "20", "02", "11", "21", "12", "22",
+                              "32"])
+def test_gauss_point_images_are_written_at_lowest_terms(dims):
+    for seed in range(6):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(2):
+            p = random_gauss_point(dims, rng)
+            a_block = grassmann._random_block(dims.m, ref_rng)
+            den, num = lowest_terms_gauss_point(
+                dims, a_block, grassmann._random_block(dims.n, ref_rng))
+            assert (p.den, p.num, list(p.num)) == (den, num, list(num))
+            # the least common denominator, with no gcd pass
+            assert math.gcd(p.den, *(c for re, im in p.num.values()
+                                     for c in (*re.values(), *im.values()))
+                            ) == 1
+
+
+@pytest.mark.parametrize("dims", [D22, D32], ids=["22", "32"])
+def test_gauss_points_are_built_on_integers_only(dims, monkeypatch):
+    made = []
+    init, new = Scalar.__init__, scalar_module._new
+
+    def counting_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    def counting_new(cls):
+        made.append(cls)
+        return new(cls)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    monkeypatch.setattr(scalar_module, "_new", counting_new)
+    rng = random.Random(3)
+    points = [random_gauss_point(dims, rng) for _ in range(3)]
+    assert made == []
+    # the counters do see Scalars: reading a GEl image builds them
+    points[0].t_img
+    assert made
 
 
 @pytest.mark.parametrize("dims", [D11, D21, D12, D22],
