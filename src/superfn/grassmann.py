@@ -18,22 +18,27 @@ implements matrix inversion.
 All Grassmann arithmetic runs on integers.  One kernel, :func:`_mul_into`,
 multiplies Grassmann elements stored as mask -> int dicts; a Gaussian
 integer element is a (re, im) pair of them, and a real one has an empty im
-dict, and :func:`_zconj` conjugates one.  ``GEl.__mul__`` and ``GEl.conj``
-clear their operands, apply these, and divide once.  ``SMat.inverse`` sums
-its soul Neumann series on such elements and divides once per entry;
-``GroupPoint.from_matrix`` takes the integer sum as it is.  A
-:class:`GroupPoint` keeps its generator images over their least common
-denominator L, and every point operation works on them there:
-``convolve`` sums the twisted matrix product over the product of the two
-denominators and reduces it, while ``inverse_point``, ``theta_dual`` and
-``is_real`` precompose with the antipode and the star omega: at the same
-L, ``_precomposed`` moves and signs the images by the generator rules of
-:mod:`superfn.grading`, where every Hopf sign is written.  ``evaluate``
-clears the coefficients of f by their common denominator q, scales a
-monomial with j generator factors by L^(D - j), D the degree of f, and
-divides the integer sum once by q * L^D.  The result is exactly the
+dict, which costs no kernel pass: :func:`_zmul_sum` runs the kernel only on
+two nonempty parts.  The kernel's sign mask of each right-hand mask is
+computed once and kept in a module memo, emptied when it reaches
+``_SIGN_MASKS_CAP`` entries.  :func:`_zconj` conjugates an element.
+``GEl.__mul__`` and ``GEl.conj`` clear their operands, apply these, and
+divide once.  ``SMat.inverse`` sums its soul Neumann series on such
+elements and divides once per entry; ``GroupPoint.from_matrix`` takes the
+integer sum as it is.  A :class:`GroupPoint` keeps its generator images
+over their least common denominator L, and every point operation works on
+them there: ``convolve`` sums the twisted matrix product over the product
+of the two denominators and reduces it, while ``inverse_point``,
+``theta_dual`` and ``is_real`` precompose with the antipode and the star
+omega: at the same L, ``_precomposed`` moves and signs the images by the
+generator rules of :mod:`superfn.grading`, where every Hopf sign is
+written.  ``evaluate`` clears the coefficients of f by their common
+denominator q, adds the image of a monomial with j generator factors into
+the sum scaled by its cleared coefficient times L^(D - j), D the degree of
+f, and divides the integer sum once by q * L^D.  The result is exactly the
 rational value.  GEl images appear only at the public boundary: the
-``GroupPoint`` constructor and ``t_img``/``tb_img``.
+``GroupPoint`` constructor and ``t_img``/``tb_img``.  A GEl on n generators
+refuses a mask that names a generator above theta_n.
 
 The generic oracle's points come from :func:`random_gauss_point`, in the
 Gauss form
@@ -67,8 +72,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .grading import Dims, antipode_image, delta_sign, omega_image
-from .linalg import LinComb, SparseEchelon, cleared, divided
+from .linalg import LinComb, SparseEchelon, _add_scaled, cleared, divided
 from .scalar import Scalar, ZERO, ONE, I, sign_pow
+from .superpoly import Poly
+from .ugl import _remember
 
 _BODY_BOUND = 2 ** 20
 
@@ -81,6 +88,9 @@ class GEl(LinComb):
     def __init__(self, n: int, terms: Optional[dict] = None):
         self.n = n
         self.terms = terms if terms is not None else {}
+        if terms and max(terms) >> n:
+            raise ValueError(f"mask {max(terms)} names a generator above "
+                             f"theta{n}")
 
     def _like(self, terms: dict) -> "GEl":
         return GEl(self.n, terms)
@@ -163,13 +173,25 @@ def _odd_below(m: int) -> int:
     return out
 
 
+# _odd_below of each right-hand mask, computed once: the right operand of
+# a product is nearly always a generator image, whose few masks repeat.
+# The memo is emptied when it reaches its cap.
+_SIGN_MASKS_CAP = 4096
+_sign_masks: dict = {}
+
+
 def _mul_into(out: dict, x: dict, y: dict, sign: int = 1) -> None:
     """Add sign * x * y into out, on mask -> int Grassmann elements.
 
     The one integer Grassmann product; zero values may be left in out.
+    Each mask of y takes its sign mask from the memo.
     """
+    masks = _sign_masks
     for m2, c2 in y.items():
-        below = _odd_below(m2)
+        below = masks.get(m2)
+        if below is None:
+            below = _odd_below(m2)
+            _remember(masks, _SIGN_MASKS_CAP, m2, below)
         c2 *= sign
         for m1, c1 in x.items():
             if not m1 & m2:
@@ -184,14 +206,21 @@ def _zmul_sum(pairs) -> tuple:
     """Sum of x * y over pairs of Gaussian-integer Grassmann elements.
 
     An element is a (re, im) pair of mask -> int dicts; a real one has an
-    empty im dict, which costs nothing.
+    empty im dict.  The kernel runs only on two nonempty parts, so a
+    product of real elements costs one kernel pass.
     """
     re, im = {}, {}
     for (xr, xi), (yr, yi) in pairs:
-        _mul_into(re, xr, yr)
-        _mul_into(re, xi, yi, -1)
-        _mul_into(im, xr, yi)
-        _mul_into(im, xi, yr)
+        if xr:
+            if yr:
+                _mul_into(re, xr, yr)
+            if yi:
+                _mul_into(im, xr, yi)
+        if xi:
+            if yi:
+                _mul_into(re, xi, yi, -1)
+            if yr:
+                _mul_into(im, xi, yr)
     return (
         {m: c for m, c in re.items() if c},
         {m: c for m, c in im.items() if c},
@@ -641,28 +670,33 @@ class GroupPoint:
         or a bare Poly in t[a,b] and tb[a,b] with a, b in 1..m+n and
         parity [a]+[b].
 
-        f's coefficients are cleared by their common denominator q, and a
-        monomial with j generator factors is scaled by den^(D - j), D the
-        degree of f; the sum then runs on integers and is divided once, by
-        q * den^D.  Raises ValueError for a CG of other dims and for any
-        other symbol.
+        f's coefficients are cleared by their common denominator q, and the
+        image of a monomial with j generator factors is added into the sum
+        scaled by its cleared coefficient times den^(D - j), D the degree
+        of f.  The sum runs on integers and is divided once, by q * den^D.
+        Raises ValueError for anything but a Poly, for a CG of other dims
+        and for any other symbol.
         """
+        if not isinstance(f, Poly):
+            raise ValueError(f"cannot evaluate a {type(f).__name__}: not a "
+                             f"function-algebra element")
         if f._shape() not in ((), self.dims):  # a bare Poly has shape ()
             raise ValueError("mismatched gl(m|n) dimensions")
         if not f.terms:
             return GEl(self.n)
         top = f.degree()
         q, coeffs = cleared({0: c} for c in f.terms.values())
-
-        def scaled_terms():
-            for (cre, cim), mono in zip(coeffs, f.terms):
-                prod, j = self._monomial(mono)
-                k = self.den ** (top - j)
-                yield ({0: c * k for c in cre.values()},
-                       {0: c * k for c in cim.values()}), prod
-
-        return GEl(self.n, divided(_zmul_sum(scaled_terms()),
-                                   q * self.den ** top))
+        re, im = {}, {}
+        for (cre, cim), mono in zip(coeffs, f.terms):
+            (pre, pim), j = self._monomial(mono)
+            k = self.den ** (top - j)
+            a, b = cre.get(0, 0) * k, cim.get(0, 0) * k
+            # (a + b i)(pre + pim i), added term by term
+            _add_scaled(re, a, pre)
+            _add_scaled(re, -b, pim)
+            _add_scaled(im, a, pim)
+            _add_scaled(im, b, pre)
+        return GEl(self.n, divided((re, im), q * self.den ** top))
 
     def _monomial(self, mono) -> tuple:
         """(den^j times the image of mono, its degree j)."""

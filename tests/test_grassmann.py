@@ -21,7 +21,7 @@ from superfn.grassmann import (
     verify_group,
 )
 from superfn.linalg import add_term, cleared
-from superfn.scalar import Scalar, I, sign_pow
+from superfn.scalar import Scalar, I, ONE, sign_pow
 from superfn.spherical import (
     laplacian_apply,
     r_func,
@@ -29,6 +29,7 @@ from superfn.spherical import (
     theta_eigenvalue,
 )
 from superfn.superpoly import Poly, symbol
+from superfn.ugl import UEl
 
 D11 = Dims(1, 1)
 D21 = Dims(2, 1)
@@ -75,6 +76,18 @@ def test_negative_power_raises():
     for k in (-1, -3):
         with pytest.raises(ValueError, match="negative power"):
             x ** k
+
+
+def test_gel_refuses_a_mask_above_its_generators():
+    """A mask naming theta3 or above has no place on two generators; the
+    product would otherwise carry it and print only its low generators."""
+    for mask in (4, 8, 9, 1 << 40):
+        with pytest.raises(ValueError, match="above theta2"):
+            GEl(2, {mask: ONE})
+    with pytest.raises(ValueError, match="above theta0"):
+        GEl(0, {1: ONE})
+    assert GEl(2, {3: ONE}) == th(2, 1, 2)
+    assert GEl(0, {0: ONE}) == GEl.scalar(0, 1) and GEl(2, {}).is_zero()
 
 
 def test_conj_is_antilinear_reversal():
@@ -324,9 +337,9 @@ def test_verify_group_rejects_counts_with_no_pair_or_triple(count):
 # ------------------------------------------- one exact integer evaluator
 
 
-def reference_evaluate(n, t_img, tb_img, f):
+def reference_evaluate(n, t_img, tb_img, f, mul=GEl.__mul__):
     """f at the point with the given images, as a loop of Fraction GEl
-    products: the reference for the integer evaluator."""
+    products ``mul``: the reference for the integer evaluator."""
     poly = getattr(f, "poly", f)
     out = GEl(n)
     for mono, c in poly.terms.items():
@@ -334,7 +347,7 @@ def reference_evaluate(n, t_img, tb_img, f):
         for s, e in mono:
             img = (t_img if s[0] == "t" else tb_img)[(s[1], s[2])]
             for _ in range(e):
-                prod = prod * img
+                prod = mul(prod, img)
         out = out + prod
     return out
 
@@ -411,6 +424,32 @@ def test_evaluate_matches_reference_on_complex_points():
         assert any(im for re, im in u1_point.num.values())
 
 
+@pytest.mark.parametrize("dims", [D11, D21, D22], ids=["11", "21", "22"])
+def test_evaluate_matches_reference_on_complex_points_with_souls(dims):
+    """u1 T, T a random real even supermatrix: images whose real and
+    imaginary parts both carry odd generators, so every cross term of a
+    complex product counts.  The reference images are u1 T and the
+    transpose of conj(u1) T^{-1} (|u1| = 1), scaled from the real point,
+    whose inverse meets no imaginary part, and multiplied by the Scalar
+    loop ref_mul."""
+    rng = random.Random(25)
+    u1 = Scalar(Fraction(3, 5), Fraction(4, 5))
+    mat = random_even_invertible(dims, rng)
+    n = mat.n
+    u1_diag = SMat(dims, n, [[GEl.scalar(n, u1 if a == b else 0)
+                              for b in dims.indices()]
+                             for a in dims.indices()])
+    p = GroupPoint.from_matrix(dims, u1_diag @ mat)
+    assert any(any(im) and any(re) for re, im in p.num.values())
+    real_t, real_tb = matrix_images(dims, mat)
+    t_img = {k: img.scale(u1) for k, img in real_t.items()}
+    tb_img = {k: img.scale(u1.conj()) for k, img in real_tb.items()}
+    assert p.t_img == t_img and p.tb_img == tb_img
+    for f in [rand_poly(dims, rng) for _ in range(3)]:
+        assert p.evaluate(f) == reference_evaluate(n, t_img, tb_img, f,
+                                                   mul=ref_mul)
+
+
 def test_evaluate_matches_reference_at_identity_point():
     rng = random.Random(24)
     for dims in (D11, D21):
@@ -449,6 +488,15 @@ def test_evaluate_refuses_a_symbol_of_the_wrong_parity():
             p.evaluate(f)
     assert not p.evaluate(Poly.from_symbol(symbol("t", 2, 2, 0)) ** 2) \
         .is_zero()
+
+
+def test_evaluate_refuses_what_is_not_a_poly():
+    """A UEl of the point's own dims has the dims as its shape; it is
+    refused as it is, not read as a polynomial."""
+    p = random_gauss_point(D11, random.Random(0))
+    for f in (UEl.letter(D11, 1, 1), UEl.one(D11), GEl.gen(2, 1), 3):
+        with pytest.raises(ValueError, match="cannot evaluate a"):
+            p.evaluate(f)
 
 
 def laplacian_defect(dims, k):
@@ -877,6 +925,75 @@ def test_gel_products_and_conjugates_match_scalar_reference(x, y):
     assert x * y == ref_mul(x, y)
     assert x.conj() == ref_conj(x)
     assert (x * y).conj() == y.conj() * x.conj()
+
+
+real_coefficients = st.one_of(
+    st.integers(-9, 9).map(Scalar),
+    st.builds(lambda a, d: Scalar(Fraction(2 * a + 1, 2 * d)),
+              st.integers(-30, 30), st.integers(1, 12)),
+)
+real_gels = st.dictionaries(st.integers(0, 31), real_coefficients,
+                            max_size=12).map(
+    lambda terms: GEl(5, {m: c for m, c in terms.items() if c}))
+complex_gels = st.dictionaries(
+    st.integers(0, 31),
+    st.builds(fractional_complex, st.integers(-30, 30), st.integers(1, 12),
+              st.integers(-30, 30), st.integers(1, 12)),
+    min_size=1, max_size=12).map(lambda terms: GEl(5, terms))
+
+
+@given(real_gels, complex_gels)
+@settings(max_examples=150, deadline=None)
+def test_real_times_complex_products_match_scalar_reference(x, z):
+    """Both orders of a real and a complex operand: each runs the kernel
+    on the real part against the real and the imaginary part."""
+    assert x * z == ref_mul(x, z)
+    assert z * x == ref_mul(z, x)
+
+
+def test_evaluation_runs_the_kernel_only_on_nonempty_operands(monkeypatch):
+    """Work counts of the (2,2) Laplacian defects k=1..4 at the first three
+    seed-0 Gauss points: no kernel call meets an empty operand, and each
+    sign mask is computed once while the memo lasts."""
+    kernel, odd_below = grassmann._mul_into, grassmann._odd_below
+    empty, masks = [], []
+
+    def counting_kernel(out, x, y, sign=1):
+        if not x or not y:
+            empty.append((x, y))
+        kernel(out, x, y, sign)
+
+    def counting_odd_below(m):
+        masks.append(m)
+        return odd_below(m)
+
+    monkeypatch.setattr(grassmann, "_sign_masks", {})
+    monkeypatch.setattr(grassmann, "_mul_into", counting_kernel)
+    monkeypatch.setattr(grassmann, "_odd_below", counting_odd_below)
+    rng = random.Random(0)
+    points = [random_gauss_point(D22, rng) for _ in range(3)]
+    for k in range(1, 5):
+        f = laplacian_defect(D22, k)
+        for p in points:
+            assert p.evaluate(f).is_zero()
+            assert not p.evaluate(f + r_func(D22) ** k).is_zero()
+    assert masks and not empty
+    assert len(grassmann._sign_masks) < grassmann._SIGN_MASKS_CAP
+    assert len(masks) == len(set(masks)) == len(grassmann._sign_masks)
+
+
+def test_sign_mask_memo_stays_under_its_cap(monkeypatch):
+    """More distinct right-hand masks than the cap: the memo is emptied
+    as it fills, and every product stays exact."""
+    monkeypatch.setattr(grassmann, "_sign_masks", {})
+    cap = grassmann._SIGN_MASKS_CAP
+    n = (cap + 100).bit_length()
+    x = GEl(n, {0: Scalar(2), 1: Scalar(0, 3), 1 << (n - 1): ONE})
+    y = GEl(n, {m: Scalar(m % 7 - 3 or 1) for m in range(cap + 100)})
+    for a, b in ((x, y), (y, x), (x, y)):
+        assert a * b == ref_mul(a, b)
+        assert len(grassmann._sign_masks) <= cap
+    assert grassmann._sign_masks  # filled again after it was emptied
 
 
 @pytest.mark.parametrize("dims", [D11, D21, D12, D22],
