@@ -426,16 +426,9 @@ def _cmd_eval(args, ctx: ExprContext) -> int:
     if side is None:
         value = CG.from_scalar(ctx.dims, value)
         side = "cg"
-    if side == "cg":
-        pretty = value.pretty()
-        par = value.parity()
-        deg = value.degree()
-    else:
-        pretty = u_pretty(value)
-        par = value.parity()
-        deg = value.degree()
+    pretty = value.pretty() if side == "cg" else u_pretty(value)
     payload = {"verb": "eval", "side": side, "pretty": pretty,
-               "degree": deg, "parity": par}
+               "degree": value.degree(), "parity": value.parity()}
     return _emit_value(payload, pretty, args.json)
 
 
@@ -495,12 +488,10 @@ def _cmd_laplacian(args, ctx: ExprContext) -> int:
     if k < 0:
         raise CliError("--k must be nonnegative")
     r = r_func(dims)
-    rk = r ** k if k else CG.one(dims)
+    rk = r ** k
     image = laplacian_apply(rk)
-    rk1 = r ** (k - 1) if k >= 2 else \
-        (CG.one(dims) if k == 1 else CG.zero(dims))
     predicted = rk.scale(Scalar(k * (dims.m - dims.n - k + 1))) \
-        + rk1.scale(Scalar(k * k))
+        + (r ** max(k - 1, 0)).scale(Scalar(k * k))
     v = is_zero_mod_j(image - predicted, mode=args.mode, trials=args.trials,
                       seed=args.seed)
     case = _oracle_case(f"radial Laplacian power identity at k={k}", [v],

@@ -23,22 +23,26 @@ two nonempty parts.  The kernel's sign mask of each right-hand mask is
 computed once and kept in a module memo, emptied when it reaches
 ``_SIGN_MASKS_CAP`` entries.  :func:`_zconj` conjugates an element.
 ``GEl.__mul__`` and ``GEl.conj`` clear their operands, apply these, and
-divide once.  ``SMat.inverse`` sums its soul Neumann series on such
-elements and divides once per entry; ``GroupPoint.from_matrix`` takes the
-integer sum as it is.  A :class:`GroupPoint` keeps its generator images
-over their least common denominator L, and every point operation works on
-them there: ``convolve`` sums the twisted matrix product over the product
-of the two denominators and reduces it, while ``inverse_point``,
-``theta_dual`` and ``is_real`` precompose with the antipode and the star
-omega: at the same L, ``_precomposed`` moves and signs the images by the
-generator rules of :mod:`superfn.grading`, where every Hopf sign is
-written.  ``evaluate`` clears the coefficients of f by their common
-denominator q, adds the image of a monomial with j generator factors into
-the sum scaled by its cleared coefficient times L^(D - j), D the degree of
-f, and divides the integer sum once by q * L^D.  The result is exactly the
-rational value.  GEl images appear only at the public boundary: the
-``GroupPoint`` constructor and ``t_img``/``tb_img``.  A GEl on n generators
-refuses a mask that names a generator above theta_n.
+divide once.  Every body inverse, of a Gauss block or of a supermatrix,
+comes from one routine, :func:`_block_inverse`: the integer
+back-substitution of SparseEchelon on Gaussian-integer rows, at lowest
+terms.  ``SMat.inverse`` clears its body once, inverts it there, sums the
+soul Neumann series on such elements and divides once per entry;
+``GroupPoint.from_matrix`` takes the integer sum as it is.  A
+:class:`GroupPoint` keeps its generator images over their least common
+denominator L, and every point operation works on them there: ``convolve``
+sums the twisted matrix product over the product of the two denominators
+and reduces it, while ``inverse_point``, ``theta_dual`` and ``is_real``
+precompose with the antipode and the star omega: at the same L,
+``_precomposed`` moves and signs the images by the generator rules of
+:mod:`superfn.grading`, where every Hopf sign is written.  ``evaluate``
+clears the coefficients of f by their common denominator q, adds the image
+of a monomial with j generator factors into the sum scaled by its cleared
+coefficient times L^(D - j), D the degree of f, and divides the integer sum
+once by q * L^D.  The result is exactly the rational value.  GEl images
+appear only at the public boundary: the ``GroupPoint`` constructor and
+``t_img``/``tb_img``.  A GEl on n generators refuses a mask that names a
+generator above theta_n.
 
 The generic oracle's points come from :func:`random_gauss_point`, in the
 Gauss form
@@ -54,10 +58,9 @@ the entries of beta (m x n) and gamma (n x m).  Its inverse is closed form,
 
 so no image has Grassmann degree above 2 and only det A and det D enter
 the denominators: no Neumann series.  Such a point is built on integers
-alone: each block is inverted by :func:`_block_inverse` from the integer
-back-substitution of SparseEchelon, at lowest terms, and the images are
-written over the lcm of the two block denominators, which is already
-their least common denominator.  The body of every T in GL(m|n) is
+alone: each block's rows go to :func:`_block_inverse` as drawn, and the
+images are written over the lcm of the two block denominators, which is
+already their least common denominator.  The body of every T in GL(m|n) is
 block diagonal and invertible, so (A, D, beta, gamma) -> T is an
 isomorphism GL_m x GL_n x A^{0|2mn} -> GL(m|n), and these points are as
 generic as arbitrary even supermatrices (Berezin, *Introduction to
@@ -300,13 +303,12 @@ class SMat:
     def __matmul__(self, other: "SMat") -> "SMat":
         if self.dims != other.dims or self.n != other.n:
             raise ValueError("mismatched supermatrices")
-        size = self.dims.size
         (dx, x), (dy, y) = self._cleared(), other._cleared()
+        cols = list(zip(*_split(y, self.dims.size)))
         return SMat(self.dims, self.n, [
-            [GEl(self.n, divided(_zmul_sum(zip(x[i * size:(i + 1) * size],
-                                               y[j::size])), dx * dy))
-             for j in range(size)]
-            for i in range(size)
+            [GEl(self.n, divided(_zmul_sum(zip(row, col)), dx * dy))
+             for col in cols]
+            for row in _split(x, self.dims.size)
         ])
 
     def __eq__(self, other) -> bool:
@@ -326,63 +328,57 @@ class SMat:
         ValueError when the body is singular.
         """
         den, acc = self._inverse_cleared()
-        rows = []
-        for i in range(len(acc)):  # free each integer row as it is divided
-            row, acc[i] = acc[i], None
-            rows.append([GEl(self.n, divided(a, den)) for a in row])
-        return SMat(self.dims, self.n, rows)
+        for i, a in enumerate(acc):  # each integer entry freed once divided
+            acc[i] = GEl(self.n, divided(a, den))
+        return SMat(self.dims, self.n, _split(acc, self.dims.size))
 
     def _cleared(self) -> tuple:
         """(L, nums) with the entries, row by row, equal to nums / L."""
         return cleared(e.terms for row in self.rows for e in row)
 
     def _inverse_cleared(self) -> tuple:
-        """(L, rows) with T^{-1} = rows / L, rows Gaussian-integer elements.
+        """(L, nums) with T^{-1} = nums / L, nums its Gaussian-integer
+        entries row by row, as :meth:`_cleared` gives those of T.
 
-        The body B is inverted in SparseEchelon; the soul S = T - B enters
-        the Neumann series T^{-1} = sum_j B^{-1} (-S B^{-1})^j.  With
-        X = d B^{-1} and S' = e S integral, the j-th term is the one before
-        times -S'X / (e d).  Each term is put in its own lowest terms as it
-        is produced, and the terms are summed once over the lcm L of their
-        denominators.
+        The body is cleared once, B = N / b, and N is inverted on integers
+        by :func:`_block_inverse`, N^{-1} = (x + i y) / d, so that
+        B^{-1} = b (x + i y) / d, put at lowest terms X / d'.  The soul
+        S = T - B enters the Neumann series
+        T^{-1} = sum_j B^{-1} (-S B^{-1})^j.  With S' = e S integral, the
+        j-th term is the one before times -S'X / (e d').  Each term is put
+        in its own lowest terms as it is produced, and the terms are summed
+        once over the lcm L of their denominators.
         """
         size = self.dims.size
-        d, x = cleared(
-            {0: c}
-            for row in _invert_scalar_matrix(self.body_matrix())
-            for c in row
-        )
-        e, neg_soul = cleared(
-            {m: -c for m, c in entry.terms.items() if m}
-            for row in self.rows
-            for entry in row
-        )
-        x_rows = [x[i * size:(i + 1) * size] for i in range(size)]
-        neg_sx = [
-            _zvecmat(neg_soul[i * size:(i + 1) * size], x_rows)
-            for i in range(size)
-        ]
-        terms = [(d, x)]  # cleared over d, so already in lowest terms
+        b, body = cleared(dict(enumerate(row)) for row in self.body_matrix())
+        d, x, y = _block_inverse(
+            [[re.get(j, 0) for j in range(size)] for re, _ in body],
+            [[im.get(j, 0) for j in range(size)] for _, im in body])
+        d, x = _lowest_terms([(d, [  # B^{-1} = b (x + i y) / d
+            ({0: b * xr} if xr else {}, {0: b * yr} if yr else {})
+            for x_row, y_row in zip(x, y) for xr, yr in zip(x_row, y_row)])])
+        e, neg_soul = cleared({m: -c for m, c in entry.terms.items() if m}
+                              for row in self.rows for entry in row)
+        x_rows = _split(x, size)
+        neg_sx = [_zvecmat(row, x_rows) for row in _split(neg_soul, size)]
+        terms = [(d, x)]
         for _ in range(self.n):
             den, cur = terms[-1]
-            cur = [y for i in range(size)
-                   for y in _zvecmat(cur[i * size:(i + 1) * size], neg_sx)]
+            cur = [z for row in _split(cur, size)
+                   for z in _zvecmat(row, neg_sx)]
             if not any(re or im for re, im in cur):
                 break
             terms.append(_lowest_terms([(den * e * d, cur)]))
         den = math.lcm(*(t for t, _ in terms))
         return den, [
-            [_zmul_sum((({0: den // t}, {}), nums[i * size + j])
-                       for t, nums in terms)
-             for j in range(size)]
-            for i in range(size)
+            _zmul_sum((({0: den // t}, {}), nums[i]) for t, nums in terms)
+            for i in range(size * size)
         ]
 
 
-def _flat(part: tuple) -> tuple:
-    """A cleared (den, rows) part with its rows joined, row by row."""
-    den, rows = part
-    return den, [x for row in rows for x in row]
+def _split(flat: list, size: int) -> list:
+    """The rows of a size x size matrix whose entries are listed row by row."""
+    return [flat[i:i + size] for i in range(0, len(flat), size)]
 
 
 def _zneg(num: tuple) -> tuple:
@@ -403,22 +399,6 @@ def _zconj(num: tuple) -> tuple:
 def _zvecmat(row: list, mat: list) -> list:
     """row * mat, on Gaussian-integer Grassmann elements."""
     return [_zmul_sum(zip(row, col)) for col in zip(*mat)]
-
-
-def _invert_scalar_matrix(mat: list) -> list:
-    """Inverse of a square Scalar matrix: reduce [A | I] to [I | A^{-1}]."""
-    size = len(mat)
-    ech = SparseEchelon()
-    for i, row in enumerate(mat):
-        aug = {j: c for j, c in enumerate(row) if c}
-        aug[size + i] = ONE
-        ech.insert(aug)
-    if any(p not in ech.rows for p in range(size)):
-        raise ValueError("singular body matrix")
-    rows = ech.reduced()
-    return [
-        [rows[i].get(size + j, ZERO) for j in range(size)] for i in range(size)
-    ]
 
 
 def random_even_invertible(dims: Dims, rng: random.Random) -> SMat:
@@ -456,26 +436,34 @@ def random_even_invertible(dims: Dims, rng: random.Random) -> SMat:
             return mat
 
 
-def _block_inverse(rows: list) -> tuple:
-    """(d, x) with rows^{-1} = x / d at lowest terms, for a square integer
-    matrix, on integers throughout: [A | I] goes into SparseEchelon and
-    row i of its integer back-substitution is (P_i e_i | P_i (A^{-1})_i),
-    primitive, so P_i is the least denominator of that row and d is the
-    lcm of the P_i.  Raises ValueError when the matrix is singular.
+def _block_inverse(real: list, imag: list = ()) -> tuple:
+    """(d, x, y) with the inverse of the square Gaussian-integer matrix
+    N = real + i imag equal to (x + i y) / d at lowest terms, on integers
+    throughout: the one body inverse of the package.  real, imag, x and y
+    are dense rows of ints; an empty imag is a real N, and then y is empty
+    too.  [N | I] goes into SparseEchelon, and row i of its integer
+    back-substitution is (P_i e_i | P_i (N^{-1})_i), primitive over its
+    real and imaginary parts with a positive integer P_i, so P_i is the
+    least denominator of that row and d is the lcm of the P_i.  Raises
+    ValueError when N is singular.
     """
-    k = len(rows)
+    k = len(real)
     ech = SparseEchelon()
-    for i, row in enumerate(rows):
+    for i, row in enumerate(real):
         aug = {j: c for j, c in enumerate(row) if c}
         aug[k + i] = 1
-        ech._insert_cleared((aug, {}))
+        ech._insert_cleared(
+            (aug, {j: c for j, c in enumerate(imag[i]) if c} if imag else {}))
     if any(p not in ech.rows for p in range(k)):
         raise ValueError("singular body matrix")
     done = ech._reduced_cleared()
-    reals = [done[i][0] for i in range(k)]  # the im parts are empty
-    d = math.lcm(*(re[i] for i, re in enumerate(reals)))
-    return d, [[re.get(k + j, 0) * (d // re[i]) for j in range(k)]
-               for i, re in enumerate(reals)]
+    rows = [done[i] for i in range(k)]
+    d = math.lcm(*(re[i] for i, (re, _) in enumerate(rows)))
+    x = [[re.get(k + j, 0) * (d // re[i]) for j in range(k)]
+         for i, (re, _) in enumerate(rows)]
+    y = [[im.get(k + j, 0) * (d // re[i]) for j in range(k)]
+         for i, (re, im) in enumerate(rows)] if imag else ()
+    return d, x, y
 
 
 def _random_block(k: int, rng: random.Random) -> tuple:
@@ -485,7 +473,8 @@ def _random_block(k: int, rng: random.Random) -> tuple:
         rows = [[rng.randint(-_BODY_BOUND, _BODY_BOUND) for _ in range(k)]
                 for _ in range(k)]
         try:
-            return rows, _block_inverse(rows)
+            d, x, _ = _block_inverse(rows)
+            return rows, (d, x)
         except ValueError:
             pass
 
@@ -614,7 +603,7 @@ class GroupPoint:
         if mat.dims != dims:
             raise ValueError("mismatched gl(m|n) dimensions")
         point = GroupPoint._from_cleared(
-            dims, mat.n, mat._cleared(), _flat(mat._inverse_cleared())
+            dims, mat.n, mat._cleared(), mat._inverse_cleared()
         )
         if validate:
             point.validate()
@@ -865,14 +854,10 @@ def verify_group(dims: Dims, count: int = 20, seed: int = 0) -> dict:
             ok = False
     cases.append(_case("convolution is associative", ok))
 
-    ok = True
-    for mat, p in zip(mats, points):
-        # the point of T^{-1}, whose own inverse is the known T
-        q = GroupPoint._from_cleared(
-            dims, mat.n, _flat(mat._inverse_cleared()), mat._cleared()
-        )
-        if p.inverse_point() != q:
-            ok = False
+    # the point of T^{-1}, whose own inverse is the known T
+    ok = all(p.inverse_point() == GroupPoint._from_cleared(
+        dims, mat.n, mat._inverse_cleared(), mat._cleared())
+        for mat, p in zip(mats, points))
     cases.append(
         _case("antipode precomposition inverts the point", ok)
     )

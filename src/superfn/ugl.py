@@ -277,6 +277,7 @@ class TVec(LinComb):
     def basis(dims: Dims, factors, idx) -> "TVec":
         idx = tuple(idx)
         factors = tuple(factors)
+        _check_kinds(factors)
         if len(idx) != len(factors):
             raise ValueError("index length must match factor count")
         for a in idx:
@@ -309,6 +310,13 @@ class TVec(LinComb):
 
     def __repr__(self):
         return f"TVec({self.factors}, {self.terms})"
+
+
+def _check_kinds(kinds: tuple) -> None:
+    """Refuse a factor kind other than "v" (V) and "vb" (V*)."""
+    for kind in kinds:
+        if kind != "v" and kind != "vb":
+            raise ValueError(f"factor kind {kind!r} is neither 'v' nor 'vb'")
 
 
 def letter_column(dims: Dims, factors: tuple, letter: Letter, idx) -> tuple:
@@ -387,6 +395,7 @@ def letter_table(dims: Dims, kinds: tuple, letter: Letter) -> _LetterTable:
     key = (dims.m, dims.n, kinds, letter)
     table = _letter_tables.get(key)
     if table is None:
+        _check_kinds(kinds)
         table = _LetterTable(dims, kinds, letter)
         _remember(_letter_tables, _LETTER_TABLES_CAP, key, table)
     return table

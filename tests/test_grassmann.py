@@ -20,8 +20,8 @@ from superfn.grassmann import (
     real_sample_points,
     verify_group,
 )
-from superfn.linalg import add_term, cleared
-from superfn.scalar import Scalar, I, ONE, sign_pow
+from superfn.linalg import SparseEchelon, add_term, cleared
+from superfn.scalar import Scalar, I, ONE, ZERO, sign_pow
 from superfn.spherical import (
     laplacian_apply,
     r_func,
@@ -650,38 +650,73 @@ def test_gauss_sampler_redraws_a_singular_block(monkeypatch):
                                                          [[2, 3], [0, 1]]))
 
 
-def scalar_block_inverse(rows):
-    """The Scalar route to (d, x): invert over Q(i) by
-    ``_invert_scalar_matrix``, then clear the entries."""
-    k = len(rows)
-    inv = grassmann._invert_scalar_matrix([[Scalar(c) for c in row]
-                                           for row in rows])
-    d, nums = cleared({0: c} for row in inv for c in row)
-    flat = [re.get(0, 0) for re, _ in nums]
-    return d, [flat[i * k:(i + 1) * k] for i in range(k)]
+def scalar_block_inverse(re, im):
+    """The Scalar route to (d, x, y): invert re + i im over Q(i), reducing
+    [A | I] to [I | A^{-1}] by ``SparseEchelon.insert`` and ``reduced``,
+    then clear the entries."""
+    k = len(re)
+    ech = SparseEchelon()
+    for i in range(k):
+        aug = {j: Scalar(re[i][j], im[i][j] if im else 0) for j in range(k)}
+        aug = {j: c for j, c in aug.items() if c}
+        aug[k + i] = ONE
+        ech.insert(aug)
+    if any(p not in ech.rows for p in range(k)):
+        raise ValueError("singular body matrix")
+    red = ech.reduced()
+    d, nums = cleared({0: red[i].get(k + j, ZERO)}
+                      for i in range(k) for j in range(k))
+    x = [[nums[i * k + j][0].get(0, 0) for j in range(k)] for i in range(k)]
+    y = [[nums[i * k + j][1].get(0, 0) for j in range(k)] for i in range(k)]
+    return d, x, y
+
+
+def gaussian_block(rng, k, bound, rational):
+    """Dense (re, im) rows of a random k x k Q(i) matrix cleared of its
+    denominators: parts from {-bound..bound}, over denominators 1..7 when
+    rational.  One draw in four makes the last row a multiple of the first
+    (zero when k = 1), so singular matrices are common."""
+    def part():
+        return Fraction(rng.randint(-bound, bound),
+                        rng.randint(1, 7) if rational else 1)
+
+    mat = [[Scalar(part(), part()) for _ in range(k)] for _ in range(k)]
+    if k and rng.random() < 0.25:
+        c = Scalar(rng.randint(-3, 3), rng.randint(-3, 3)) if k > 1 else ZERO
+        mat[-1] = [c * x for x in mat[0]]
+    _, rows = cleared(dict(enumerate(row)) for row in mat)
+    return ([[re.get(j, 0) for j in range(k)] for re, _ in rows],
+            [[im.get(j, 0) for j in range(k)] for _, im in rows])
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_integer_block_inverse_matches_the_scalar_route(k):
-    rng = random.Random(40 + k)
-    singular = 0
-    for trial in range(60):
-        # small entries make singular blocks common; wide ones are the
-        # sampler's own range
-        bound = 1 if trial % 2 else 2 ** 20
-        rows = [[rng.randint(-bound, bound) for _ in range(k)]
-                for _ in range(k)]
-        try:
-            want = scalar_block_inverse(rows)
-        except ValueError as exc:
-            singular += 1
-            with pytest.raises(ValueError, match=str(exc)):
-                grassmann._block_inverse(rows)
-            continue
-        d, x = grassmann._block_inverse(rows)
-        assert (d, x) == want
-        assert math.gcd(d, *(c for row in x for c in row)) == 1
-    assert singular >= (0 if k == 0 else 5)
+    for field in ("integer", "gaussian", "gaussian-rational"):
+        rng = random.Random(40 + k if field == "integer" else 50 + k)
+        singular = 0
+        for trial in range(60):
+            # small entries make singular blocks common; wide ones are the
+            # sampler's own range
+            bound = 1 if trial % 2 else 2 ** 20
+            if field == "integer":
+                re = [[rng.randint(-bound, bound) for _ in range(k)]
+                      for _ in range(k)]
+                im = ()
+            else:
+                re, im = gaussian_block(rng, k, bound,
+                                        field == "gaussian-rational")
+            try:
+                want = scalar_block_inverse(re, im)
+            except ValueError as exc:
+                singular += 1
+                with pytest.raises(ValueError, match=str(exc)):
+                    grassmann._block_inverse(re, im)
+                continue
+            d, x, y = grassmann._block_inverse(re, im)
+            assert (d, x) == want[:2]
+            assert y == (want[2] if im else ())
+            assert math.gcd(d, *(c for row in [*x, *y] for c in row)) == 1
+        assert singular >= (0 if k == 0 else 5), field
 
 
 def lowest_terms_gauss_point(dims, a_block, d_block):
@@ -816,13 +851,13 @@ def test_laplacian_defect_plus_r_power_is_nonzero(dims, k):
 
 def test_verify_group_inverts_each_matrix_once_for_the_antipode(monkeypatch):
     calls = []
-    invert = grassmann._invert_scalar_matrix
+    invert = grassmann._block_inverse
 
-    def counting(mat):
-        calls.append(len(mat))
-        return invert(mat)
+    def counting(real, imag=()):
+        calls.append(len(real))
+        return invert(real, imag)
 
-    monkeypatch.setattr(grassmann, "_invert_scalar_matrix", counting)
+    monkeypatch.setattr(grassmann, "_block_inverse", counting)
     rep = verify_group(D11, count=20, seed=0)
     assert rep["passed"], rep
     # 20 points, 10 products, 20 antipode points (one series each, T^{-1}'s

@@ -1,9 +1,13 @@
 """No module of the package, the tests or the benchmark imports a name it
-never uses.
+never uses, and no private function or class of the package is left
+unreferenced by the package itself.
 
 A name counts as used when it occurs as a bare name anywhere in the module
 (an attribute chain ``a.b`` uses ``a``).  ``from __future__`` imports and
-the package ``__init__.py``, whose imports are re-exports, are exempt.
+the package ``__init__.py``, whose imports are re-exports, are exempt.  A
+private name counts as referenced when it occurs as a bare name or as an
+attribute (``grassmann._block_inverse``, ``self._cleared``) in any module
+of the package, so code that only the tests reach lives in the tests.
 """
 
 import ast
@@ -45,3 +49,37 @@ def test_the_scan_sees_an_unused_import():
               "import os.path\nfrom json import dumps, loads as ld\n"
               "print(os.sep, ld)\n")
     assert unused_imports(source) == [(3, "dumps")]
+
+
+def unreferenced_privates(sources: dict) -> list:
+    """(module, name) of every module-level private function or class in
+    sources, a module name -> source map, that no module references."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [(module, name) for module, name in defined if name not in used]
+
+
+def test_every_private_function_and_class_is_used_by_the_package():
+    paths = sorted((ROOT / "src" / "superfn").glob("*.py"))
+    assert len(paths) > 10
+    sources = {path.stem: path.read_text() for path in paths}
+    assert unreferenced_privates(sources) == []
+
+
+def test_the_scan_sees_an_unreferenced_private():
+    sources = {
+        "a": ("def _used():\n    pass\n\n\ndef _dead():\n    pass\n\n\n"
+              "class _Dead:\n    def _method(self):\n        pass\n\n\n"
+              "def public():\n    return _used\n"),
+        "b": "import a\n\n\ndef _via_attr():\n    pass\n\n\nx = a._via_attr\n",
+    }
+    assert unreferenced_privates(sources) == [("a", "_dead"), ("a", "_Dead")]

@@ -1,5 +1,6 @@
 """The exact eliminator: SparseEchelon, its reduced form, nullspaces and
-inverses, on seeded random sparse matrices over Z, Z[i], Q and Q(i)."""
+the integer body inverse built on it, on seeded random sparse matrices
+over Z, Z[i], Q and Q(i)."""
 
 import math
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from superfn.grassmann import _invert_scalar_matrix
+from superfn.grassmann import _block_inverse
 from superfn.linalg import SparseEchelon, add_term, cleared, kernel_dense
 from superfn.scalar import Scalar, ZERO, ONE
 
@@ -71,6 +72,20 @@ def _as_scalars(mat) -> list:
     return [[Scalar(c) for c in row] for row in mat]
 
 
+def _invert(mat: list) -> list:
+    """mat^{-1} by the integer body inverse: clear the Scalar rows,
+    mat = N / b, invert N = re + i im by ``_block_inverse``, N^{-1} =
+    (x + i y) / d, and divide: mat^{-1} = b (x + i y) / d."""
+    size = len(mat)
+    b, rows = cleared(dict(enumerate(row)) for row in mat)
+    d, x, y = _block_inverse(
+        [[re.get(j, 0) for j in range(size)] for re, _ in rows],
+        [[im.get(j, 0) for j in range(size)] for _, im in rows])
+    return [[Scalar(Fraction(b * xr, d), Fraction(b * yr, d))
+             for xr, yr in zip(x_row, y_row)]
+            for x_row, y_row in zip(x, y)]
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_reduced_rows_are_zero_at_every_other_pivot(field):
     rng = random.Random(11 if field == "integer" else 12)
@@ -125,7 +140,7 @@ def test_inverse_of_random_matrices(field):
         size = rng.randint(1, 5)
         mat = _dense(rng, field, size)
         try:
-            inv = _invert_scalar_matrix(mat)
+            inv = _invert(mat)
         except ValueError:
             continue
         inverted += 1
@@ -141,7 +156,7 @@ def test_inverse_of_random_matrices(field):
 ])
 def test_inverse_needs_a_pivot_swap(mat):
     mat = _as_scalars(mat)
-    inv = _invert_scalar_matrix(mat)
+    inv = _invert(mat)
     assert _matmul(mat, inv) == _identity(len(mat))
 
 
@@ -155,7 +170,7 @@ def test_inverse_needs_a_pivot_swap(mat):
 ])
 def test_inverse_rejects_singular_matrices(mat):
     with pytest.raises(ValueError, match="singular body matrix"):
-        _invert_scalar_matrix(_as_scalars(mat))
+        _invert(_as_scalars(mat))
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -173,7 +188,7 @@ def test_inverse_rejects_random_singular_matrices(field):
         # make the new last row consistent with the column dependency
         mat[-1][-1] = sum((ci * x for ci, x in zip(c, mat[-1])), ZERO)
         with pytest.raises(ValueError, match="singular body matrix"):
-            _invert_scalar_matrix(mat)
+            _invert(mat)
 
 
 class _PivotOneEchelon:

@@ -195,6 +195,17 @@ def test_vector_action_values():
     assert out == TVec.basis(D11, ("vb",), (2,)).scale(-ONE)
 
 
+@pytest.mark.parametrize("kinds", [("x",), ("v", "V"), ("vb", "")])
+def test_factor_kinds_other_than_v_and_vb_are_refused(monkeypatch, kinds):
+    # an unknown kind used to act as V*: E_12 sent x_1 to -x_2
+    with pytest.raises(ValueError, match="neither 'v' nor 'vb'"):
+        TVec.basis(D11, kinds, (1,) * len(kinds))
+    monkeypatch.setattr(ugl, "_letter_tables", {})
+    with pytest.raises(ValueError, match="neither 'v' nor 'vb'"):
+        ugl.letter_table(D11, kinds, (1, 2))
+    assert not ugl._letter_tables
+
+
 def test_grading_element_acts_by_degree_difference():
     # sum_a E_aa acts on V^{(x)k} (x) V*^{(x)l} by (k - l) id
     for dims, factors in [(D11, ("v", "v", "vb")), (D21, ("vb", "vb")),
