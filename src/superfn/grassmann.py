@@ -58,7 +58,7 @@ the entries of beta (m x n) and gamma (n x m).  Its inverse is closed form,
 
 so no image has Grassmann degree above 2 and only det A and det D enter
 the denominators: no Neumann series.  Such a point is built on integers
-alone: each block's rows go to :func:`_block_inverse` as drawn, and the
+alone: each block is inverted by :func:`_block_inverse`, and the
 images are written over the lcm of the two block denominators, which is
 already their least common denominator.  The body of every T in GL(m|n) is
 block diagonal and invertible, so (A, D, beta, gamma) -> T is an
@@ -351,14 +351,16 @@ class SMat:
         """
         size = self.dims.size
         b, body = cleared(dict(enumerate(row)) for row in self.body_matrix())
-        d, x, y = _block_inverse(
-            [[re.get(j, 0) for j in range(size)] for re, _ in body],
-            [[im.get(j, 0) for j in range(size)] for _, im in body])
+        d, x, y = _block_inverse(body)
         d, x = _lowest_terms([(d, [  # B^{-1} = b (x + i y) / d
-            ({0: b * xr} if xr else {}, {0: b * yr} if yr else {})
-            for x_row, y_row in zip(x, y) for xr, yr in zip(x_row, y_row)])])
-        e, neg_soul = cleared({m: -c for m, c in entry.terms.items() if m}
-                              for row in self.rows for entry in row)
+            ({0: b * x[i][j]} if x[i][j] else {},
+             {0: b * y[i][j]} if y and y[i][j] else {})
+            for i in range(size) for j in range(size)])])
+        e, neg_soul = cleared(
+            {m: -c for m, c in entry.terms.items() if m}
+            for row in self.rows
+            for entry in row
+        )
         x_rows = _split(x, size)
         neg_sx = [_zvecmat(row, x_rows) for row in _split(neg_soul, size)]
         terms = [(d, x)]
@@ -436,34 +438,35 @@ def random_even_invertible(dims: Dims, rng: random.Random) -> SMat:
             return mat
 
 
-def _block_inverse(real: list, imag: list = ()) -> tuple:
-    """(d, x, y) with the inverse of the square Gaussian-integer matrix
-    N = real + i imag equal to (x + i y) / d at lowest terms, on integers
-    throughout: the one body inverse of the package.  real, imag, x and y
-    are dense rows of ints; an empty imag is a real N, and then y is empty
-    too.  [N | I] goes into SparseEchelon, and row i of its integer
+def _block_inverse(rows: list) -> tuple:
+    """(d, x, y) with the inverse of the square Gaussian-integer matrix N
+    equal to (x + i y) / d at lowest terms, on integers throughout: the one
+    body inverse of the package.  rows are N's rows as :func:`cleared`
+    gives them, (re, im) pairs of column -> int dicts, and are reduced in
+    place; x and y are dense rows of ints, and y is empty when N is real.
+    [N | I] goes into SparseEchelon, and row i of its integer
     back-substitution is (P_i e_i | P_i (N^{-1})_i), primitive over its
     real and imaginary parts with a positive integer P_i, so P_i is the
     least denominator of that row and d is the lcm of the P_i.  Raises
     ValueError when N is singular.
     """
-    k = len(real)
+    k = len(rows)
     ech = SparseEchelon()
-    for i, row in enumerate(real):
-        aug = {j: c for j, c in enumerate(row) if c}
-        aug[k + i] = 1
-        ech._insert_cleared(
-            (aug, {j: c for j, c in enumerate(imag[i]) if c} if imag else {}))
+    for i, row in enumerate(rows):
+        row[0][k + i] = 1
+        ech._insert_cleared(row)
     if any(p not in ech.rows for p in range(k)):
         raise ValueError("singular body matrix")
     done = ech._reduced_cleared()
-    rows = [done[i] for i in range(k)]
-    d = math.lcm(*(re[i] for i, (re, _) in enumerate(rows)))
+    red = [done[i] for i in range(k)]
+    d = math.lcm(*(re[i] for i, (re, _) in enumerate(red)))
     x = [[re.get(k + j, 0) * (d // re[i]) for j in range(k)]
-         for i, (re, _) in enumerate(rows)]
-    y = [[im.get(k + j, 0) * (d // re[i]) for j in range(k)]
-         for i, (re, im) in enumerate(rows)] if imag else ()
-    return d, x, y
+         for i, (re, _) in enumerate(red)]
+    for _, im in red:
+        if im:
+            return d, x, [[im.get(k + j, 0) * (d // re[i]) for j in range(k)]
+                          for i, (re, im) in enumerate(red)]
+    return d, x, ()
 
 
 def _random_block(k: int, rng: random.Random) -> tuple:
@@ -473,7 +476,8 @@ def _random_block(k: int, rng: random.Random) -> tuple:
         rows = [[rng.randint(-_BODY_BOUND, _BODY_BOUND) for _ in range(k)]
                 for _ in range(k)]
         try:
-            d, x, _ = _block_inverse(rows)
+            d, x, _ = _block_inverse(
+                [({j: c for j, c in enumerate(row) if c}, {}) for row in rows])
             return rows, (d, x)
         except ValueError:
             pass
@@ -854,10 +858,14 @@ def verify_group(dims: Dims, count: int = 20, seed: int = 0) -> dict:
             ok = False
     cases.append(_case("convolution is associative", ok))
 
-    # the point of T^{-1}, whose own inverse is the known T
-    ok = all(p.inverse_point() == GroupPoint._from_cleared(
-        dims, mat.n, mat._inverse_cleared(), mat._cleared())
-        for mat, p in zip(mats, points))
+    ok = True
+    for mat, p in zip(mats, points):
+        # the point of T^{-1}, whose own inverse is the known T
+        q = GroupPoint._from_cleared(
+            dims, mat.n, mat._inverse_cleared(), mat._cleared()
+        )
+        if p.inverse_point() != q:
+            ok = False
     cases.append(
         _case("antipode precomposition inverts the point", ok)
     )

@@ -146,28 +146,29 @@ class LeviProfile:
         return f"LeviProfile({self.blocks})"
 
 
-def _row_sum(dims: Dims, rows, pairs) -> CG:
-    """sum over (a, b) in pairs and c in rows of t_ca tbar_cb: the one rule
-    behind the block and corner invariants and their traces."""
+def _row_sum(dims: Dims, rows, a: int, b: int) -> CG:
+    """sum over c in rows of t_ca tbar_cb: the one rule behind the block
+    and corner invariants, whose traces are sums of it."""
     out = CG.zero(dims)
-    for a, b in pairs:
-        for c in rows:
-            out = out + CG.t(dims, c, a) * CG.tbar(dims, c, b)
+    for c in rows:
+        out = out + CG.t(dims, c, a) * CG.tbar(dims, c, b)
     return out
 
 
 def c_block(profile: LeviProfile, i: int, a: int, b: int) -> CG:
     """C^{(i)}_ab = sum over rows c in refined block i of t_ca tbar_cb."""
     lo, hi = profile.refined()[i - 1]
-    return _row_sum(profile.dims, range(lo, hi + 1), [(a, b)])
+    return _row_sum(profile.dims, range(lo, hi + 1), a, b)
 
 
 def c_pair(profile: LeviProfile, i: int, j: int) -> CG:
     """C^{(i,j)} = sum_{a in refined block j} C^{(i)}_aa."""
-    blocks = profile.refined()
-    (lo, hi), (a_lo, a_hi) = blocks[i - 1], blocks[j - 1]
-    return _row_sum(profile.dims, range(lo, hi + 1),
-                    [(a, a) for a in range(a_lo, a_hi + 1)])
+    dims = profile.dims
+    lo, hi = profile.refined()[j - 1]
+    out = CG.zero(dims)
+    for a in range(lo, hi + 1):
+        out = out + c_block(profile, i, a, a)
+    return out
 
 
 def z(dims: Dims, a: int) -> CG:
@@ -282,13 +283,15 @@ def _rank_block(dims: Dims, side: str, k: int):
 
 def corner_invariant(dims: Dims, side: str, k: int, a: int, b: int) -> CG:
     """C_ab = sum over the k corner rows of t_ca tbar_cb."""
-    return _row_sum(dims, _rank_block(dims, side, k), [(a, b)])
+    return _row_sum(dims, _rank_block(dims, side, k), a, b)
 
 
 def corner_trace(dims: Dims, side: str, k: int) -> CG:
     """sum_{a in corner rows} C_aa, the spherical corner invariant."""
-    rows = _rank_block(dims, side, k)
-    return _row_sum(dims, rows, [(a, a) for a in rows])
+    out = CG.zero(dims)
+    for a in _rank_block(dims, side, k):
+        out = out + corner_invariant(dims, side, k, a, a)
+    return out
 
 
 def verify_maxrank(dims: Dims, k: int, seed: int = 0, trials: int = 3,

@@ -328,7 +328,8 @@ def letter_column(dims: Dims, factors: tuple, letter: Letter, idx) -> tuple:
     vb_b.  Across slots the graded Leibniz rule holds: an odd letter picks
     up the Koszul sign of the slots before the one it acts on.  Equal
     outputs are summed (E_aa on v_a (x) v_a gives 2, and on v_a (x) vb_a it
-    cancels) and zero values dropped.
+    cancels) and zero values dropped.  Any other factor kind is refused
+    with ValueError.
     """
     a, b = letter
     pa, pb = dims.par(a), dims.par(b)
@@ -340,8 +341,10 @@ def letter_column(dims: Dims, factors: tuple, letter: Letter, idx) -> tuple:
         c = idx[j]
         if kind == "v":
             hit, new, k = c == b, a, 1
-        else:
+        elif kind == "vb":
             hit, new, k = c == a, b, vb_sign
+        else:
+            _check_kinds(factors)  # raises
         if hit:
             if odd and prefix:
                 k = -k

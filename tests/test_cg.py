@@ -625,8 +625,8 @@ def test_antipode_case_reports_the_largest_generator_bound(dims):
 
 @pytest.fixture
 def inversions(monkeypatch):
-    """Start the test with an empty point memo; log the size of each body
-    block that the Gauss-form sampler inverts."""
+    """Start the test with an empty point memo; log the size of every body
+    inverse (the oracle's Gauss-form points invert only their blocks)."""
     monkeypatch.setattr(cg, "_point_memo", {})
     inversions = []
     invert = grassmann._block_inverse

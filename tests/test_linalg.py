@@ -78,12 +78,10 @@ def _invert(mat: list) -> list:
     (x + i y) / d, and divide: mat^{-1} = b (x + i y) / d."""
     size = len(mat)
     b, rows = cleared(dict(enumerate(row)) for row in mat)
-    d, x, y = _block_inverse(
-        [[re.get(j, 0) for j in range(size)] for re, _ in rows],
-        [[im.get(j, 0) for j in range(size)] for _, im in rows])
-    return [[Scalar(Fraction(b * xr, d), Fraction(b * yr, d))
-             for xr, yr in zip(x_row, y_row)]
-            for x_row, y_row in zip(x, y)]
+    d, x, y = _block_inverse(rows)
+    return [[Scalar(Fraction(b * x[i][j], d),
+                    Fraction(b * y[i][j], d) if y else 0)
+             for j in range(size)] for i in range(size)]
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -204,6 +204,12 @@ def test_factor_kinds_other_than_v_and_vb_are_refused(monkeypatch, kinds):
     with pytest.raises(ValueError, match="neither 'v' nor 'vb'"):
         ugl.letter_table(D11, kinds, (1, 2))
     assert not ugl._letter_tables
+    # a tensor built without TVec.basis is refused when a letter acts on it
+    vec = TVec(D11, kinds, {(1,) * len(kinds): ONE})
+    with pytest.raises(ValueError, match="neither 'v' nor 'vb'"):
+        vec.act_letter(1, 2)
+    with pytest.raises(ValueError, match="neither 'v' nor 'vb'"):
+        ugl.letter_column(D11, kinds, (1, 1), (1,) * len(kinds))
 
 
 def test_grading_element_acts_by_degree_difference():
