@@ -21,10 +21,10 @@ failed, 2 usage or parse error, 3 resource cap exceeded.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
+from types import SimpleNamespace
 
 from .actions import act, is_invariant
 from .cg import (CG, DimCapError, _case, _oracle_case, _report, is_zero_mod_j,
@@ -60,33 +60,26 @@ class CliError(Exception):
 # tokenizer and recursive-descent parser
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]+)"
-                       r"|(?P<punct>[\[\](),;+\-*^/]))")
+# finditer skips whitespace; "bad" is a character no token starts with
+_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z]+)"
+                       r"|(?P<punct>[\[\](),;+\-*^/])|(?P<bad>\S)")
 
-_GEN_ARITY = {"t": 2, "tb": 2, "E": 2, "z": 1, "zb": 1, "r": 0,
-              "C": 3, "CP": 2, "theta": 1}
+# generator -> the kind of each index: "a" a row or column 1..m+n, "b" a
+# refined block of the profile, "k" a degree
+_GEN_ARGS = {"t": "aa", "tb": "aa", "E": "aa", "z": "a", "zb": "a", "r": "",
+             "C": "baa", "CP": "bb", "theta": "k"}
 
 
 def tokenize(text: str) -> list:
     """Break the input into (kind, value, position) triples."""
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise CliError(f"syntax error at position {at}: "
-                           f"unexpected character {stripped[0]!r}")
-        if m.group("int") is not None:
-            out.append(("int", int(m.group("int")), m.start("int")))
-        elif m.group("name") is not None:
-            out.append(("name", m.group("name"), m.start("name")))
-        else:
-            out.append(("punct", m.group("punct"), m.start("punct")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise CliError(f"syntax error at position {m.start()}: "
+                           f"unexpected character {m.group()!r}")
+        out.append((kind, int(m.group()) if kind == "int" else m.group(),
+                    m.start()))
     return out
 
 
@@ -206,10 +199,10 @@ class _Parser:
 
     def generator(self):
         kind, name, pos = self.next()
-        if name not in _GEN_ARITY:
+        if name not in _GEN_ARGS:
             raise CliError(f"syntax error at position {pos}: "
                            f"unknown generator {name!r}")
-        arity = _GEN_ARITY[name]
+        arity = len(_GEN_ARGS[name])
         if arity == 0:
             return ("gen", name, ())
         self.expect_punct("[")
@@ -245,54 +238,34 @@ class ExprContext:
             self._profile = LeviProfile.projective(self.dims)
         return self._profile
 
-    def _check_index(self, a: int):
-        if not 1 <= a <= self.dims.size:
-            raise CliError(f"index {a} out of range for m+n = "
-                           f"{self.dims.size}")
-
     def gen_value(self, name: str, args: tuple):
         dims = self.dims
+        for kind, i in zip(_GEN_ARGS.get(name, ""), args):
+            if kind == "a" and not 1 <= i <= dims.size:
+                raise CliError(f"index {i} out of range for m+n = "
+                               f"{dims.size}")
+            if kind == "b" and not 1 <= i <= len(self.profile.refined()):
+                raise CliError(f"block index {i} out of range for profile "
+                               f"{self.profile.blocks}")
         if name == "E":
-            for a in args:
-                self._check_index(a)
-            return "u", UEl.letter(dims, args[0], args[1])
+            return "u", UEl.letter(dims, *args)
         if name == "t":
-            for a in args:
-                self._check_index(a)
-            return "cg", CG.t(dims, args[0], args[1])
+            return "cg", CG.t(dims, *args)
         if name == "tb":
-            for a in args:
-                self._check_index(a)
-            return "cg", CG.tbar(dims, args[0], args[1])
+            return "cg", CG.tbar(dims, *args)
         if name == "z":
-            self._check_index(args[0])
-            return "cg", z(dims, args[0])
+            return "cg", z(dims, *args)
         if name == "zb":
-            self._check_index(args[0])
-            return "cg", zbar(dims, args[0])
+            return "cg", zbar(dims, *args)
         if name == "r":
             return "cg", r_func(dims)
         if name == "C":
-            i, a, b = args
-            nblocks = len(self.profile.refined())
-            if not 1 <= i <= nblocks:
-                raise CliError(f"block index {i} out of range for profile "
-                               f"{self.profile.blocks}")
-            self._check_index(a)
-            self._check_index(b)
-            return "cg", c_block(self.profile, i, a, b)
+            return "cg", c_block(self.profile, *args)
         if name == "CP":
-            i, j = args
-            nblocks = len(self.profile.refined())
-            for k in (i, j):
-                if not 1 <= k <= nblocks:
-                    raise CliError(f"block index {k} out of range for "
-                                   f"profile {self.profile.blocks}")
-            return "cg", c_pair(self.profile, i, j)
+            return "cg", c_pair(self.profile, *args)
         if name == "theta":
-            k = args[0]
             try:
-                return "cg", theta(dims, k)
+                return "cg", theta(dims, *args)
             except ValueError as exc:
                 raise CliError(str(exc)) from exc
         raise CliError(f"unknown generator {name!r}")
@@ -347,17 +320,13 @@ class ExprContext:
         side, value = self.evaluate(parse_expr(text))
         if side == "u":
             raise CliError("expected a function-algebra expression")
-        if side is None:
-            return CG.from_scalar(self.dims, value)
-        return value
+        return self._promote(side, value, "cg")
 
     def eval_u(self, text: str) -> UEl:
         side, value = self.evaluate(parse_expr(text))
         if side == "cg":
             raise CliError("expected an enveloping-algebra expression")
-        if side is None:
-            return UEl.from_scalar(self.dims, value)
-        return value
+        return self._promote(side, value, "u")
 
 
 def u_pretty(u: UEl) -> str:
@@ -579,102 +548,125 @@ def _cmd_verify(args, ctx: ExprContext) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# argument reading
+
+# A flag is name -> (type, default, choices).  Type None marks a switch;
+# any other flag reads the next argv item, even one that starts with '-'
+# ("--trials -2").  A flag whose default is _REQUIRED must be given.
+_REQUIRED = object()
+_GLOBALS = {
+    "--m": (int, _REQUIRED, None), "--n": (int, _REQUIRED, None),
+    "--seed": (int, 0, None), "--trials": (int, 3, None),
+    "--mode": (str, "generic", ("generic", "pairing")),
+    "--json": (None, False, None), "--profile": (str, None, None),
+}
+_K = {"--k": (int, _REQUIRED, None)}
+# verb -> (handler, help, positionals, its own flags)
+_VERBS = {
+    "eval": (_cmd_eval, "normalize and print an expression", ("expr",), {}),
+    "act": (_cmd_act, "apply a translation action", (), {
+        "--side": (str, _REQUIRED, ("dL", "dR")),
+        "--elem": (str, _REQUIRED, None), "--on": (str, _REQUIRED, None)}),
+    "iszero": (_cmd_iszero, "test vanishing modulo the defining ideal",
+               ("expr",), {}),
+    "invariant": (_cmd_invariant, "test Levi invariance under dL/dR",
+                  ("expr",), {"--side": (str, "dL", ("dL", "dR", "both"))}),
+    "laplacian": (_cmd_laplacian, "check the radial Laplacian power identity",
+                  (), _K),
+    "theta": (_cmd_theta, "construct and check a radial eigenfunction", (),
+              _K),
+    "sergeev": (_cmd_sergeev, "run the tensor-invariant suite up to degree d",
+                (), {"--d": (int, _REQUIRED, None)}),
+    "group": (_cmd_group, "run the supergroup-point suite", (),
+              {"--count": (int, 20, None)}),
+    "verify": (_cmd_verify, "run a named verification suite", (), {
+        "--suite": (str, _REQUIRED,
+                    ("t51", "maxrank", "invariance", "hopf", "fft")),
+        "--k": (int, None, None), "--d": (int, None, None)}),
+}
 
 
-def _add_globals(p: argparse.ArgumentParser, suppress: bool):
-    """Shared flags, accepted both before and after the verb.
-
-    Subparser copies default to SUPPRESS so a flag given only before the
-    verb is not clobbered by the subparser's defaults.
-    """
-    def dflt(v):
-        return argparse.SUPPRESS if suppress else v
-
-    p.add_argument("--m", type=int, default=dflt(None),
-                   help="even dimension m of gl(m|n)")
-    p.add_argument("--n", type=int, default=dflt(None),
-                   help="odd dimension n of gl(m|n)")
-    p.add_argument("--seed", type=int, default=dflt(0),
-                   help="seed for randomized zero tests")
-    p.add_argument("--trials", type=int, default=dflt(3),
-                   help="trial count for the generic-point oracle")
-    p.add_argument("--mode", choices=("generic", "pairing"),
-                   default=dflt("generic"),
-                   help="zero-test oracle: randomized generic points or "
-                        "the exact pairing certificate")
-    p.add_argument("--json", action="store_true",
-                   default=dflt(False),
-                   help="emit a deterministic JSON report")
-    p.add_argument("--profile", default=dflt(None),
-                   help="Levi block profile, e.g. \"1,1|1,1\" (the super "
-                        "block as p|q); default is [gl(m|n-1), gl(1)]")
+def _forms(flags: dict) -> list:
+    out = []
+    for name, (kind, default, choices) in flags.items():
+        form = name if kind is None else f"{name} " + (
+            "{" + ",".join(choices) + "}" if choices else name[2:].upper())
+        out.append(form if default is _REQUIRED else f"[{form}]")
+    return out
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="superfn",
-        description="Exact computations in the function algebra of the "
-                    "general linear supergroup.")
-    _add_globals(p, suppress=False)
-
-    sub = p.add_subparsers(dest="verb", required=True)
-
-    def verb(name, **kw):
-        q = sub.add_parser(name, **kw)
-        _add_globals(q, suppress=True)
-        return q
-
-    q = verb("eval", help="normalize and print an expression")
-    q.add_argument("expr")
-    q.set_defaults(func=_cmd_eval)
-
-    q = verb("act", help="apply a translation action")
-    q.add_argument("--side", choices=("dL", "dR"), required=True)
-    q.add_argument("--elem", required=True,
-                   help="enveloping-algebra expression")
-    q.add_argument("--on", required=True, help="function-algebra expression")
-    q.set_defaults(func=_cmd_act)
-
-    q = verb("iszero", help="test vanishing modulo the defining ideal")
-    q.add_argument("expr")
-    q.set_defaults(func=_cmd_iszero)
-
-    q = verb("invariant", help="test Levi invariance under dL/dR")
-    q.add_argument("expr")
-    q.add_argument("--side", choices=("dL", "dR", "both"), default="dL")
-    q.set_defaults(func=_cmd_invariant)
-
-    q = verb("laplacian", help="check the radial Laplacian power identity")
-    q.add_argument("--k", type=int, required=True)
-    q.set_defaults(func=_cmd_laplacian)
-
-    q = verb("theta", help="construct and check a radial eigenfunction")
-    q.add_argument("--k", type=int, required=True)
-    q.set_defaults(func=_cmd_theta)
-
-    q = verb("sergeev", help="run the tensor-invariant suite up to degree d")
-    q.add_argument("--d", type=int, required=True)
-    q.set_defaults(func=_cmd_sergeev)
-
-    q = verb("group", help="run the supergroup-point suite")
-    q.add_argument("--count", type=int, default=20)
-    q.set_defaults(func=_cmd_group)
-
-    q = verb("verify", help="run a named verification suite")
-    q.add_argument("--suite", required=True,
-                   choices=("t51", "maxrank", "invariance", "hopf", "fft"))
-    q.add_argument("--k", type=int, default=None,
-                   help="maxrank: restrict to a single corner rank")
-    q.add_argument("--d", type=int, default=None,
-                   help="fft: maximum tensor degree")
-    q.set_defaults(func=_cmd_verify)
-
-    return p
+def _usage(verb) -> str:
+    tail = ["{" + ",".join(_VERBS) + "} ..."] if verb is None else \
+        [verb, *_forms(_VERBS[verb][3]), *_VERBS[verb][2]]
+    return " ".join(["usage: superfn [-h]", *_forms(_GLOBALS), *tail])
 
 
-# Built on the first main() call and kept for the process: parse_args
-# returns a fresh Namespace each time and leaves the parser unchanged.
+def _help(verb) -> str:
+    lines = [_VERBS[verb][1]] if verb is not None else \
+        ["verbs:", *(f"  {v:<12}{spec[1]}" for v, spec in _VERBS.items())]
+    return "\n".join([_usage(verb), "", *lines])
+
+
+def _usage_error(verb, message: str):
+    print(_usage(verb), f"superfn: error: {message}", sep="\n",
+          file=sys.stderr)
+    raise SystemExit(2)
+
+
+def build_parser() -> dict:
+    """Per verb (None: before the verb), the flags it reads, by name."""
+    table = {verb: {**_GLOBALS, **spec[3]} for verb, spec in _VERBS.items()}
+    table[None] = _GLOBALS
+    return table
+
+
+def read_args(parser: dict, argv) -> SimpleNamespace:
+    """Read argv in one pass by the table of :func:`build_parser`: flags
+    come before or after the verb, a later one wins, and "--" ends them.
+    A usage error prints a usage line and the error, and exits 2."""
+    verb, flags, names, ended = None, parser[None], ("verb",), False
+    ns = {name[2:]: spec[1] for name, spec in _GLOBALS.items()}
+    args = iter(argv)
+    for arg in args:
+        if ended or not arg.startswith("-"):
+            if verb is not None:
+                if not names:
+                    _usage_error(verb, f"unexpected argument {arg!r}")
+                ns[names[0]], names = arg, names[1:]
+                continue
+            if arg not in _VERBS:
+                _usage_error(None, f"unknown verb {arg!r}")
+            verb, flags = arg, parser[arg]
+            func, _, names, own = _VERBS[verb]
+            ns.update({name[2:]: spec[1] for name, spec in own.items()},
+                      verb=verb, func=func)
+        elif arg == "--":
+            ended = True
+        elif arg in ("-h", "--help"):
+            print(_help(verb))
+            raise SystemExit(0)
+        elif arg not in flags:
+            _usage_error(verb, f"unknown flag {arg!r} (an argument "
+                               "starting with '-' goes after --)")
+        else:
+            kind, _, choices = flags[arg]
+            try:
+                value = True if kind is None else kind(next(args))
+            except StopIteration:
+                _usage_error(verb, f"{arg} needs a value")
+            except ValueError:
+                _usage_error(verb, f"{arg} needs an integer")
+            if choices is not None and value not in choices:
+                _usage_error(verb, f"{arg} takes one of {', '.join(choices)}")
+            ns[arg[2:]] = value
+    missing = [*names] + [f for f in flags if ns[f[2:]] is _REQUIRED]
+    if missing:
+        _usage_error(verb, f"missing {', '.join(missing)}")
+    return SimpleNamespace(**ns)
+
+
+# Built on the first main() call and kept for the process: read_args
+# returns a fresh namespace each time and leaves the table unchanged.
 _parser = None
 
 
@@ -682,10 +674,7 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    parser = _parser
-    args = parser.parse_args(argv)
-    if args.m is None or args.n is None:
-        parser.error("--m and --n are required")
+    args = read_args(_parser, sys.argv[1:] if argv is None else argv)
     try:
         dims = Dims(args.m, args.n)
         profile = LeviProfile.parse(dims, args.profile) \

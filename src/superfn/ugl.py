@@ -64,6 +64,9 @@ def bracket(dims: Dims, x: Letter, y: Letter) -> dict:
     return out
 
 
+# PBW normal forms by (m, n, word), kept through _remember.  Emptying the
+# memo mid-recursion changes no value: callers keep the dicts they got.
+_NORMALIZE_CACHE_CAP = 65536
 _normalize_cache: dict = {}
 
 
@@ -80,13 +83,13 @@ def _normalize_word(dims: Dims, word: Word) -> dict:
             break
     if pivot < 0:
         result = {word: ONE}
-        _normalize_cache[key] = result
+        _remember(_normalize_cache, _NORMALIZE_CACHE_CAP, key, result)
         return result
     x, y = word[pivot], word[pivot + 1]
     out: dict = {}
     if x == y:
         # adjacent equal odd letters: the square is (1/2)[x,x] = 0
-        _normalize_cache[key] = out
+        _remember(_normalize_cache, _NORMALIZE_CACHE_CAP, key, out)
         return out
     sgn = (dims.letter_par(*x) * dims.letter_par(*y)) & 1
     swap_coeff = MINUS_ONE if sgn else ONE
@@ -97,7 +100,7 @@ def _normalize_word(dims: Dims, word: Word) -> dict:
         shorter = word[:pivot] + (letter,) + word[pivot + 2:]
         for w, c in _normalize_word(dims, shorter).items():
             add_term(out, w, c * bc)
-    _normalize_cache[key] = out
+    _remember(_normalize_cache, _NORMALIZE_CACHE_CAP, key, out)
     return out
 
 

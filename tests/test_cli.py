@@ -26,11 +26,27 @@ def test_tokenizer_reports_positions():
     with pytest.raises(CliError) as exc:
         tokenize("t[1,1] $ 2")
     assert "position 7" in str(exc.value)
+    # leading and trailing whitespace is skipped, positions count it
+    assert tokenize("  t[1,1]  ") == [
+        ("name", "t", 2), ("punct", "[", 3), ("int", 1, 4),
+        ("punct", ",", 5), ("int", 1, 6), ("punct", "]", 7)]
+    assert tokenize(" \t-2/3i*E[1,2]\n")[:6] == [
+        ("punct", "-", 2), ("int", 2, 3), ("punct", "/", 4), ("int", 3, 5),
+        ("name", "i", 6), ("punct", "*", 7)]
+    assert tokenize("") == tokenize(" \n ") == []
+    # a bad character after whitespace, and at the very end
+    for text, at, ch in (("t[1,1]   $ 2", 9, "$"), ("  $", 2, "$"),
+                         ("t[1,1]$", 6, "$"), ("t[1,1] + 1 %", 11, "%")):
+        with pytest.raises(CliError) as exc:
+            tokenize(text)
+        assert str(exc.value) == (f"syntax error at position {at}: "
+                                  f"unexpected character {ch!r}"), text
 
 
 def test_parse_error_cases():
     for text in ("t[1,", "t[1 1]", "1//2", "t[1,1]^", "()", "t[1,1]+",
-                 "w[1,1]", "theta[1,2]", "C[1,1]", "^2", "2^-1"):
+                 "w[1,1]", "theta[1,2]", "C[1,1]", "^2", "2^-1", " t[1,1] $",
+                 "\tr + 1 #"):
         with pytest.raises(CliError):
             parse_expr(text)
 
@@ -379,12 +395,16 @@ def test_missing_dims_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "r"])
     assert exc.value.code == 2
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: superfn [-h] --m M --n N ")
+    assert error == "superfn: error: missing --m, --n"
 
 
 def test_unknown_mode_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--m", "1", "--n", "1", "--mode", "bogus", "iszero", "r"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: superfn ")
 
 
 def test_counts_below_one_exit_2(capsys):

@@ -1,6 +1,6 @@
 """No module of the package, the tests or the benchmark imports a name it
-never uses, and no private function or class of the package is left
-unreferenced by the package itself.
+never uses, no private function or class of the package is left
+unreferenced by the package itself, and the package imports no argparse.
 
 A name counts as used when it occurs as a bare name anywhere in the module
 (an attribute chain ``a.b`` uses ``a``).  ``from __future__`` imports and
@@ -11,6 +11,9 @@ of the package, so code that only the tests reach lives in the tests.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,3 +86,14 @@ def test_the_scan_sees_an_unreferenced_private():
         "b": "import a\n\n\ndef _via_attr():\n    pass\n\n\nx = a._via_attr\n",
     }
     assert unreferenced_privates(sources) == [("a", "_dead"), ("a", "_Dead")]
+
+
+def test_the_package_leaves_argparse_unimported():
+    """The CLI reads its argv with its own table; argparse (and the gettext
+    it pulls in) would add a few ms to every process that imports it."""
+    code = ("import sys, superfn, superfn.cli; "
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

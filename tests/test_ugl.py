@@ -443,3 +443,44 @@ def test_partitions_keep_their_letter_lists(dims):
         prof = LeviProfile(dims, blocks)
         assert invariant_letters(dims, prof.blocks) == \
             reference_invariant_letters(dims, prof.blocks), blocks
+
+
+def normal_forms(dims, seed):
+    """Products, antipodes and normal-form words of random elements, all
+    built through the normal-form memo as it is."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(25):
+        u, v = seeded_uel(dims, rng), seeded_uel(dims, rng, max_len=2)
+        out += [u * v, u.antipode(), (u * v).antipode(),
+                UEl.word(dims, [(b, a) for a, b in max(u.terms)] * 2)]
+    return out
+
+
+@pytest.mark.parametrize("dims", ALL_DIMS, ids=["11", "21", "12", "22"])
+def test_normal_forms_do_not_depend_on_the_memo_cap(dims, monkeypatch):
+    monkeypatch.setattr(ugl, "_normalize_cache", {})
+    want = normal_forms(dims, 40)
+    assert len(ugl._normalize_cache) > 3
+    for cap in (1, 3):
+        monkeypatch.setattr(ugl, "_NORMALIZE_CACHE_CAP", cap)
+        monkeypatch.setattr(ugl, "_normalize_cache", {})
+        assert normal_forms(dims, 40) == want, cap
+        assert len(ugl._normalize_cache) <= cap
+
+
+def test_normal_form_memo_stays_under_its_cap(monkeypatch):
+    """Random 6-letter words at (2,2), each stored in a fresh process-wide
+    memo that the cap must keep bounded: uncapped, these words leave over
+    a thousand entries."""
+    monkeypatch.setattr(ugl, "_NORMALIZE_CACHE_CAP", 256)
+    monkeypatch.setattr(ugl, "_normalize_cache", {})
+    dims = Dims(2, 2)
+    letters = [(a, b) for a in dims.indices() for b in dims.indices()]
+    rng = random.Random(8)
+    sizes = []
+    for _ in range(80):
+        UEl.word(dims, [rng.choice(letters) for _ in range(6)])
+        sizes.append(len(ugl._normalize_cache))
+    assert max(sizes) <= 256
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the cap fired
