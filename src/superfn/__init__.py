@@ -23,7 +23,7 @@ from .ugl import (
     degree_cap,
     invariant_letters,
     laplacian,
-    split_word,
+    reread_degree_cap,
     z_central,
 )
 from .cg import (
@@ -35,7 +35,6 @@ from .cg import (
     delta,
     is_zero_mod_j,
     pair,
-    pair_via_coproduct,
     pair_word,
     pairing_certificate,
     relations,
@@ -86,9 +85,9 @@ from .spherical import (
 __all__ = [
     "Dims", "form", "is_dominant", "Scalar", "DerivationSpec", "Poly",
     "StarSpec", "DegreeCapError", "TVec", "UEl", "casimir", "degree_cap",
-    "laplacian", "split_word", "z_central", "CG", "DimCapError", "TensorCG",
-    "Verdict", "antipode_convolution", "delta", "is_zero_mod_j", "pair",
-    "pair_via_coproduct", "pair_word", "pairing_certificate", "relations",
+    "laplacian", "reread_degree_cap", "z_central", "CG", "DimCapError",
+    "TensorCG", "Verdict", "antipode_convolution", "delta", "is_zero_mod_j",
+    "pair", "pair_word", "pairing_certificate", "relations",
     "verify_hopf", "GEl", "GroupPoint", "SMat", "eta",
     "real_sample_points", "verify_group", "random_even_invertible",
     "random_gauss_point", "act", "invariant_letters", "is_invariant",

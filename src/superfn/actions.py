@@ -156,13 +156,6 @@ def jmath(dims: Dims, p: Poly) -> CG:
     return CG(dims, _renamed(p.terms, _TO_FUNCTION))
 
 
-def slot_act_word(dims: Dims, kind: str, word: tuple, p: Poly) -> Poly:
-    out = p
-    for a, b in reversed(word):
-        out = slot_action(dims, kind, a, b).apply(out)
-    return out
-
-
 # ------------------------------------------------------------- invariance
 
 

@@ -53,7 +53,7 @@ from .superpoly import (
     monomial_parity,
     symbol,
 )
-from .ugl import TVec, UEl, _remember, invariant_letters, letter_table
+from .ugl import UEl, _remember, invariant_letters, letter_table
 
 PAIRING_FLAT_CAP = 5000
 
@@ -412,50 +412,6 @@ def pair(f: CG, u: UEl) -> Scalar:
                 val = val + c * x
         if val:
             total = total + cu * val
-    return total
-
-
-def pair_via_coproduct(f: CG, u: UEl) -> Scalar:
-    """Slow reference pairing that splits words through the coproduct.
-
-    Independent of :func:`pair`'s module-action shortcut; the two must agree.
-    """
-    dims = f.dims
-    total = ZERO
-    for mono, cf in f.terms.items():
-        factors = []
-        for s, e in mono:
-            factors.extend([s] * e)
-        for w, cu in u.terms.items():
-            total = total + cf * cu * _pair_factors(dims, factors, w)
-    return total
-
-
-def _pair_factors(dims: Dims, factors: list, word: tuple) -> Scalar:
-    from .ugl import split_word, word_parity
-
-    if not factors:
-        return ONE if not word else ZERO
-    if len(factors) == 1:
-        # matrix element of the word in the generator's own module
-        tag, a, b, _ = factors[0]
-        vec = TVec.basis(dims, (_module_kind(tag),), (b,)).act_word(word)
-        return vec.terms.get((a,), ZERO)
-    head, rest = factors[0], factors[1:]
-    rest_par = sum(s[3] for s in rest) & 1
-    total = ZERO
-    for (w1, w2), sgn in split_word(dims, word, 2):
-        v1 = _pair_factors(dims, [head], w1)
-        if not v1:
-            continue
-        v2 = _pair_factors(dims, rest, w2)
-        if not v2:
-            continue
-        term_sign = sgn ^ (rest_par & word_parity(dims, w1))
-        term = v1 * v2
-        if term_sign:
-            term = -term
-        total = total + term
     return total
 
 

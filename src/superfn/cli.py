@@ -49,7 +49,7 @@ from .spherical import (
 )
 from .superpoly import render_terms
 from .tensorinv import verify_fft
-from .ugl import DegreeCapError, UEl
+from .ugl import DegreeCapError, UEl, reread_degree_cap
 
 
 class CliError(Exception):
@@ -672,6 +672,7 @@ _parser = None
 
 def main(argv=None) -> int:
     global _parser
+    reread_degree_cap()  # each call sees SUPERFN_DEGREE_CAP as it is now
     if _parser is None:
         _parser = build_parser()
     args = read_args(_parser, sys.argv[1:] if argv is None else argv)

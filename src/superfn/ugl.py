@@ -12,7 +12,6 @@ The super bracket is
 from __future__ import annotations
 
 import os
-from itertools import product as _iproduct
 from typing import Iterable, Optional
 
 from .grading import Dims
@@ -29,7 +28,12 @@ class DegreeCapError(RuntimeError):
     """Raised when a computation would exceed the PBW degree cap."""
 
 
-def degree_cap() -> int:
+# The cap in force, held once read (see degree_cap): a read of the
+# environment costs as much as a short product.
+_cap: Optional[int] = None
+
+
+def _read_degree_cap() -> int:
     raw = os.environ.get("SUPERFN_DEGREE_CAP")
     if raw is None:
         return DEFAULT_DEGREE_CAP
@@ -42,8 +46,32 @@ def degree_cap() -> int:
     return cap
 
 
+def degree_cap() -> int:
+    """The PBW degree cap in force.
+
+    It is read from ``SUPERFN_DEGREE_CAP`` (default 8) the first time it is
+    needed and then held: changing the variable later takes effect only
+    after :func:`reread_degree_cap`, which ``superfn.cli.main`` calls at the
+    start of each call.  Raises ``DegreeCapError`` on a value that is not a
+    positive integer, and reads the variable again on the next call.
+    """
+    global _cap
+    if _cap is None:
+        _cap = _read_degree_cap()
+    return _cap
+
+
+def reread_degree_cap() -> None:
+    """Drop the held cap, so the next word or product reads
+    ``SUPERFN_DEGREE_CAP`` again (and refuses a bad value there)."""
+    global _cap
+    _cap = None
+
+
 def _check_cap(length: int):
-    cap = degree_cap()
+    """Refuse a word of ``length`` letters above the held cap; the first
+    check after import or :func:`reread_degree_cap` reads the cap."""
+    cap = _cap if _cap is not None else degree_cap()
     if length > cap:
         raise DegreeCapError(
             f"word of degree {length} exceeds degree cap {cap} "
@@ -227,31 +255,6 @@ class UEl(LinComb):
                 mono = "*".join(f"E[{a},{b}]" for a, b in w)
                 bits.append(f"({c})*{mono}")
         return "UEl(" + " + ".join(bits) + ")"
-
-
-def split_word(dims: Dims, word: Word, slots: int):
-    """All ways to distribute a word's letters over ``slots`` tensor slots.
-
-    Yields ``(subwords, sign)`` where ``subwords`` is a tuple of letter
-    tuples (order preserved) and ``sign`` is the Koszul parity picked up by
-    moving each letter into its slot (a pair i < j with slot_i > slot_j
-    contributes ``par_i * par_j``).  This is the d-fold coproduct of the
-    word, since Delta(E) = E (x) 1 + 1 (x) E.
-    """
-    pars = [dims.letter_par(a, b) for a, b in word]
-    d = len(word)
-    for assign in _iproduct(range(slots), repeat=d):
-        sign = 0
-        for j in range(d):
-            if pars[j]:
-                for i in range(j):
-                    if pars[i] and assign[i] > assign[j]:
-                        sign ^= 1
-        subwords = tuple(
-            tuple(word[i] for i in range(d) if assign[i] == s)
-            for s in range(slots)
-        )
-        yield subwords, sign
 
 
 class TVec(LinComb):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from coproduct_reference import slot_act_word
 from superfn.actions import (
     act,
     act_word,
@@ -10,7 +11,6 @@ from superfn.actions import (
     is_invariant,
     jmath,
     letter_action,
-    slot_act_word,
     slot_action,
     x_gen,
 )

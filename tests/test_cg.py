@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from coproduct_reference import pair_via_coproduct
 from superfn import cg, grassmann, ugl
 from superfn.cg import (
     CG,
@@ -16,7 +17,6 @@ from superfn.cg import (
     delta,
     is_zero_mod_j,
     pair,
-    pair_via_coproduct,
     pair_word,
     pairing_certificate,
     relations,

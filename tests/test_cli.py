@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from superfn import cli
+from superfn import cli, ugl
 from superfn.cg import CG, relations
 from superfn.cli import (CliError, ExprContext, main, parse_expr, tokenize,
                          u_pretty)
@@ -191,6 +191,7 @@ def rand_text(dims, side, rng, depth):
 @pytest.mark.parametrize("dims", [Dims(1, 1), Dims(2, 1)], ids=["11", "21"])
 def test_generated_texts_parse_to_their_library_values(dims, monkeypatch):
     monkeypatch.setenv("SUPERFN_DEGREE_CAP", "40")  # for long E words
+    ugl.reread_degree_cap()
     rng = random.Random(99 + dims.m)
     ctx = ExprContext(dims)
     for k in range(400):
@@ -389,6 +390,39 @@ def test_degree_cap_from_environment(capsys, monkeypatch):
     code, out, _ = run(capsys, "--m", "1", "--n", "1", "eval", "E[1,1]^9")
     assert code == 0
     assert out.strip() == "*".join(["E[1,1]"] * 9)
+
+
+def test_each_main_call_reads_the_degree_cap_as_it_is_then(capsys,
+                                                           monkeypatch):
+    for raw, want in (("10", 0), ("8", 3), ("9", 0), (None, 3)):
+        if raw is None:
+            monkeypatch.delenv("SUPERFN_DEGREE_CAP")
+        else:
+            monkeypatch.setenv("SUPERFN_DEGREE_CAP", raw)
+        code, _, _ = run(capsys, "--m", "1", "--n", "1", "eval", "E[1,1]^9")
+        assert code == want, raw
+
+
+def test_bad_degree_cap_is_refused_only_where_a_u_element_is_built(
+        capsys, monkeypatch):
+    monkeypatch.setenv("SUPERFN_DEGREE_CAP", "abc")
+    code, _, err = run(capsys, "--m", "1", "--n", "1", "eval", "2*E[1,1]")
+    assert code == 3
+    assert err.strip() == "resource cap: bad SUPERFN_DEGREE_CAP: 'abc'"
+    code, out, _ = run(capsys, "--m", "1", "--n", "1", "eval", "t[1,1]")
+    assert code == 0 and out.strip() == "t[1,1]"
+
+
+def test_a_main_call_reads_the_degree_cap_at_most_once(capsys,
+                                                       counting_environ):
+    for argv, reads in (
+            (("eval", "t[1,1]^3 + tb[1,2]*t[2,1]"), 0),
+            (("eval", "E[1,1]*E[1,2] + E[2,1]^2*E[1,1]"), 1),
+            (("act", "--side", "dL", "--elem", "E[1,2]*E[2,1] + E[2,2]",
+              "--on", "t[1,1]*t[2,2] + tb[1,2]"), 1)):
+        counting_environ.reads = 0
+        code, _, _ = run(capsys, "--m", "1", "--n", "1", *argv)
+        assert code == 0 and counting_environ.reads == reads, argv
 
 
 def test_missing_dims_is_usage_error(capsys):

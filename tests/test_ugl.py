@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from coproduct_reference import split_word
 from superfn import ugl
 from superfn.grading import Dims
 from superfn.linalg import add_term
@@ -16,7 +17,6 @@ from superfn.ugl import (
     invariant_letters,
     laplacian,
     letter_column,
-    split_word,
     word_parity,
     z_central,
 )
@@ -84,14 +84,52 @@ def test_degree_cap():
 
 def test_degree_cap_from_environment(monkeypatch):
     monkeypatch.setenv("SUPERFN_DEGREE_CAP", "10")
+    ugl.reread_degree_cap()
     u = UEl.letter(D11, 1, 1) ** 9
     assert u == UEl.word(D11, [(1, 1)] * 9) and u.degree() == 9
     with pytest.raises(DegreeCapError, match="exceeds degree cap 10"):
         UEl.word(D11, [(1, 1)] * 11)
     for raw in ("0", "abc"):
         monkeypatch.setenv("SUPERFN_DEGREE_CAP", raw)
+        ugl.reread_degree_cap()
         with pytest.raises(DegreeCapError, match="bad SUPERFN_DEGREE_CAP"):
             UEl.word(D11, [(1, 1)])
+
+
+def test_degree_cap_is_read_once_per_reread(counting_environ):
+    # the first word after a re-read reads the cap; no later word or
+    # product reads it again
+    rng = random.Random(5)
+    for dims in (D11, D21):
+        ugl.reread_degree_cap()
+        counting_environ.reads = 0
+        for _ in range(30):
+            u = rand_uel(dims, rng, max_len=2) + UEl.one(dims)
+            v = rand_uel(dims, rng, max_len=2) + UEl.one(dims)
+            assert (u * v).counit() == u.counit() * v.counit()
+        assert counting_environ.reads == 1
+        assert ugl.degree_cap() == 8 and counting_environ.reads == 1
+
+
+def test_degree_cap_setting_waits_for_a_reread(monkeypatch):
+    # the held cap stays in force until reread_degree_cap; a bad value is
+    # refused at the first word after the re-read, then again on each
+    # word until a good value is read
+    UEl.word(D11, [(1, 1)] * 8)
+    monkeypatch.setenv("SUPERFN_DEGREE_CAP", "10")
+    with pytest.raises(DegreeCapError, match="exceeds degree cap 8"):
+        UEl.word(D11, [(1, 1)] * 9)
+    ugl.reread_degree_cap()
+    assert UEl.word(D11, [(1, 1)] * 9).degree() == 9
+    assert ugl.degree_cap() == 10
+    monkeypatch.setenv("SUPERFN_DEGREE_CAP", "abc")
+    ugl.reread_degree_cap()
+    for _ in range(2):
+        with pytest.raises(DegreeCapError, match="bad SUPERFN_DEGREE_CAP"):
+            UEl.letter(D11, 1, 1) * UEl.letter(D11, 1, 1)
+    monkeypatch.delenv("SUPERFN_DEGREE_CAP")
+    ugl.reread_degree_cap()
+    assert ugl.degree_cap() == 8
 
 
 def test_counit():
