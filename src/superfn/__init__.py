@@ -14,7 +14,7 @@ The package implements, over the exact field Q(i):
 
 from .grading import Dims, form, is_dominant
 from .scalar import Scalar
-from .superpoly import DerivationSpec, Poly, StarSpec
+from .superpoly import DerivationSpec, Poly
 from .ugl import (
     DegreeCapError,
     TVec,
@@ -84,7 +84,7 @@ from .spherical import (
 
 __all__ = [
     "Dims", "form", "is_dominant", "Scalar", "DerivationSpec", "Poly",
-    "StarSpec", "DegreeCapError", "TVec", "UEl", "casimir", "degree_cap",
+    "DegreeCapError", "TVec", "UEl", "casimir", "degree_cap",
     "laplacian", "reread_degree_cap", "z_central", "CG", "DimCapError",
     "TensorCG", "Verdict", "antipode_convolution", "delta", "is_zero_mod_j",
     "pair", "pair_word", "pairing_certificate", "relations",

@@ -26,7 +26,12 @@ a conjugate-linear anti-automorphism with omega^2 = id.
 
 These signs are implemented once, in :func:`grading.delta_sign`,
 :func:`grading.antipode_image` and :func:`grading.omega_image`, which the
-group points of :mod:`superfn.grassmann` read too.
+group points of :mod:`superfn.grassmann` read too.  S and omega reach
+monomials through one reversal rule, :func:`_reversed_monomial`: the
+factors' images are merged in reverse order; S adds (-1)^(k choose 2) for
+k odd factors, and omega, which adds no sign, conjugates the coefficient.
+``CG.antipode``, ``CG.omega``, :func:`antipode_convolution` and
+:func:`omega_star_delta` all read it.
 
 Duality with U(gl(m|n)) is the graded pairing determined by
 ``<t_ab, E_cd> = delta_ac delta_bd`` and
@@ -49,7 +54,7 @@ from .scalar import Scalar, ZERO, ONE, sign_pow
 from .superpoly import (
     Monomial,
     Poly,
-    StarSpec,
+    _merge_monomials,
     monomial_parity,
     symbol,
 )
@@ -130,46 +135,42 @@ class CG(Poly):
         return total
 
     def antipode(self) -> "CG":
-        out = Poly.zero()
-        for mono, c in self.terms.items():
-            # reversing k odd factors costs (-1)^(k choose 2)
-            k = sum(e for s, e in mono if s[3])
-            prod = Poly.from_scalar(c * sign_pow(k * (k - 1) // 2))
-            for s, e in reversed(mono):
-                img = _gen_image(self.dims, antipode_image(self.dims, *s[:3]))
-                for _ in range(e):
-                    prod = prod * img
-            out = out + prod
-        return CG(self.dims, out.terms)
+        return self._reversed(False)
 
     def omega(self) -> "CG":
-        return _omega_spec(self.dims).apply(self)
+        return self._reversed(True)
+
+    def _reversed(self, star: bool) -> "CG":
+        """S (star false) or omega (star true), term by term through
+        :func:`_reversed_monomial`; omega conjugates the coefficients."""
+        out = {}
+        for mono, c in self.terms.items():
+            e, image = _reversed_monomial(self.dims, mono, star)
+            if star:
+                c = c.conj()
+            add_term(out, image, -c if e else c)
+        return CG(self.dims, out)
 
     def delta(self) -> "TensorCG":
         return delta(self)
 
 
-def _gen_image(dims: Dims, image: tuple) -> Poly:
-    """(-1)^e g for a generator image (e, key) of the grading sign rules."""
-    e, key = image
-    return Poly.from_symbol(_gen_symbol(dims, *key)).scale(sign_pow(e))
-
-
-_omega_cache: dict = {}
-
-
-def _omega_spec(dims: Dims) -> StarSpec:
-    key = (dims.m, dims.n)
-    spec = _omega_cache.get(key)
-    if spec is None:
-        spec = StarSpec({
-            _gen_symbol(dims, tag, a, b):
-                _gen_image(dims, omega_image(dims, tag, a, b))
-            for tag in ("t", "tb")
-            for a in dims.indices() for b in dims.indices()
-        })
-        _omega_cache[key] = spec
-    return spec
+def _reversed_monomial(dims: Dims, mono: Monomial, star: bool):
+    """(e, image) with map(mono) = (-1)^e image, for map S (star false) or
+    omega (star true): the reversal rule of the module docstring.  Both
+    generator maps are injective and keep parity, so no odd factor of the
+    image squares."""
+    gen_image = omega_image if star else antipode_image
+    e = k = 0
+    image = ()
+    for s, p in reversed(mono):
+        d, key = gen_image(dims, *s[:3])
+        image, sgn = _merge_monomials(image, ((_gen_symbol(dims, *key), p),))
+        e ^= sgn ^ (d & p)
+        k += s[3]
+    if not star:
+        e ^= (k * (k - 1) // 2) & 1
+    return e, image
 
 
 class TensorCG(LinComb):
@@ -198,8 +199,6 @@ class TensorCG(LinComb):
         return TensorCG(dims, slots, {((),) * slots: ONE})
 
     def __mul__(self, other: "TensorCG") -> "TensorCG":
-        from .superpoly import _merge_monomials
-
         self._check(other)
         out = {}
         for ms, c1 in self.terms.items():
@@ -276,16 +275,17 @@ def antipode_convolution(f: CG, side: str = "left") -> CG:
     """
     if side not in ("left", "right"):
         raise ValueError(f"bad side {side!r}")
-    out = CG.zero(f.dims)
+    out = {}
     for (m1, m2), c in delta(f).terms.items():
-        f1 = CG(f.dims, {m1: ONE})
-        f2 = CG(f.dims, {m2: ONE})
         if side == "left":
-            prod = f1.antipode() * f2
+            e, m1 = _reversed_monomial(f.dims, m1, False)
         else:
-            prod = f1 * f2.antipode()
-        out = out + prod.scale(c)
-    return out
+            e, m2 = _reversed_monomial(f.dims, m2, False)
+        merged = _merge_monomials(m1, m2)
+        if merged is not None:
+            mono, sgn = merged
+            add_term(out, mono, -c if e ^ sgn else c)
+    return CG(f.dims, out)
 
 
 # ---------------------------------------------------------------- pairing
@@ -642,18 +642,13 @@ def pairing_certificate(f: CG) -> bool:
 def omega_star_delta(f: CG) -> TensorCG:
     """(omega (*) omega) applied to Delta(f): slots swap-free, with the
     Koszul sign (-1)^{[f_(1)][f_(2)]} of a graded tensor-square map."""
-    two = delta(f)
     out = {}
-    for (m1, m2), c in two.terms.items():
+    for (m1, m2), c in delta(f).terms.items():
+        e1, w1 = _reversed_monomial(f.dims, m1, True)
+        e2, w2 = _reversed_monomial(f.dims, m2, True)
+        c = c.conj()
         sgn = monomial_parity(m1) & monomial_parity(m2)
-        w1 = CG(f.dims, {m1: ONE}).omega()
-        w2 = CG(f.dims, {m2: ONE}).omega()
-        coeff = c.conj()
-        if sgn:
-            coeff = -coeff
-        for mm1, c1 in w1.terms.items():
-            for mm2, c2 in w2.terms.items():
-                add_term(out, (mm1, mm2), coeff * c1 * c2)
+        add_term(out, (w1, w2), -c if sgn ^ e1 ^ e2 else c)
     return TensorCG(f.dims, 2, out)
 
 

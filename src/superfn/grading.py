@@ -84,6 +84,8 @@ def omega_image(dims: Dims, tag: str, a: int, b: int) -> tuple:
     """(e, key) with omega(tag_ab) = (-1)^e key, for the compact star
     omega(t_ab) = (-1)^{[b]([a]+[b])} tbar_ab and
     omega(tbar_ab) = (-1)^{[b]([a]+[b])} t_ab."""
+    if tag not in ("t", "tb"):
+        raise ValueError(f"omega undefined for tag {tag!r}")
     pb = dims.par(b)
     return pb & (dims.par(a) ^ pb), ("tb" if tag == "t" else "t", a, b)
 

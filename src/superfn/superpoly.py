@@ -185,35 +185,6 @@ class DerivationSpec:
         return p._like(out)
 
 
-class StarSpec:
-    """A conjugate-linear anti-automorphism, determined by generator images.
-
-    ``apply`` conjugates coefficients and reverses products:
-    ``(fg)* = g* f*`` with no extra sign.  Images must preserve parity;
-    generators without an image map to themselves.  The result is built by
-    ``p._like``, so a CG keeps its dims.
-    """
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: dict):
-        self.images = images
-
-    def apply(self, p: Poly) -> Poly:
-        out = {}
-        for m, c in p.terms.items():
-            prod = Poly.from_scalar(c.conj())
-            for s, e in reversed(m):
-                img = self.images.get(s)
-                if img is None:
-                    img = Poly.from_symbol(s)
-                for _ in range(e):
-                    prod = prod * img
-            for mm, cc in prod.terms.items():
-                add_term(out, mm, cc)
-        return p._like(out)
-
-
 def _scalar_body(c: Scalar):
     """Render a Scalar as (negative?, body-string) in CLI grammar."""
     if c.im == 0:

@@ -166,8 +166,7 @@ class UEl(LinComb):
 
     @staticmethod
     def letter(dims: Dims, a: int, b: int) -> "UEl":
-        dims.par(a), dims.par(b)  # index range check
-        return UEl(dims, {((a, b),): ONE})
+        return UEl.word(dims, ((a, b),))
 
     @staticmethod
     def word(dims: Dims, letters: Iterable[tuple]) -> "UEl":

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import reversal_reference
 from coproduct_reference import pair_via_coproduct
 from superfn import cg, grassmann, ugl
 from superfn.cg import (
@@ -16,13 +17,14 @@ from superfn.cg import (
     antipode_convolution,
     delta,
     is_zero_mod_j,
+    omega_star_delta,
     pair,
     pair_word,
     pairing_certificate,
     relations,
     verify_hopf,
 )
-from superfn.grading import Dims
+from superfn.grading import Dims, antipode_image, omega_image
 from superfn.linalg import SparseEchelon
 from superfn.grassmann import (
     GroupPoint,
@@ -180,6 +182,116 @@ def test_omega_generator_images():
                     CG.tbar(dims, a, b).scale(s)
                 assert CG.tbar(dims, a, b).omega() == \
                     CG.t(dims, a, b).scale(s)
+
+
+REVERSAL_DIMS = [D11, D21, D12, Dims(2, 2), Dims(3, 2)]
+
+
+def rand_term(dims, rng, evens, odds, power):
+    """c times up to ``evens`` distinct even generators, each to a power
+    1..``power``, times up to ``odds`` distinct odd ones, in random order;
+    c is a nonzero Gaussian rational."""
+    gens = all_gens(dims)
+    even = [g for g in gens if g.parity() == 0]
+    odd = [g for g in gens if g.parity() == 1]
+    factors = [g ** rng.randint(1, power)
+               for g in rng.sample(even, rng.randint(0, evens))]
+    factors += rng.sample(odd, rng.randint(0, min(odds, len(odd))))
+    rng.shuffle(factors)
+    term = CG.from_scalar(dims, Scalar(
+        Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)),
+        rng.randint(-2, 2)))
+    for g in factors:
+        term = term * g
+    return term
+
+
+def rand_sum(dims, rng, evens, odds, power):
+    out = CG.zero(dims)
+    for _ in range(rng.randint(1, 3)):
+        out = out + rand_term(dims, rng, evens, odds, power)
+    return out
+
+
+def assert_features(fs, odd_factors):
+    """The sample has a complex coefficient, an exponent of at least 2 and
+    a monomial with at least ``odd_factors`` odd factors."""
+    terms = [(m, c) for f in fs for m, c in f.terms.items()]
+    assert any(c.im for _, c in terms)
+    assert any(e >= 2 for m, _ in terms for _, e in m)
+    assert any(sum(s[3] for s, _ in m) >= odd_factors for m, _ in terms)
+
+
+@pytest.mark.parametrize("dims", REVERSAL_DIMS,
+                         ids=lambda d: f"{d.m}{d.n}")
+def test_antipode_and_omega_match_the_poly_product_reference(dims):
+    rng = random.Random(2900 + 10 * dims.m + dims.n)
+    fs = [rand_sum(dims, rng, 2, 3, 3) for _ in range(40)]
+    assert_features(fs, 3)
+    for f in fs:
+        assert f.antipode() == reversal_reference.antipode(f)
+        assert f.omega() == reversal_reference.omega(f)
+
+
+@pytest.mark.parametrize("dims", REVERSAL_DIMS,
+                         ids=lambda d: f"{d.m}{d.n}")
+def test_convolutions_match_the_poly_product_reference(dims):
+    rng = random.Random(2910 + 10 * dims.m + dims.n)
+    fs = [rand_sum(dims, rng, 1, 2, 2) for _ in range(12)]
+    assert_features(fs, 2)
+    for f in fs:
+        for side in ("left", "right"):
+            assert antipode_convolution(f, side) == \
+                reversal_reference.antipode_convolution(f, side)
+        assert omega_star_delta(f) == reversal_reference.omega_star_delta(f)
+
+
+def rand_homogeneous(dims, rng):
+    """A sum of two random terms of one parity."""
+    f = rand_term(dims, rng, 2, 2, 2)
+    while True:
+        g = rand_term(dims, rng, 2, 2, 2)
+        if g.parity() == f.parity():
+            return f + g
+
+
+@pytest.mark.parametrize("dims", REVERSAL_DIMS,
+                         ids=lambda d: f"{d.m}{d.n}")
+def test_antipode_and_omega_reverse_products(dims):
+    """S(fg) = (-1)^{[f][g]} S(g) S(f) and omega(fg) = omega(g) omega(f)
+    on homogeneous f and g."""
+    rng = random.Random(2920 + 10 * dims.m + dims.n)
+    nonzero = 0
+    for _ in range(40):
+        f, g = rand_homogeneous(dims, rng), rand_homogeneous(dims, rng)
+        fg = f * g
+        nonzero += not fg.is_zero()
+        assert fg.antipode() == (g.antipode() * f.antipode()).scale(
+            sign_pow(f.parity() * g.parity()))
+        assert fg.omega() == g.omega() * f.omega()
+    assert nonzero >= 20
+
+
+@pytest.mark.parametrize("dims", REVERSAL_DIMS,
+                         ids=lambda d: f"{d.m}{d.n}")
+def test_omega_is_a_conjugate_linear_involution(dims):
+    rng = random.Random(2930 + 10 * dims.m + dims.n)
+    c = Scalar(2, -3)
+    for _ in range(20):
+        f = rand_sum(dims, rng, 2, 3, 3)
+        assert f.omega().omega() == f
+        assert f.scale(c).omega() == f.omega().scale(c.conj())
+
+
+def test_s_and_omega_refuse_a_symbol_other_than_t_or_tb():
+    with pytest.raises(ValueError, match="antipode undefined for tag 'x'"):
+        antipode_image(D11, "x", 1, 2)
+    with pytest.raises(ValueError, match="omega undefined for tag 'x'"):
+        omega_image(D11, "x", 1, 2)
+    f = CG(D11, {((symbol("x", 1, 2, 1), 1),): ONE})
+    for op in (CG.antipode, CG.omega):
+        with pytest.raises(ValueError, match="undefined for tag 'x'"):
+            op(f)
 
 
 def test_coassociativity_random():

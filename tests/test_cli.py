@@ -406,9 +406,10 @@ def test_each_main_call_reads_the_degree_cap_as_it_is_then(capsys,
 def test_bad_degree_cap_is_refused_only_where_a_u_element_is_built(
         capsys, monkeypatch):
     monkeypatch.setenv("SUPERFN_DEGREE_CAP", "abc")
-    code, _, err = run(capsys, "--m", "1", "--n", "1", "eval", "2*E[1,1]")
-    assert code == 3
-    assert err.strip() == "resource cap: bad SUPERFN_DEGREE_CAP: 'abc'"
+    for expr in ("2*E[1,1]", "E[1,1]"):
+        code, _, err = run(capsys, "--m", "1", "--n", "1", "eval", expr)
+        assert code == 3, expr
+        assert err.strip() == "resource cap: bad SUPERFN_DEGREE_CAP: 'abc'"
     code, out, _ = run(capsys, "--m", "1", "--n", "1", "eval", "t[1,1]")
     assert code == 0 and out.strip() == "t[1,1]"
 
@@ -419,7 +420,8 @@ def test_a_main_call_reads_the_degree_cap_at_most_once(capsys,
             (("eval", "t[1,1]^3 + tb[1,2]*t[2,1]"), 0),
             (("eval", "E[1,1]*E[1,2] + E[2,1]^2*E[1,1]"), 1),
             (("act", "--side", "dL", "--elem", "E[1,2]*E[2,1] + E[2,2]",
-              "--on", "t[1,1]*t[2,2] + tb[1,2]"), 1)):
+              "--on", "t[1,1]*t[2,2] + tb[1,2]"), 1),
+            (("invariant", "t[1,1]*tb[1,1]", "--side", "both"), 1)):
         counting_environ.reads = 0
         code, _, _ = run(capsys, "--m", "1", "--n", "1", *argv)
         assert code == 0 and counting_environ.reads == reads, argv

@@ -1,6 +1,8 @@
 """No module of the package, the tests or the benchmark imports a name it
 never uses, no private function or class of the package is left
-unreferenced by the package itself, and the package imports no argparse.
+unreferenced by the package itself, the package imports no argparse, and
+``superfn.__all__`` lists every name the package ``__init__.py`` imports,
+each of them resolving.
 
 A name counts as used when it occurs as a bare name anywhere in the module
 (an attribute chain ``a.b`` uses ``a``).  ``from __future__`` imports and
@@ -97,3 +99,16 @@ def test_the_package_leaves_argparse_unimported():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_every_export_resolves_and_every_import_is_exported():
+    import superfn
+
+    exported = superfn.__all__
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(superfn, name)] == []
+    tree = ast.parse((ROOT / "src" / "superfn" / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(imported) > 40
+    assert sorted(imported - set(exported)) == []

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from superfn.superpoly import (
     DerivationSpec,
     Poly,
-    StarSpec,
     monomial_degree,
     monomial_parity,
     symbol,
 )
-from superfn.scalar import Scalar, I
+from superfn.scalar import Scalar
 
 # a small fixed alphabet: two even symbols, two odd
 X = symbol("t", 1, 1, 0)
@@ -103,24 +102,6 @@ def test_derivation_leibniz():
 def test_derivation_leibniz_property(p, q):
     d = DerivationSpec(0, {X: Poly.one(), Y: Poly.from_symbol(Y)})
     assert d.apply(p * q) == d.apply(p) * q + p * d.apply(q)
-
-
-def test_star_spec_anti_automorphism():
-    # swap A and B, conjugate coefficients
-    star = StarSpec({A: Poly.from_symbol(B), B: Poly.from_symbol(A)})
-    p = Poly.from_symbol(A).scale(I)
-    assert star.apply(p) == Poly.from_symbol(B).scale(-I)
-    # (fg)* = g* f*
-    f = Poly.from_symbol(A) * Poly.from_symbol(X)
-    g = Poly.from_symbol(B)
-    assert star.apply(f * g) == star.apply(g) * star.apply(f)
-
-
-@given(p=polys())
-@settings(max_examples=40, deadline=None)
-def test_star_spec_involution(p):
-    star = StarSpec({A: Poly.from_symbol(B), B: Poly.from_symbol(A)})
-    assert star.apply(star.apply(p)) == p
 
 
 def test_pretty_basics():
