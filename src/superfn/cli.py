@@ -1,12 +1,17 @@
 """Command-line front end.
 
-Expression grammar (whitespace insensitive)::
+Expression grammar (whitespace insensitive between tokens)::
 
-    expr   := term (('+' | '-') term)*
-    term   := factor ('*' factor)*
-    factor := atom ('^' uint)?
-    atom   := scalar | generator | '(' expr ')'
-    scalar := ['-'] uint ['/' uint] ['i'] | 'i'
+    expr      := term (('+' | '-') term)*
+    term      := factor ('*' factor)*
+    factor    := atom ('^' uint)?
+    atom      := scalar | generator | '(' expr ')'
+    scalar    := ['-'] uint ['/' uint] ['i'] | 'i'
+    generator := name | name '[' uint ((',' | ';') uint)* ']'
+
+A generator is one lexeme: whitespace may stand before its '[' and inside
+its brackets, and a name followed by '[' but no such index list is a
+syntax error there.  Parentheses nest at most 100 deep.
 
 Generators: ``t[a,b]``, ``tb[a,b]``, ``E[a,b]``, ``z[a]``, ``zb[a]``, ``r``,
 ``C[i;a,b]``, ``CP[i,j]``, ``theta[k]``.  The ``E`` atoms build enveloping-
@@ -60,26 +65,46 @@ class CliError(Exception):
 # tokenizer and recursive-descent parser
 
 
-# finditer skips whitespace; "bad" is a character no token starts with
-_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z]+)"
-                       r"|(?P<punct>[\[\](),;+\-*^/])|(?P<bad>\S)")
+# finditer skips whitespace.  "gen" is a whole generator atom, its name and
+# its bracketed index list; "open" is a name and '[' that do not lex whole;
+# "bad" is a character no token starts with.
+_TOKEN_RE = re.compile(
+    r"(?P<gen>([A-Za-z]+)\s*\[(\s*\d+(?:\s*[,;]\s*\d+)*)\s*\])"
+    r"|(?P<int>\d+)|(?P<open>[A-Za-z]+)\s*\[|(?P<name>[A-Za-z]+)"
+    r"|(?P<punct>[\[\](),;+\-*^/])|(?P<bad>\S)")
 
 # generator -> the kind of each index: "a" a row or column 1..m+n, "b" a
 # refined block of the profile, "k" a degree
 _GEN_ARGS = {"t": "aa", "tb": "aa", "E": "aa", "z": "a", "zb": "a", "r": "",
              "C": "baa", "CP": "bb", "theta": "k"}
 
+# parentheses nested deeper than this are refused, so that neither the
+# parser nor the evaluator runs out of stack
+_MAX_NESTING = 100
+
 
 def tokenize(text: str) -> list:
-    """Break the input into (kind, value, position) triples."""
+    """Break the input into (kind, value, position) triples.  A generator
+    with indices is one token, ("gen", (name, indices), position)."""
     out = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "bad":
+        if kind == "gen":
+            # int() skips the whitespace the pattern lets around a digit
+            name, indices = m.group(2, 3)
+            value = (name, tuple(map(int, indices.replace(";", ",")
+                                     .split(","))))
+        elif kind == "punct" or kind == "name":
+            value = m.group()
+        elif kind == "int":
+            value = int(m.group())
+        elif kind == "open":
+            raise CliError(f"syntax error at position {m.start()}: "
+                           f"malformed index list for {m.group(kind)!r}")
+        else:
             raise CliError(f"syntax error at position {m.start()}: "
                            f"unexpected character {m.group()!r}")
-        out.append((kind, int(m.group()) if kind == "int" else m.group(),
-                    m.start()))
+        out.append((kind, value, m.start()))
     return out
 
 
@@ -87,134 +112,120 @@ class _Parser:
     """Recursive descent over the expression grammar; builds tuple ASTs.
 
     Nodes: ("num", Scalar), ("gen", name, args), ("add"|"sub"|"mul", l, r),
-    ("pow", base, uint).
+    ("pow", base, uint).  A generator arrives as one token, so only its
+    name and index count are checked here.  The token list ends in an
+    ("end", None, len(text)) sentinel, so the parser reads
+    ``self.toks[self.i]`` with no bounds test, and tests a token by its
+    value alone: only a punct token has a punctuation character as value,
+    and only a name token the name "i".
     """
 
     def __init__(self, text: str):
-        self.text = text
         self.toks = tokenize(text)
+        self.toks.append(("end", None, len(text)))
         self.i = 0
+        self.depth = 0
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise CliError(f"syntax error at position {len(self.text)}: "
-                           "unexpected end of input")
-        self.i += 1
-        return tok
+    def fail(self, what: str):
+        kind, _, pos = self.toks[self.i]
+        raise CliError(f"syntax error at position {pos}: " + (
+            "unexpected end of input" if kind == "end" else what))
 
     def expect_punct(self, ch: str):
-        tok = self.next()
-        if tok[0] != "punct" or tok[1] != ch:
-            raise CliError(f"syntax error at position {tok[2]}: "
-                           f"expected {ch!r}")
+        if self.toks[self.i][1] != ch:
+            self.fail(f"expected {ch!r}")
+        self.i += 1
 
     def expect_int(self) -> int:
-        tok = self.next()
-        if tok[0] != "int":
-            raise CliError(f"syntax error at position {tok[2]}: "
-                           "expected an integer")
-        return tok[1]
+        kind, val, _ = self.toks[self.i]
+        if kind != "int":
+            self.fail("expected an integer")
+        self.i += 1
+        return val
 
     def parse(self):
         node = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise CliError(f"syntax error at position {tok[2]}: "
-                           "trailing input")
+        if self.toks[self.i][0] != "end":
+            self.fail("trailing input")
         return node
 
     def expr(self):
         node = self.term()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok[0] == "punct" and tok[1] in "+-":
-                self.next()
-                node = ("add" if tok[1] == "+" else "sub", node, self.term())
-            else:
-                return node
+        toks = self.toks
+        while (op := toks[self.i][1]) == "+" or op == "-":
+            self.i += 1
+            node = ("add" if op == "+" else "sub", node, self.term())
+        return node
 
     def term(self):
         node = self.factor()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok[0] == "punct" and tok[1] == "*":
-                self.next()
-                node = ("mul", node, self.factor())
-            else:
-                return node
+        toks = self.toks
+        while toks[self.i][1] == "*":
+            self.i += 1
+            node = ("mul", node, self.factor())
+        return node
 
     def factor(self):
         node = self.atom()
-        tok = self.peek()
-        if tok is not None and tok[0] == "punct" and tok[1] == "^":
-            self.next()
+        if self.toks[self.i][1] == "^":
+            self.i += 1
             return ("pow", node, self.expect_int())
         return node
 
     def atom(self):
-        tok = self.peek()
-        if tok is None:
-            raise CliError(f"syntax error at position {len(self.text)}: "
-                           "unexpected end of input")
-        kind, val, pos = tok
-        if kind == "punct" and val == "(":
-            self.next()
-            node = self.expr()
-            self.expect_punct(")")
-            return node
-        if kind == "punct" and val == "-":
-            self.next()
-            return self.scalar(negate=True)
+        kind, val, pos = self.toks[self.i]
+        if kind == "gen":
+            self.i += 1
+            return self.generator(*val, pos)
         if kind == "int":
             return self.scalar(negate=False)
-        if kind == "name" and val == "i":
-            self.next()
-            return ("num", I)
+        if val == "(":
+            if self.depth == _MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {_MAX_NESTING}")
+            self.depth += 1
+            self.i += 1
+            node = self.expr()
+            self.expect_punct(")")
+            self.depth -= 1
+            return node
+        if val == "-":
+            self.i += 1
+            return self.scalar(negate=True)
         if kind == "name":
-            return self.generator()
-        raise CliError(f"syntax error at position {pos}: "
-                       f"unexpected {val!r}")
+            self.i += 1
+            return ("num", I) if val == "i" else self.generator(val, (), pos)
+        self.fail(f"unexpected {val!r}")
 
     def scalar(self, negate: bool):
+        toks = self.toks
         num = self.expect_int()
-        den = 1
-        tok = self.peek()
-        if tok is not None and tok[0] == "punct" and tok[1] == "/":
-            self.next()
+        if toks[self.i][1] == "/":
+            self.i += 1
             den = self.expect_int()
             if den == 0:
                 raise CliError("zero denominator in scalar literal")
-        value = Scalar(num) / Scalar(den)
-        tok = self.peek()
-        if tok is not None and tok[0] == "name" and tok[1] == "i":
-            self.next()
+            value = Scalar.rational(num, den)
+        else:
+            value = Scalar(num)
+        if toks[self.i][1] == "i":
+            self.i += 1
             value = value * I
         if negate:
             value = -value
         return ("num", value)
 
-    def generator(self):
-        kind, name, pos = self.next()
-        if name not in _GEN_ARGS:
+    @staticmethod
+    def generator(name: str, args: tuple, pos: int):
+        kinds = _GEN_ARGS.get(name)
+        if kinds is None:
             raise CliError(f"syntax error at position {pos}: "
                            f"unknown generator {name!r}")
-        arity = len(_GEN_ARGS[name])
-        if arity == 0:
-            return ("gen", name, ())
-        self.expect_punct("[")
-        args = [self.expect_int()]
-        for _ in range(arity - 1):
-            tok = self.next()
-            if tok[0] != "punct" or tok[1] not in ",;":
-                raise CliError(f"syntax error at position {tok[2]}: "
-                               "expected ',' between indices")
-            args.append(self.expect_int())
-        self.expect_punct("]")
-        return ("gen", name, tuple(args))
+        n = len(kinds)
+        if len(args) != n:
+            raise CliError(f"syntax error at position {pos}: {name!r} takes "
+                           f"{n} {'index' if n == 1 else 'indices'}, "
+                           f"got {len(args)}")
+        return ("gen", name, args)
 
 
 def parse_expr(text: str):
@@ -272,33 +283,41 @@ class ExprContext:
 
     def evaluate(self, node):
         """Return (side, value): side is None for a bare Scalar, else
-        "cg" or "u"."""
+        "cg" or "u".  A flat sum or product parses to a left-deep tree of
+        any length, so its left spine is walked in a loop; what recursion
+        is left is bounded by the parser's parenthesis nesting."""
+        spine = []
+        while node[0] in ("add", "sub", "mul"):
+            spine.append(node)
+            node = node[1]
         kind = node[0]
         if kind == "num":
-            return None, node[1]
-        if kind == "gen":
-            return self.gen_value(node[1], node[2])
-        if kind in ("add", "sub", "mul"):
-            s1, v1 = self.evaluate(node[1])
-            s2, v2 = self.evaluate(node[2])
-            side = self._join(s1, s2)
-            v1 = self._promote(s1, v1, side)
-            v2 = self._promote(s2, v2, side)
-            if kind == "add":
-                return side, v1 + v2
-            if kind == "sub":
-                return side, v1 - v2
-            return side, v1 * v2
-        if kind == "pow":
-            s1, v1 = self.evaluate(node[1])
+            side, value = None, node[1]
+        elif kind == "gen":
+            side, value = self.gen_value(node[1], node[2])
+        elif kind == "pow":
+            side, value = self.evaluate(node[1])
             e = node[2]
-            if s1 is None:
-                return None, v1 ** e
-            if e == 0:
-                return s1, (CG.one(self.dims) if s1 == "cg"
-                            else UEl.one(self.dims))
-            return s1, v1 ** e
-        raise CliError(f"unknown node kind {kind!r}")
+            if side is not None and e == 0:
+                value = CG.one(self.dims) if side == "cg" \
+                    else UEl.one(self.dims)
+            else:
+                value = value ** e
+        else:
+            raise CliError(f"unknown node kind {kind!r}")
+        for kind, _, right in reversed(spine):
+            s2, v2 = self.evaluate(right)
+            target = self._join(side, s2)
+            value = self._promote(side, value, target)
+            v2 = self._promote(s2, v2, target)
+            if kind == "add":
+                value = value + v2
+            elif kind == "sub":
+                value = value - v2
+            else:
+                value = value * v2
+            side = target
+        return side, value
 
     @staticmethod
     def _join(s1, s2):
@@ -614,9 +633,18 @@ def _usage_error(verb, message: str):
 
 
 def build_parser() -> dict:
-    """Per verb (None: before the verb), the flags it reads, by name."""
-    table = {verb: {**_GLOBALS, **spec[3]} for verb, spec in _VERBS.items()}
-    table[None] = _GLOBALS
+    """Per verb (None: before the verb): the flags it reads by name, the
+    namespace of its defaults, its positionals, and its required flags as
+    (flag, key) pairs."""
+    table = {}
+    for verb, (func, _, names, own) in [(None, (None, None, ("verb",), {})),
+                                        *_VERBS.items()]:
+        flags = {**_GLOBALS, **own}
+        defaults = {name[2:]: spec[1] for name, spec in flags.items()}
+        defaults.update(verb=verb, func=func)
+        required = tuple((name, name[2:]) for name, spec in flags.items()
+                         if spec[1] is _REQUIRED)
+        table[verb] = (flags, defaults, names, required)
     return table
 
 
@@ -624,22 +652,20 @@ def read_args(parser: dict, argv) -> SimpleNamespace:
     """Read argv in one pass by the table of :func:`build_parser`: flags
     come before or after the verb, a later one wins, and "--" ends them.
     A usage error prints a usage line and the error, and exits 2."""
-    verb, flags, names, ended = None, parser[None], ("verb",), False
-    ns = {name[2:]: spec[1] for name, spec in _GLOBALS.items()}
+    verb, ended, given = None, False, {}
+    flags, _, names, _ = parser[None]
     args = iter(argv)
     for arg in args:
         if ended or not arg.startswith("-"):
             if verb is not None:
                 if not names:
                     _usage_error(verb, f"unexpected argument {arg!r}")
-                ns[names[0]], names = arg, names[1:]
+                given[names[0]], names = arg, names[1:]
                 continue
             if arg not in _VERBS:
                 _usage_error(None, f"unknown verb {arg!r}")
-            verb, flags = arg, parser[arg]
-            func, _, names, own = _VERBS[verb]
-            ns.update({name[2:]: spec[1] for name, spec in own.items()},
-                      verb=verb, func=func)
+            verb = arg
+            flags, _, names, _ = parser[verb]
         elif arg == "--":
             ended = True
         elif arg in ("-h", "--help"):
@@ -658,11 +684,12 @@ def read_args(parser: dict, argv) -> SimpleNamespace:
                 _usage_error(verb, f"{arg} needs an integer")
             if choices is not None and value not in choices:
                 _usage_error(verb, f"{arg} takes one of {', '.join(choices)}")
-            ns[arg[2:]] = value
-    missing = [*names] + [f for f in flags if ns[f[2:]] is _REQUIRED]
+            given[arg[2:]] = value
+    _, defaults, _, required = parser[verb]
+    missing = [*names] + [flag for flag, key in required if key not in given]
     if missing:
         _usage_error(verb, f"missing {', '.join(missing)}")
-    return SimpleNamespace(**ns)
+    return SimpleNamespace(**(defaults | given))
 
 
 # Built on the first main() call and kept for the process: read_args

@@ -171,16 +171,24 @@ class DerivationSpec:
             for idx in range(len(m)):
                 s, e = m[idx]
                 img = self.images.get(s)
-                if img is not None and not img.is_zero():
+                if img is not None and img.terms:
                     coeff = c * Scalar(e)
                     if self.parity and prefix_par:
                         coeff = -coeff
-                    rest = m[idx + 1:]
+                    prefix, rest = m[:idx], m[idx + 1:]
                     if e > 1:
                         rest = ((s, e - 1),) + rest
-                    term = Poly({m[:idx]: coeff}) * img * Poly({rest: ONE})
-                    for mm, cc in term.terms.items():
-                        add_term(out, mm, cc)
+                    # prefix * img * rest, one image monomial at a time
+                    for mi, ci in img.terms.items():
+                        left = _merge_monomials(prefix, mi)
+                        if left is None:
+                            continue
+                        whole = _merge_monomials(left[0], rest)
+                        if whole is None:
+                            continue
+                        cc = coeff * ci
+                        add_term(out, whole[0],
+                                 -cc if left[1] ^ whole[1] else cc)
                 prefix_par ^= (e & 1) & s[3]
         return p._like(out)
 

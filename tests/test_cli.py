@@ -27,9 +27,7 @@ def test_tokenizer_reports_positions():
         tokenize("t[1,1] $ 2")
     assert "position 7" in str(exc.value)
     # leading and trailing whitespace is skipped, positions count it
-    assert tokenize("  t[1,1]  ") == [
-        ("name", "t", 2), ("punct", "[", 3), ("int", 1, 4),
-        ("punct", ",", 5), ("int", 1, 6), ("punct", "]", 7)]
+    assert tokenize("  t[1,1]  ") == [("gen", ("t", (1, 1)), 2)]
     assert tokenize(" \t-2/3i*E[1,2]\n")[:6] == [
         ("punct", "-", 2), ("int", 2, 3), ("punct", "/", 4), ("int", 3, 5),
         ("name", "i", 6), ("punct", "*", 7)]
@@ -49,6 +47,24 @@ def test_parse_error_cases():
                  "\tr + 1 #"):
         with pytest.raises(CliError):
             parse_expr(text)
+
+
+def test_generator_errors_are_pinned():
+    """A generator is one lexeme: a name, then indices in brackets; a bad
+    index list is refused at the name, and so is a wrong index count."""
+    for text, message in (
+        ("t[1,", "position 0: malformed index list for 't'"),
+        ("t[1 1]", "position 0: malformed index list for 't'"),
+        ("2*t [1,]", "position 2: malformed index list for 't'"),
+        ("theta[1,2]", "position 0: 'theta' takes 1 index, got 2"),
+        ("r[1]", "position 0: 'r' takes 0 indices, got 1"),
+        ("t", "position 0: 't' takes 2 indices, got 0"),
+        ("1 + C[1,2]", "position 4: 'C' takes 3 indices, got 2"),
+        ("w[1,1]", "position 0: unknown generator 'w'"),
+    ):
+        with pytest.raises(CliError) as exc:
+            parse_expr(text)
+        assert str(exc.value) == f"syntax error at {message}", text
 
 
 def test_parse_basic_shapes():
@@ -370,6 +386,29 @@ def test_syntax_and_index_errors_exit_2(capsys):
         code, _, err = run(capsys, "--m", "1", "--n", "1", "eval", expr)
         assert code == 2, expr
         assert err.startswith("error:")
+
+
+def test_long_printed_output_reads_back(capsys):
+    """A flat sum of 1,302 terms evaluates with no recursion per term."""
+    argv = ["--m", "2", "--n", "1", "eval"]
+    code, out, _ = run(capsys, *argv, "(t[1,1]+t[1,2]+t[1,3]+t[2,1]+t[2,2]"
+                       "+t[2,3]+t[3,1]+t[3,2]+t[3,3]+tb[1,1]+tb[2,2])^5")
+    assert code == 0
+    pretty = out.strip()
+    assert pretty.count(" + ") + pretty.count(" - ") + 1 == 1302
+    assert run(capsys, *argv, pretty) == (0, out, "")
+
+
+def test_deep_parentheses_exit_2(capsys):
+    for depth, code in ((100, 0), (101, 2), (400, 2)):
+        text = "(" * depth + "1" + ")" * depth
+        got, out, err = run(capsys, "--m", "1", "--n", "1", "eval", text)
+        assert got == code, depth
+        if code:
+            assert err == ("error: syntax error at position 100: "
+                           "parentheses nested deeper than 100\n")
+        else:
+            assert out == "1\n"
 
 
 def test_bad_profile_exits_2(capsys):

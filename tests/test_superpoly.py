@@ -3,6 +3,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superfn.actions import letter_action
+from superfn.cg import CG
+from superfn.grading import Dims
+from superfn.linalg import add_term
 from superfn.superpoly import (
     DerivationSpec,
     Poly,
@@ -10,7 +14,7 @@ from superfn.superpoly import (
     monomial_parity,
     symbol,
 )
-from superfn.scalar import Scalar
+from superfn.scalar import ONE, Scalar
 
 # a small fixed alphabet: two even symbols, two odd
 X = symbol("t", 1, 1, 0)
@@ -102,6 +106,96 @@ def test_derivation_leibniz():
 def test_derivation_leibniz_property(p, q):
     d = DerivationSpec(0, {X: Poly.one(), Y: Poly.from_symbol(Y)})
     assert d.apply(p * q) == d.apply(p) * q + p * d.apply(q)
+
+
+def apply_by_poly_products(spec: DerivationSpec, p: Poly) -> Poly:
+    """The graded Leibniz rule with each image multiplied in as a Poly
+    product, prefix * image * rest: the reference for ``apply``."""
+    out = {}
+    for m, c in p.terms.items():
+        prefix_par = 0
+        for idx, (s, e) in enumerate(m):
+            img = spec.images.get(s)
+            if img is not None and not img.is_zero():
+                coeff = c * Scalar(e)
+                if spec.parity and prefix_par:
+                    coeff = -coeff
+                rest = m[idx + 1:]
+                if e > 1:
+                    rest = ((s, e - 1),) + rest
+                term = Poly({m[:idx]: coeff}) * img * Poly({rest: ONE})
+                for mm, cc in term.terms.items():
+                    add_term(out, mm, cc)
+            prefix_par ^= (e & 1) & s[3]
+    return Poly(out)
+
+
+def test_derivation_apply_matches_poly_products():
+    """``apply`` merges each image monomial between the prefix and the rest;
+    on seeded polynomials with odd factors and exponents up to 3 it gives
+    the reference's terms, coefficients and term order."""
+    rng = random.Random(30)
+    alphabet = [symbol("t", r, c, par) for r, c, par in
+                ((1, 1, 0), (1, 2, 1), (2, 1, 1), (2, 2, 0), (1, 3, 1),
+                 (3, 3, 0))]
+    gens = [Poly.from_symbol(s) for s in alphabet]
+
+    def scalar():
+        return Scalar(rng.randint(-4, 4),
+                      rng.choice((0, 0, rng.randint(-3, 3))))
+
+    def poly(terms, length):
+        out = Poly.zero()
+        for _ in range(terms):
+            term = Poly.from_scalar(scalar())
+            for _ in range(rng.randint(0, length)):
+                g = rng.choice(gens)
+                term = term * g ** (rng.randint(1, 3) if g.parity() == 0
+                                    else 1)
+            out = out + term
+        return out
+
+    seen = {"odd prefix": 0, "exponent": 0, "odd square": 0}
+    for _ in range(200):
+        spec = DerivationSpec(rng.randint(0, 1), {
+            s: poly(rng.randint(1, 3), 2) for s in rng.sample(alphabet, 3)})
+        p = poly(rng.randint(1, 4), 4)
+        got, want = spec.apply(p), apply_by_poly_products(spec, p)
+        assert list(got.terms.items()) == list(want.terms.items())
+        for m in p.terms:
+            for i, (s, e) in enumerate(m):
+                if s not in spec.images:
+                    continue
+                seen["exponent"] += e >= 2
+                seen["odd prefix"] += spec.parity and any(
+                    t[3] for t, _ in m[:i])
+                others = {t for t, _ in m if t[3] and t != s}
+                seen["odd square"] += any(
+                    t in others for mi in spec.images[s].terms
+                    for t, _ in mi)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_letter_actions_match_poly_products():
+    """The same on the translation actions' letter derivations at (2,1)
+    and (1,2), applied to seeded function-algebra elements."""
+    rng = random.Random(31)
+    for dims in (Dims(2, 1), Dims(1, 2)):
+        gens = [f(dims, a, b) for f in (CG.t, CG.tbar)
+                for a in dims.indices() for b in dims.indices()]
+        for _ in range(40):
+            f = CG.zero(dims)
+            for _ in range(rng.randint(1, 3)):
+                term = CG.from_scalar(dims, Scalar(rng.randint(-3, 3)))
+                for _ in range(rng.randint(1, 4)):
+                    term = term * rng.choice(gens)
+                f = f + term
+            a, b = rng.randint(1, dims.size), rng.randint(1, dims.size)
+            spec = letter_action(dims, rng.choice(("left", "right")), a, b)
+            got = spec.apply(f)
+            assert type(got) is CG and got.dims == dims
+            want = apply_by_poly_products(spec, f)
+            assert list(got.terms.items()) == list(want.terms.items())
 
 
 def test_pretty_basics():
