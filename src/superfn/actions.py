@@ -32,8 +32,10 @@ from .cg import CG, is_zero_mod_j
 from .grading import Dims, delta_sign
 from .scalar import sign_pow
 from .superpoly import DerivationSpec, Poly, symbol
-from .ugl import UEl, invariant_letters, letter_column
+from .ugl import UEl, _remember, invariant_letters, letter_column
 
+# Letter actions by (m, n, side, a, b), kept through _remember.
+_LETTER_CACHE_CAP = 1024
 _letter_cache: dict = {}
 
 
@@ -83,7 +85,7 @@ def letter_action(dims: Dims, side: str, a: int, b: int) -> DerivationSpec:
                 if not img.is_zero():
                     images[gsym] = img
     spec = DerivationSpec(xpar, images)
-    _letter_cache[key] = spec
+    _remember(_letter_cache, _LETTER_CACHE_CAP, key, spec)
     return spec
 
 

@@ -58,7 +58,8 @@ from .superpoly import (
     monomial_parity,
     symbol,
 )
-from .ugl import UEl, _remember, invariant_letters, letter_table
+from .ugl import (UEl, _letter_times, _remember, invariant_letters,
+                  letter_table)
 
 PAIRING_FLAT_CAP = 5000
 
@@ -340,19 +341,6 @@ def _compute_pair_data(dims: Dims, mono: Monomial):
 # and kept process-wide; the memo is emptied when it reaches its cap.
 _WORD_IMAGES_CAP = 8192
 _word_images: dict = {}
-
-
-def _letter_times(table: dict, vec: dict) -> dict:
-    """The image of an integer vector idx -> int under a letter table."""
-    out = {}
-    for idx, x in vec.items():
-        for o, c in table[idx]:
-            t = out.get(o, 0) + c * x
-            if t:
-                out[o] = t
-            else:
-                del out[o]
-    return out
 
 
 def _word_image(dims: Dims, kinds: tuple, cols: tuple, word: tuple) -> dict:

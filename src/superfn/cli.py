@@ -52,7 +52,6 @@ from .spherical import (
     z,
     zbar,
 )
-from .superpoly import render_terms
 from .tensorinv import verify_fft
 from .ugl import DegreeCapError, UEl, reread_degree_cap
 
@@ -348,12 +347,6 @@ class ExprContext:
         return self._promote(side, value, "u")
 
 
-def u_pretty(u: UEl) -> str:
-    """Render an enveloping-algebra element in the expression grammar."""
-    return render_terms(u.terms, lambda w: (len(w), w),
-                        lambda w: [f"E[{a},{b}]" for a, b in w])
-
-
 # ---------------------------------------------------------------------------
 # report plumbing
 
@@ -414,7 +407,7 @@ def _cmd_eval(args, ctx: ExprContext) -> int:
     if side is None:
         value = CG.from_scalar(ctx.dims, value)
         side = "cg"
-    pretty = value.pretty() if side == "cg" else u_pretty(value)
+    pretty = value.pretty()
     payload = {"verb": "eval", "side": side, "pretty": pretty,
                "degree": value.degree(), "parity": value.parity()}
     return _emit_value(payload, pretty, args.json)

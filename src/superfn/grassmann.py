@@ -77,7 +77,7 @@ from typing import Optional
 from .grading import Dims, antipode_image, delta_sign, omega_image
 from .linalg import LinComb, SparseEchelon, _add_scaled, cleared, divided
 from .scalar import Scalar, ZERO, ONE, I, sign_pow
-from .superpoly import Poly
+from .superpoly import Poly, render_terms
 from .ugl import _remember
 
 _BODY_BOUND = 2 ** 20
@@ -87,6 +87,12 @@ class GEl(LinComb):
     """An element of the Grassmann algebra on n generators over Q(i)."""
 
     __slots__ = ("n",)
+    _UNIT = 0
+    _key_degree = staticmethod(int.bit_count)
+
+    @staticmethod
+    def _key_parity(mask: int) -> int:
+        return mask.bit_count() & 1
 
     def __init__(self, n: int, terms: Optional[dict] = None):
         self.n = n
@@ -119,48 +125,19 @@ class GEl(LinComb):
     def soul(self) -> "GEl":
         return GEl(self.n, {m: c for m, c in self.terms.items() if m})
 
-    def parity(self) -> Optional[int]:
-        pars = {bin(m).count("1") & 1 for m in self.terms}
-        if len(pars) == 1:
-            return pars.pop()
-        return None
-
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(bin(m).count("1") for m in self.terms)
-
     def __mul__(self, other: "GEl") -> "GEl":
         self._check(other)
         den, (x, y) = cleared((self.terms, other.terms))
         return GEl(self.n, divided(_zmul_sum(((x, y),)), den * den))
-
-    def __pow__(self, k: int) -> "GEl":
-        if k < 0:
-            raise ValueError("negative power of a Grassmann element")
-        out = GEl.scalar(self.n, 1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def conj(self) -> "GEl":
         den, (num,) = cleared((self.terms,))
         return GEl(self.n, divided(_zconj(num), den))
 
     def __repr__(self):
-        if not self.terms:
-            return "GEl(0)"
-        bits = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            if m == 0:
-                bits.append(str(c))
-            else:
-                gens = "*".join(
-                    f"theta{j + 1}" for j in range(self.n) if m >> j & 1
-                )
-                bits.append(f"({c})*{gens}")
-        return "GEl(" + " + ".join(bits) + ")"
+        body = render_terms(self.terms, None, lambda m: [
+            f"theta{j + 1}" for j in range(self.n) if m >> j & 1])
+        return f"GEl({body})"
 
 
 def _odd_below(m: int) -> int:

@@ -4,7 +4,10 @@ Vectors are dicts mapping orderable keys to nonzero :class:`Scalar` values.
 :func:`add_term` is the one accumulation step on such dicts, and
 :class:`LinComb` wraps one with the vector-space operations shared by every
 sparse container of the package (polynomials, PBW elements, tensor-module
-vectors, coproduct tensors and Grassmann elements).
+vectors, coproduct tensors and Grassmann elements).  The three Z/2-graded
+algebras among them, polynomials (``Poly``), U(gl(m|n)) (``UEl``) and
+Grassmann elements (``GEl``), take their degree, parity and powers from
+:class:`LinComb` too.
 
 Exact integer work runs on Gaussian-integer vectors, each a (re, im) pair of
 key -> int dicts; a real vector has an empty im dict.  :func:`cleared` puts
@@ -37,6 +40,12 @@ class LinComb:
     Subclasses supply ``_like(terms)``, a copy of themselves around a new
     dict, and ``_shape()``, the state two operands must share to be added
     or compared.
+
+    A graded algebra also sets ``_UNIT``, the key of its unit, and supplies
+    ``_key_degree(key)`` and ``_key_parity(key)``, the degree and parity of
+    one basis element; :meth:`degree`, :meth:`parity` and ``**`` read
+    them.  A container without them (a tensor-module vector, a coproduct
+    tensor) has no degree, parity or powers: each raises AttributeError.
     """
 
     __slots__ = ("terms",)
@@ -83,6 +92,24 @@ class LinComb:
             and self._shape() == other._shape()
             and self.terms == other.terms
         )
+
+    def degree(self) -> int:
+        """The largest degree of a term; -1 for zero."""
+        return max(map(self._key_degree, self.terms), default=-1)
+
+    def parity(self) -> Optional[int]:
+        """0 or 1 when every term has that parity; None for mixed or zero."""
+        pars = set(map(self._key_parity, self.terms))
+        return pars.pop() if len(pars) == 1 else None
+
+    def __pow__(self, k: int):
+        """The k-fold product, built from the unit."""
+        if k < 0:
+            raise ValueError(f"negative power of a {type(self).__name__}")
+        out = self._like({self._UNIT: ONE})
+        for _ in range(k):
+            out = out * self
+        return out
 
 
 def cleared(elems) -> tuple:

@@ -78,6 +78,9 @@ class Poly(LinComb):
     """Sparse supercommutative polynomial with exact coefficients."""
 
     __slots__ = ()
+    _UNIT = ()
+    _key_degree = staticmethod(monomial_degree)
+    _key_parity = staticmethod(monomial_parity)
 
     def __init__(self, terms: Optional[dict] = None):
         self.terms = terms if terms is not None else {}
@@ -102,19 +105,6 @@ class Poly(LinComb):
     def from_symbol(sym: Symbol) -> "Poly":
         return Poly({((sym, 1),): ONE})
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(monomial_degree(m) for m in self.terms)
-
-    def parity(self) -> Optional[int]:
-        """0 or 1 for homogeneous polynomials, None for mixed or zero."""
-        pars = {monomial_parity(m) for m in self.terms}
-        if len(pars) == 1:
-            return pars.pop()
-        return None
-
     def __mul__(self, other: "Poly") -> "Poly":
         out = {}
         for m1, c1 in self.terms.items():
@@ -128,14 +118,6 @@ class Poly(LinComb):
                     c = -c
                 add_term(out, mono, c)
         return self._like(out)
-
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = self._like({(): ONE})
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -207,8 +189,9 @@ def _scalar_body(c: Scalar):
 def render_terms(terms: dict, order, factor_names) -> str:
     """Render a linear combination in the CLI expression grammar.
 
-    ``order`` is the sort key of the terms' keys and ``factor_names(key)``
-    lists the printed factors of one key (none for the constant term).
+    ``order`` is the sort key of the terms' keys (None: the keys' own
+    order) and ``factor_names(key)`` lists the printed factors of one key
+    (none for the constant term).
     """
     if not terms:
         return "0"

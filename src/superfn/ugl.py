@@ -17,6 +17,7 @@ from typing import Iterable, Optional
 from .grading import Dims
 from .linalg import LinComb, add_term
 from .scalar import Scalar, ZERO, ONE, MINUS_ONE
+from .superpoly import render_terms
 
 Letter = tuple  # (row, col)
 Word = tuple  # (Letter, ...)
@@ -140,6 +141,11 @@ class UEl(LinComb):
     """An element of U(gl(m|n)), stored on the PBW basis."""
 
     __slots__ = ("dims",)
+    _UNIT = ()
+    _key_degree = staticmethod(len)
+
+    def _key_parity(self, w: Word) -> int:
+        return word_parity(self.dims, w)
 
     def __init__(self, dims: Dims, terms: Optional[dict] = None):
         self.dims = dims
@@ -178,17 +184,6 @@ class UEl(LinComb):
         _check_cap(len(w))
         return UEl(dims, dict(_normalize_word(dims, w)))
 
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(len(w) for w in self.terms)
-
-    def parity(self) -> Optional[int]:
-        pars = {word_parity(self.dims, w) for w in self.terms}
-        if len(pars) == 1:
-            return pars.pop()
-        return None
-
     def __mul__(self, other: "UEl") -> "UEl":
         """The product, straightened through the memoised normal forms;
         a coefficient product of 1 adds their Scalars as they are."""
@@ -208,14 +203,6 @@ class UEl(LinComb):
                     for w, cc in normal:
                         add_term(out, w, c * cc)
         return UEl(dims, out)
-
-    def __pow__(self, k: int) -> "UEl":
-        if k < 0:
-            raise ValueError("negative power in U(gl(m|n))")
-        out = UEl.one(self.dims)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def counit(self) -> Scalar:
         """epsilon: the coefficient of the empty word."""
@@ -242,18 +229,13 @@ class UEl(LinComb):
                 add_term(out, ww, coeff * cc)
         return UEl(self.dims, out)
 
+    def pretty(self) -> str:
+        """Render in the CLI expression grammar (re-parseable)."""
+        return render_terms(self.terms, lambda w: (len(w), w),
+                            lambda w: [f"E[{a},{b}]" for a, b in w])
+
     def __repr__(self):
-        if not self.terms:
-            return "UEl(0)"
-        bits = []
-        for w in sorted(self.terms):
-            c = self.terms[w]
-            if not w:
-                bits.append(str(c))
-            else:
-                mono = "*".join(f"E[{a},{b}]" for a, b in w)
-                bits.append(f"({c})*{mono}")
-        return "UEl(" + " + ".join(bits) + ")"
+        return f"UEl({self.pretty()})"
 
 
 class TVec(LinComb):
@@ -290,12 +272,9 @@ class TVec(LinComb):
         return TVec(dims, factors, {idx: ONE})
 
     def act_letter(self, a: int, b: int) -> "TVec":
-        """Apply E_ab by :func:`letter_column` on each basis tensor."""
-        out = {}
-        for idx, c in self.terms.items():
-            for o, k in letter_column(self.dims, self.factors, (a, b), idx):
-                add_term(out, o, c * k)
-        return TVec(self.dims, self.factors, out)
+        """Apply E_ab through its memoised :func:`letter_table`."""
+        table = letter_table(self.dims, self.factors, (a, b))
+        return self._like(_letter_times(table, self.terms))
 
     def act_word(self, word: Word) -> "TVec":
         """Apply a word outermost-first: the last letter acts first."""
@@ -407,6 +386,20 @@ def letter_table(dims: Dims, kinds: tuple, letter: Letter) -> _LetterTable:
         table = _LetterTable(dims, kinds, letter)
         _remember(_letter_tables, _LETTER_TABLES_CAP, key, table)
     return table
+
+
+def _letter_times(table: dict, vec: dict) -> dict:
+    """The image of a vector idx -> coefficient (int or Scalar) under a
+    letter table; zero values are dropped."""
+    out = {}
+    for idx, x in vec.items():
+        for o, c in table[idx]:
+            t = out.get(o, 0) + c * x
+            if t:
+                out[o] = t
+            else:
+                del out[o]
+    return out
 
 
 def invariant_letters(dims: Dims, blocks) -> list:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from coproduct_reference import slot_act_word
+from superfn import actions
 from superfn.actions import (
     act,
     act_word,
@@ -395,3 +396,33 @@ def test_act_refuses_a_bad_side_with_no_letter_to_apply():
     for u in (UEl.one(D11), UEl.from_scalar(D11, 3), UEl.zero(D11)):
         with pytest.raises(ValueError, match="bad side 'middle'"):
             act("middle", u, f)
+
+
+def _spec_data(spec):
+    return spec.parity, spec.images
+
+
+def test_letter_action_memo_stays_under_its_cap(monkeypatch):
+    """Acting with every letter on both sides at (2,1) and (2,2) stores 50
+    letter actions; under a cap of 5 the memo never holds more, and every
+    action (and every act through it) equals one built afresh."""
+    monkeypatch.setattr(actions, "_LETTER_CACHE_CAP", 5)
+    monkeypatch.setattr(actions, "_letter_cache", {})
+    got, sizes = [], []
+    for dims in (D21, D22):
+        f = CG.t(dims, 1, dims.size) * CG.tbar(dims, dims.size, 2)
+        for a in dims.indices():
+            for b in dims.indices():
+                for side in ("left", "right"):
+                    spec = letter_action(dims, side, a, b)
+                    image = act(side, UEl.letter(dims, a, b), f)
+                    got.append((dims, side, a, b, _spec_data(spec), image))
+                    sizes.append(len(actions._letter_cache))
+    assert len(got) == 50 and max(sizes) <= 5
+    assert any(y < x for x, y in zip(sizes, sizes[1:]))  # the cap fired
+    for dims, side, a, b, data, image in got:
+        actions._letter_cache.clear()
+        assert _spec_data(letter_action(dims, side, a, b)) == data
+        f = CG.t(dims, 1, dims.size) * CG.tbar(dims, dims.size, 2)
+        actions._letter_cache.clear()
+        assert act(side, UEl.letter(dims, a, b), f) == image

@@ -6,8 +6,7 @@ import pytest
 
 from superfn import cli, ugl
 from superfn.cg import CG, relations
-from superfn.cli import (CliError, ExprContext, main, parse_expr, tokenize,
-                         u_pretty)
+from superfn.cli import CliError, ExprContext, main, parse_expr, tokenize
 from superfn.grading import Dims
 from superfn.scalar import Scalar
 from superfn.spherical import LeviProfile, c_block, c_pair, r_func, z, zbar
@@ -127,7 +126,7 @@ def test_printed_elements_parse_back_to_themselves(dims):
         f = rand_function(dims, rng)
         assert ctx.eval_cg(f.pretty()) == f, f.pretty()
         u = rand_enveloping(dims, rng)
-        assert ctx.eval_u(u_pretty(u)) == u, u_pretty(u)
+        assert ctx.eval_u(u.pretty()) == u, u.pretty()
 
 
 # Grammar levels of a generated text: what it may stand under unbracketed.

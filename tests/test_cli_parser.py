@@ -13,7 +13,7 @@ import pytest
 
 from parser_reference import reference_parse
 from superfn import ugl
-from superfn.cli import CliError, parse_expr, u_pretty
+from superfn.cli import CliError, parse_expr
 from superfn.grading import Dims
 from superfn.spherical import LeviProfile
 from test_cli import rand_enveloping, rand_function, rand_text
@@ -68,7 +68,7 @@ def valid_texts(dims: Dims, rng, count: int) -> list:
         if kind == 0:
             text = rand_function(dims, rng).pretty()
         elif kind == 1:
-            text = u_pretty(rand_enveloping(dims, rng))
+            text = rand_enveloping(dims, rng).pretty()
         else:
             side = "u" if kind == 3 else "cg"
             text = rand_text(dims, side, rng, rng.randint(1, 3))[0]

@@ -1,6 +1,7 @@
 """The exact eliminator: SparseEchelon, its reduced form, nullspaces and
 the integer body inverse built on it, on seeded random sparse matrices
-over Z, Z[i], Q and Q(i)."""
+over Z, Z[i], Q and Q(i); and the graded core LinComb gives Poly, CG, UEl
+and GEl: degree, parity and powers."""
 
 import math
 import random
@@ -8,9 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from superfn.grassmann import _block_inverse
+from superfn.cg import CG, TensorCG
+from superfn.grading import Dims
+from superfn.grassmann import GEl, _block_inverse
 from superfn.linalg import SparseEchelon, add_term, cleared, kernel_dense
 from superfn.scalar import Scalar, ZERO, ONE
+from superfn.superpoly import Poly, symbol
+from superfn.ugl import TVec, UEl
 
 FIELDS = ["integer", "gaussian", "rational", "gaussian-rational"]
 
@@ -324,3 +329,86 @@ def test_cleared_integer_pairs_insert_like_their_scalar_dicts(field):
                 row, payload=i)
         assert ech_int.rows == ech.rows
         assert ech_int.payloads == ech.payloads
+
+
+# ------------------------------------------------------------- graded core
+
+D11, D21 = Dims(1, 1), Dims(2, 1)
+_COEFFS = [Scalar(1), Scalar(-2), Scalar(0, 1), Scalar(1) / Scalar(3),
+           Scalar(-1, 2)]
+
+
+def _graded_kit(kind: str):
+    """(generators, unit, key degree, key parity) of one graded algebra,
+    the last two written here from the definitions: a monomial's degree
+    sums its exponents, a word's is its length and a mask's its bit count;
+    a parity counts the odd factors."""
+    if kind in ("Poly", "CG"):
+        if kind == "Poly":
+            gens = [Poly.from_symbol(symbol(tag, a, b, D11.letter_par(a, b)))
+                    for tag in ("x", "xb") for a in (1, 2) for b in (1, 2)]
+            unit = Poly.one()
+        else:
+            gens = [f(D11, a, b) for f in (CG.t, CG.tbar)
+                    for a in (1, 2) for b in (1, 2)]
+            unit = CG.one(D11)
+        return (gens, unit, lambda m: sum(e for _, e in m),
+                lambda m: sum(s[3] for s, _ in m) & 1)
+    if kind == "UEl":
+        gens = [UEl.letter(D21, a, b)
+                for a in D21.indices() for b in D21.indices()]
+        return (gens, UEl.one(D21), len,
+                lambda w: sum(D21.letter_par(a, b) for a, b in w) & 1)
+    return ([GEl.gen(4, j) for j in range(1, 5)], GEl.scalar(4, 1),
+            lambda m: bin(m).count("1"), lambda m: bin(m).count("1") & 1)
+
+
+@pytest.mark.parametrize("kind", ["Poly", "CG", "UEl", "GEl"])
+def test_degree_parity_and_powers_of_the_graded_algebras(kind):
+    rng = random.Random(31)
+    gens, unit, key_degree, key_parity = _graded_kit(kind)
+    zero = unit.scale(0)
+    assert zero.degree() == -1 and zero.parity() is None
+    assert unit.degree() == 0 and unit.parity() == 0
+    seen = set()
+    for _ in range(40):
+        # up to three products of up to two generators
+        x = zero
+        for _ in range(rng.randint(1, 3)):
+            term = unit.scale(rng.choice(_COEFFS))
+            for _ in range(rng.randint(0, 2)):
+                term = term * rng.choice(gens)
+            x = x + term
+        assert x.degree() == max(map(key_degree, x.terms), default=-1)
+        pars = set(map(key_parity, x.terms))
+        assert x.parity() == (pars.pop() if len(pars) == 1 else None)
+        seen.add(x.parity())
+        power = unit
+        for k in range(4):
+            assert x ** k == power, (kind, k)
+            power = power * x
+        with pytest.raises(ValueError, match="negative power"):
+            x ** -1
+    assert seen == {0, 1, None}
+
+
+def test_tensor_containers_have_no_degree_parity_or_powers():
+    for x in (TensorCG.unit(D11, 2), TensorCG(D11, 2),
+              TVec.basis(D11, ("v", "vb"), (1, 2)), TVec(D11, ("v",))):
+        with pytest.raises(AttributeError):
+            x ** 2
+        with pytest.raises(AttributeError):
+            x.degree()
+        with pytest.raises(AttributeError):
+            x.parity()
+
+
+def test_graded_reprs_print_in_the_expression_grammar():
+    e = {(a, b): UEl.letter(Dims(2, 0), a, b) for a in (1, 2) for b in (1, 2)}
+    u = e[1, 2] - (e[1, 1] * e[2, 2]).scale(2)
+    assert repr(u) == "UEl(E[1,2] - 2*E[1,1]*E[2,2])" and u.pretty() in repr(u)
+    assert repr(UEl.zero(D11)) == "UEl(0)"
+    x = GEl.scalar(2, 5) + GEl.gen(2, 1) * GEl.gen(2, 2)
+    assert repr(x) == "GEl(5 + theta1*theta2)"
+    assert repr(GEl(3)) == "GEl(0)"
+    assert repr(GEl.gen(3, 2).scale(Scalar(0, -1))) == "GEl(-1*i*theta2)"

@@ -209,9 +209,9 @@ def test_pretty_basics():
 
 
 def test_pretty_reparses_to_equal_value(rng=random.Random(5)):
-    """Both printers, Poly.pretty and the CLI's u_pretty for U(gl(m|n)),
-    print random elements that reparse to the same value."""
-    from superfn.cli import ExprContext, parse_expr, u_pretty
+    """Both printers, Poly.pretty and UEl.pretty for U(gl(m|n)), print
+    random elements that reparse to the same value."""
+    from superfn.cli import ExprContext, parse_expr
     from superfn.grading import Dims
     from superfn.cg import CG
     from superfn.ugl import UEl
@@ -225,7 +225,7 @@ def test_pretty_reparses_to_equal_value(rng=random.Random(5)):
     for d in (Dims(1, 1), Dims(2, 1)):
         letters = [UEl.letter(d, a, b) for a in d.indices()
                    for b in d.indices()]
-        sides.append((d, UEl, letters, u_pretty))
+        sides.append((d, UEl, letters, UEl.pretty))
     for d, cls, gens, show in sides:
         ctx = ExprContext(d)
         for _ in range(200):

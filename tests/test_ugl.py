@@ -222,6 +222,29 @@ def _all_comps(dims, k):
     return itertools.product(dims.indices(), repeat=k)
 
 
+def test_act_letter_matches_letter_column_reference():
+    """TVec.act_letter, read from the memoised letter tables, sums
+    c * k over letter_column of each basis tensor, with Scalar
+    coefficients over Q(i)."""
+    rng = random.Random(12)
+    coeffs = [Scalar(1), Scalar(-3), Scalar(0, 2), Scalar(1) / Scalar(3),
+              Scalar(2, -1)]
+    for dims, factors in [(D11, ("v", "vb")), (D21, ("vb", "v", "v")),
+                          (Dims(2, 2), ("v", "vb"))]:
+        comps = list(_all_comps(dims, len(factors)))
+        for _ in range(20):
+            vec = TVec(dims, factors)
+            for _ in range(rng.randint(0, 4)):
+                vec = vec + TVec.basis(dims, factors, rng.choice(comps)) \
+                    .scale(rng.choice(coeffs))
+            letter = (rng.choice(dims.indices()), rng.choice(dims.indices()))
+            want = {}
+            for idx, c in vec.terms.items():
+                for o, k in letter_column(dims, factors, letter, idx):
+                    add_term(want, o, c * k)
+            assert vec.act_letter(*letter).terms == want
+
+
 def test_vector_action_values():
     # E_ab v_c = delta_bc v_a
     v2 = TVec.basis(D11, ("v",), (2,))
