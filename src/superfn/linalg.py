@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .scalar import Scalar, ZERO, ONE, _mk, _part, _rat
+from .scalar import Scalar, ONE, _mk, _part, _rat
 
 
 def add_term(terms: dict, key, c):
@@ -307,19 +307,21 @@ def kernel_dense(rows, ncols: int) -> list:
 
     ``rows`` iterates cleared rows, Gaussian-integer (re, im) pairs of
     {col: int} dicts with 0 <= col < ncols, as :func:`cleared` returns
-    them; each is reduced in place.  Returns a list of dense solution
-    vectors (lists of Scalars), one per free column in increasing order, in
-    reduced echelon normal form: 1 at its own free column and 0 at the
-    others.
+    them; each is reduced in place.  Returns one sparse {col: Scalar}
+    solution per free column in increasing order, in reduced echelon
+    normal form: 1 at its own free column and absent at the others.  The
+    rows enter in descending order of their least column, shorter rows
+    first among equal ones, which changes no answer but saves elimination
+    steps; empty rows constrain nothing and are skipped.
     """
     ech = SparseEchelon()
-    for row in rows:
+    nonempty = [row for row in rows if row[0] or row[1]]
+    nonempty.sort(key=lambda row: (-_lead(row), len(row[0]) + len(row[1])))
+    for row in nonempty:
         ech._insert_cleared(row)
-    rows = ech.reduced()
-    basis = {free: [ZERO] * ncols for free in range(ncols) if free not in rows}
-    for free, vec in basis.items():
-        vec[free] = ONE
-    for piv, row in rows.items():
+    reduced = ech.reduced()
+    basis = {free: {free: ONE} for free in range(ncols) if free not in reduced}
+    for piv, row in reduced.items():
         for free, c in row.items():
             if free != piv:
                 basis[free][piv] = -c

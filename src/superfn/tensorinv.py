@@ -13,24 +13,26 @@ where sgn(sigma, a) is the sign of sigma restricted to the positions
 carrying odd indices.  Mixed tensor powers V^{(x)k} (x) V*^{(x)l} with
 k != l carry no invariants at all (the grading element acts by k - l).
 
-The invariant and centralizer solves use the weight argument behind the
-super first fundamental theorem (Sergeev 1985; Berele-Regev 1987), and
-all read their letters from one rule, :func:`ugl.invariant_letters` with
-the single block (1, m+n):
+The invariants are solved once, by :func:`invariant_subspace`, with the
+weight argument behind the super first fundamental theorem (Sergeev 1985;
+Berele-Regev 1987), and the centralizer End_{gl(m|n)}(V^{(x)d}) is read off
+the invariants of V^{(x)d} (x) V*^{(x)d} through the identification
+End(V^{(x)d}) = V^{(x)d} (x) V*^{(x)d}, which carries no sign.  The solve
+reads its letters from one rule, :func:`ugl.invariant_letters` with the
+single block (1, m+n):
 
 - every Cartan letter E_aa kills an invariant, so an invariant lies in the
   span of the weight-zero tensors, whose v-indices are a permutation of
-  their vb-indices;
-- a centralizer operator commutes with every E_aa, so it preserves each
-  weight space;
+  their vb-indices; those are enumerated directly, by bucketing the
+  v-tuples by their sorted multiset;
 - the joint kernel of a generating set is the joint kernel of all
   letters: if E x = F x = 0, then [E, F] x = 0.
 
-So both solve in :func:`_joint_kernel` over only the unknowns that can be
-nonzero, with the 2(m+n)-2 Chevalley letters of the rule in place of
-(m+n)^2: the Cartan letters act by 0 on those unknowns.  A subspace has one
-reduced echelon basis for a fixed column order, so the bases they return
-are those of the full solve.
+So it solves over only the unknowns that can be nonzero, with the
+2(m+n)-2 Chevalley letters of the rule in place of (m+n)^2: the Cartan
+letters act by 0 on those unknowns.  A subspace has one reduced echelon
+basis for a fixed column order, so the bases returned are those of the
+full solve.
 """
 
 from __future__ import annotations
@@ -59,7 +61,10 @@ def _check_subspace_cap(dims: Dims, slots: int):
 def rho(sigma: tuple, tv: TVec) -> TVec:
     """The graded place-permutation action of sigma (0-based image tuple):
     the factor in slot p moves to slot sigma[p], with the Koszul sign of the
-    odd factors that cross, ``sergeev_sign`` of sigma^{-1}."""
+    odd factors that cross, ``sergeev_sign`` of sigma^{-1}.  Raises
+    ValueError unless sigma permutes the slots of tv."""
+    if sorted(sigma) != list(range(len(tv.factors))):
+        raise ValueError(f"{sigma!r} is not a permutation of the slots")
     dims = tv.dims
     inv = [0] * len(sigma)
     for p, j in enumerate(sigma):
@@ -108,55 +113,17 @@ def sergeev_invariant(dims: Dims, sigma, d: int) -> TVec:
     return TVec(dims, factors, out)
 
 
-def _weight_zero(idx: tuple, k: int) -> bool:
-    """Whether the tensor ``idx`` of V^{(x)k} (x) V*^{(x)l} has weight zero:
-    its v-indices are a permutation of its vb-indices."""
-    return sorted(idx[:k]) == sorted(idx[k:])
-
-
-def _off_cartan(letters) -> list:
-    """The letters E_ab with a != b, in order."""
-    return [(a, b) for a, b in letters if a != b]
-
-
-def _joint_kernel(dims: Dims, factors: tuple, basis: list, letters) -> list:
-    """The vectors in the span of ``basis`` (index tuples of the tensor
-    module of ``factors``) that every letter kills, as {idx: Scalar} dicts.
-
-    A solve over weight-zero tensors only (see :func:`_weight_zero`) passes
-    the letters of :func:`_off_cartan`: E_aa acts on a basis tensor by the
-    scalar (#v slots holding a) - (#vb slots holding a), which is 0 on a
-    weight-zero tensor, so a Cartan letter's rows there are empty.
-
-    The basis is :func:`kernel_dense`'s reduced echelon basis with columns
-    in the order of ``basis``: each vector is ``ONE`` at its own free
-    column, where no other vector has a term, and that column is its last.
-    """
-    rows = []
-    for letter in letters:
-        table = letter_table(dims, factors, letter)
-        outputs: dict = {}
-        for j, idx in enumerate(basis):
-            for out_idx, c in table[idx]:
-                outputs.setdefault(out_idx, {})[j] = c
-        rows.extend((row, {}) for row in outputs.values())
-    return [
-        {basis[j]: c for j, c in enumerate(sol) if c}
-        for sol in kernel_dense(rows, len(basis))
-    ]
-
-
 def invariant_subspace(dims: Dims, k: int, l: int) -> list:
     """Exact basis of the U(gl(m|n))-invariants in V^{(x)k} (x) V*^{(x)l}.
 
     This is the joint kernel of :func:`ugl.invariant_letters` with the one
     block (1, m+n), which generate gl(m|n).  For k == l it is solved over
-    the weight-zero tensors only, by the letters other than the Cartan
-    ones: an invariant is killed by every E_aa, which acts on a basis
-    tensor by a scalar (see :func:`_joint_kernel`), so it lies in the span
-    of the tensors where that scalar is 0 for every a.  For
-    k != l no tensor has weight zero (the weights sum to k - l), and the
-    solve runs over the full basis, so the answer [] is derived, not
+    the weight-zero tensors v + vb only, sorted(v) == sorted(vb), by the
+    letters other than the Cartan ones: E_aa acts on a basis tensor by the
+    scalar (#v slots holding a) - (#vb slots holding a), so an invariant
+    lies in the span of the tensors where that scalar is 0 for every a.
+    For k != l no tensor has weight zero (the weights sum to k - l), and
+    the solve runs over the full basis, so the answer [] is derived, not
     assumed.
 
     The basis is in reduced echelon form as :class:`SparseEchelon` keeps
@@ -168,14 +135,27 @@ def invariant_subspace(dims: Dims, k: int, l: int) -> list:
     """
     _check_subspace_cap(dims, k + l)
     factors = ("v",) * k + ("vb",) * l
-    basis = list(_iproduct(dims.indices(), repeat=k + l))[::-1]
     letters = invariant_letters(dims, ((1, dims.size),))
     if k == l:
-        basis = [idx for idx in basis if _weight_zero(idx, k)]
-        letters = _off_cartan(letters)
+        buckets: dict = {}
+        for v in _iproduct(dims.indices(), repeat=k):
+            buckets.setdefault(tuple(sorted(v)), []).append(v)
+        basis = sorted((v + vb for bucket in buckets.values()
+                        for v in bucket for vb in bucket), reverse=True)
+        letters = [(a, b) for a, b in letters if a != b]
+    else:
+        basis = list(_iproduct(dims.indices(), repeat=k + l))[::-1]
+    rows = []
+    for letter in letters:
+        table = letter_table(dims, factors, letter)
+        outputs: dict = {}
+        for j, idx in enumerate(basis):
+            for out_idx, c in table[idx]:
+                outputs.setdefault(out_idx, {})[j] = c
+        rows.extend((row, {}) for row in outputs.values())
     return [
-        TVec(dims, factors, terms)
-        for terms in _joint_kernel(dims, factors, basis, letters)
+        TVec(dims, factors, {basis[j]: c for j, c in sol.items()})
+        for sol in kernel_dense(rows, len(basis))
     ]
 
 
@@ -211,25 +191,16 @@ def supercommutant_basis(dims: Dims, d: int) -> list:
     (o, i) to v_o (x) vb_{i reversed} identifies End(V^{(x)d}) with
     V^{(x)d} (x) V*^{(x)d} as a module with no sign (each vb slot pairs
     with its mirror v slot, so the contractions are nested and cross
-    nothing).  So the centralizer is a joint kernel of the generating
-    letters, and a weight argument restricts its unknowns: phi commutes
-    with every E_aa, so it maps each weight space into itself, and only the
-    entries (o, i) with sorted(o) == sorted(i) can be nonzero.  Those are
-    all even, so the centralizer is even.
+    nothing).  So the centralizer is :func:`invariant_subspace` (d, d) read
+    back through that identification; its entries (o, i) all have
+    sorted(o) == sorted(i) and are even, so the centralizer is even.
 
-    Returns flattened operators as {(out_idx, in_idx): Scalar} dicts, in
-    reduced echelon form over the unknowns (o, i) in increasing order.
+    Returns flattened operators as {(out_idx, in_idx): Scalar} dicts, the
+    images of :func:`invariant_subspace`'s basis, in its order.
     """
-    _check_subspace_cap(dims, 2 * d)
-    factors = ("v",) * d + ("vb",) * d
-    basis = list(_iproduct(dims.indices(), repeat=d))
-    unknowns = [
-        o + i[::-1] for o in basis for i in basis if _weight_zero(o + i, d)
-    ]
-    letters = _off_cartan(invariant_letters(dims, ((1, dims.size),)))
     return [
-        {(idx[:d], idx[d:][::-1]): c for idx, c in op.items()}
-        for op in _joint_kernel(dims, factors, unknowns, letters)
+        {(idx[:d], idx[d:][::-1]): c for idx, c in inv.terms.items()}
+        for inv in invariant_subspace(dims, d, d)
     ]
 
 

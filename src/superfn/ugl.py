@@ -383,6 +383,7 @@ def letter_table(dims: Dims, kinds: tuple, letter: Letter) -> _LetterTable:
     table = _letter_tables.get(key)
     if table is None:
         _check_kinds(kinds)
+        dims.letter_par(*letter)  # raises the index range error
         table = _LetterTable(dims, kinds, letter)
         _remember(_letter_tables, _LETTER_TABLES_CAP, key, table)
     return table

@@ -102,3 +102,14 @@ def test_normalize_cache_metric_reads_the_cache_word_fills(monkeypatch):
     assert type(ugl._normalize_cache) is dict and ugl._normalize_cache
     metrics = spans.Tracer().layer_metrics()
     assert metrics["ugl.normalize_cache.entries"] == len(ugl._normalize_cache)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_workload_checks_accept_the_outputs(workload, seed):
+    """Every job of every workload, run once in order, gives an output its
+    own check accepts, so a change the benchmark would refuse as incorrect
+    fails here first."""
+    for job in workloads.WORKLOADS[workload](seed):
+        err = job.check(job.run())
+        assert err is None, (job.name, err)

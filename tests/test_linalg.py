@@ -111,6 +111,7 @@ def test_reduced_rows_are_zero_at_every_other_pivot(field):
 @pytest.mark.parametrize("field", FIELDS)
 def test_kernel_dense_is_the_canonical_nullspace_basis(field):
     rng = random.Random(21 if field == "integer" else 22)
+    shuffler = random.Random(23)  # leaves rng's rows as they were
     nonzero_kernels = 0
     for _ in range(60):
         ncols = rng.randint(1, 8)
@@ -123,16 +124,21 @@ def test_kernel_dense_is_the_canonical_nullspace_basis(field):
         assert len(basis) == ncols - ech.rank == len(free)
         nonzero_kernels += bool(basis)
         for vec, own in zip(basis, free):
-            assert len(vec) == ncols
+            assert set(vec) <= set(range(ncols))
+            assert all(c != ZERO for c in vec.values())
             for row in rows:
-                assert sum((c * vec[k] for k, c in row.items()), ZERO) == 0
+                assert sum((c * vec.get(k, ZERO) for k, c in row.items()),
+                           ZERO) == 0
             for j in free:
-                assert vec[j] == (ONE if j == own else ZERO)
+                assert vec.get(j, ZERO) == (ONE if j == own else ZERO)
+        shuffled = rows[:]
+        shuffler.shuffle(shuffled)
+        assert kernel_dense(cleared(shuffled)[1], ncols) == basis
     assert nonzero_kernels >= 20
 
 
 def test_kernel_dense_of_no_constraints_is_the_standard_basis():
-    assert kernel_dense([], 3) == _identity(3)
+    assert kernel_dense([], 3) == [{0: ONE}, {1: ONE}, {2: ONE}]
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -293,7 +299,8 @@ def test_echelon_matches_the_pivot_one_reference(field):
             assert ech.contains(vec) == ref.contains(vec)
         assert ech.reduced() == ref.reduced()
         assert kernel_dense(cleared(rows)[1], ncols) == \
-            _reference_kernel(rows, ncols)
+            [{j: c for j, c in enumerate(v) if c}
+             for v in _reference_kernel(rows, ncols)]
     assert pivot_kinds["real"] >= 20
     if field.startswith("gaussian"):
         assert pivot_kinds["imaginary"] >= 5

@@ -7,7 +7,7 @@ import pytest
 from superfn import tensorinv
 from superfn.cg import DimCapError
 from superfn.grading import Dims
-from superfn.linalg import add_term, kernel_dense
+from superfn.linalg import SparseEchelon, add_term, kernel_dense
 from superfn.scalar import ZERO, ONE
 from superfn.tensorinv import (
     _echelon,
@@ -47,7 +47,7 @@ def reference_invariant_subspace(dims, k, l):
             for out_idx, c in table[idx]:
                 outputs.setdefault(out_idx, {})[pos[idx]] = c
         rows.extend((row, {}) for row in outputs.values())
-    return [TVec(dims, factors, {basis[i]: c for i, c in enumerate(sol) if c})
+    return [TVec(dims, factors, {basis[i]: c for i, c in sol.items()})
             for sol in kernel_dense(rows, len(basis))]
 
 
@@ -81,7 +81,7 @@ def reference_supercommutant_basis(dims, d):
                                      upos[(o, i_mid)], w)
             rows.extend((row, {}) for row in constraints.values())
         for sol in kernel_dense(rows, len(unknowns)):
-            out.append({unknowns[j]: c for j, c in enumerate(sol) if c})
+            out.append({unknowns[j]: c for j, c in sol.items()})
     return out
 
 
@@ -197,6 +197,14 @@ def test_rejects_permutation_errors():
         assert False, "expected ValueError"
     except ValueError:
         pass
+    # rho and rho_operator take a 0-based permutation of every slot: a
+    # short sigma used to drop a factor, a repeated one gave the swap
+    t = TVec.basis(D11, ("v", "v"), (1, 2))
+    for sigma in ((0,), (0, 0), (1, 1), (0, 2), (0, 1, 2), ()):
+        with pytest.raises(ValueError, match="not a permutation"):
+            rho(sigma, t)
+    with pytest.raises(ValueError, match="not a permutation"):
+        rho_operator(D11, (0, 0), 2)
 
 
 def test_dimension_cap():
@@ -208,8 +216,6 @@ def test_dimension_cap():
 
 
 def test_supercommutant_equals_group_algebra_image():
-    from superfn.linalg import SparseEchelon
-
     for dims in (D11, D21):
         d = 2
         comm = supercommutant_basis(dims, d)
@@ -310,8 +316,41 @@ def test_weight_zero_invariants_equal_the_full_solve(dims, dmax):
                          ids=["11-1", "11-2", "21-1", "21-2", "21-3", "12-1",
                               "12-2", "22-1", "22-2"])
 def test_weight_preserving_commutant_equals_the_full_solve(dims, d):
-    assert supercommutant_basis(dims, d) == \
-        reference_supercommutant_basis(dims, d)
+    # the same space and dimension; the bases differ in column order
+    got = supercommutant_basis(dims, d)
+    want = reference_supercommutant_basis(dims, d)
+    assert len(got) == len(want)
+    echelons = []
+    for ops in (got, want):
+        ech = SparseEchelon()
+        for op in ops:
+            ech.insert(op)
+        echelons.append(ech.reduced())
+    assert echelons[0] == echelons[1]
+
+
+def _spy_solves(monkeypatch, solved):
+    """Route tensorinv's letter tables and kernel solves through spies:
+    each kernel_dense call reports solved(factors, letters, rows, ncols)
+    with the one factors tuple and the set of letters whose tables the
+    solve read."""
+    real_letter_table = tensorinv.letter_table
+    real_kernel_dense = tensorinv.kernel_dense
+    letters = {}
+
+    def letter_table(dims, factors, letter):
+        letters.setdefault(factors, set()).add(letter)
+        return real_letter_table(dims, factors, letter)
+
+    def kernel_dense(rows, ncols):
+        rows = list(rows)
+        (factors, used), = letters.items()
+        letters.clear()
+        solved(factors, used, rows, ncols)
+        return real_kernel_dense(rows, ncols)
+
+    monkeypatch.setattr(tensorinv, "letter_table", letter_table)
+    monkeypatch.setattr(tensorinv, "kernel_dense", kernel_dense)
 
 
 @pytest.mark.parametrize("dims", [D11, D21, D22], ids=["11", "21", "22"])
@@ -320,24 +359,13 @@ def test_every_mixed_case_solves_a_nonempty_system(dims, monkeypatch):
     # run over the weight-zero tensors would pass by construction; each
     # mixed solve is recorded as (k, l) -> (basis size, nonempty rows)
     solves = {}
-    pending = []
-    real_joint_kernel = tensorinv._joint_kernel
-    real_kernel_dense = tensorinv.kernel_dense
 
-    def joint_kernel(dims, factors, basis, letters):
-        pending.append(((factors.count("v"), factors.count("vb")),
-                        len(basis)))
-        return real_joint_kernel(dims, factors, basis, letters)
-
-    def recording_kernel_dense(rows, ncols):
-        rows = list(rows)
-        (k, l), size = pending.pop()
+    def solved(factors, letters, rows, ncols):
+        k, l = factors.count("v"), factors.count("vb")
         if k != l:
-            solves[k, l] = (size, sum(1 for re, im in rows if re or im))
-        return real_kernel_dense(rows, ncols)
+            solves[k, l] = (ncols, sum(1 for re, im in rows if re or im))
 
-    monkeypatch.setattr(tensorinv, "_joint_kernel", joint_kernel)
-    monkeypatch.setattr(tensorinv, "kernel_dense", recording_kernel_dense)
+    _spy_solves(monkeypatch, solved)
     rep = verify_fft(dims, 1)
     assert rep["passed"], rep
     want = {(k, l) for k in range(tensorinv.MIXED_TOTAL + 1)
@@ -354,26 +382,20 @@ def test_every_mixed_case_solves_a_nonempty_system(dims, monkeypatch):
 @pytest.mark.parametrize("dims,dmax", [(D11, 4), (D21, 3), (D22, 2)],
                          ids=["11", "21", "22"])
 def test_weight_zero_solves_skip_the_cartan_letters(dims, dmax, monkeypatch):
-    # every weight-zero solve is handed no Cartan letter, every mixed one
-    # keeps them all, and each returned basis equals, as a list, the solve
-    # by all (m+n)^2 letters over the same basis
-    real_joint_kernel = tensorinv._joint_kernel
+    # every weight-zero solve reads no Cartan letter, every mixed one reads
+    # them all; test_weight_zero_invariants_equal_the_full_solve compares
+    # the weight-zero bases with the solve by all (m+n)^2 letters
     cartan = {(a, a) for a in dims.indices()}
     calls = []
 
-    def joint_kernel(dims, factors, basis, letters):
-        got = real_joint_kernel(dims, factors, basis, letters)
-        weight_zero = factors.count("v") == factors.count("vb")
-        if weight_zero:
-            assert not cartan & set(letters), factors
+    def solved(factors, letters, rows, ncols):
+        if factors.count("v") == factors.count("vb"):
+            assert not cartan & letters, factors
         else:
-            assert cartan <= set(letters), factors
-        assert got == real_joint_kernel(dims, factors, basis,
-                                        all_letters(dims)), factors
+            assert cartan <= letters, factors
         calls.append((factors.count("v"), factors.count("vb")))
-        return got
 
-    monkeypatch.setattr(tensorinv, "_joint_kernel", joint_kernel)
+    _spy_solves(monkeypatch, solved)
     for d in range(1, dmax + 1):
         invariant_subspace(dims, d, d)
     for k, l in ((1, 0), (2, 1)):
@@ -382,6 +404,21 @@ def test_weight_zero_solves_skip_the_cartan_letters(dims, dmax, monkeypatch):
         supercommutant_basis(dims, d)
     assert calls == [(d, d) for d in range(1, dmax + 1)] + \
         [(1, 0), (2, 1)] + [(d, d) for d in range(1, min(dmax, 2) + 1)]
+
+
+@pytest.mark.parametrize("dims,dmax", [(D11, 6), (D21, 4)], ids=["11", "21"])
+def test_weight_zero_columns_are_the_filtered_tensors(dims, dmax, monkeypatch):
+    # the directly enumerated columns count the tensors whose v-indices
+    # are a permutation of their vb-indices, as a filter over all of them
+    sizes = []
+    _spy_solves(monkeypatch, lambda factors, letters, rows, ncols:
+                sizes.append(ncols))
+    for d in range(1, dmax + 1):
+        invariant_subspace(dims, d, d)
+        want = sum(1 for idx in itertools.product(dims.indices(),
+                                                  repeat=2 * d)
+                   if sorted(idx[:d]) == sorted(idx[d:]))
+        assert sizes.pop() == want, (dims, d)
 
 
 def hook_dimension(dims, d):

@@ -460,6 +460,19 @@ def test_word_checks_every_index_and_takes_list_letters():
         assert all(type(x) is tuple for w in u.terms for x in w)
 
 
+def test_letter_table_refuses_a_letter_outside_the_indices(monkeypatch):
+    # a letter outside 1..m+n used to be memoised: one tensor raised only at
+    # the column lookup, and the zero tensor gave zero
+    monkeypatch.setattr(ugl, "_letter_tables", {})
+    for vec in (TVec.basis(D11, ("v",), (1,)), TVec(D11, ("v",))):
+        for a, b in ((9, 9), (1, 9), (0, 1)):
+            bad = a if not 1 <= a <= 2 else b
+            with pytest.raises(ValueError,
+                               match=rf"index {bad} out of range 1\.\.2"):
+                vec.act_letter(a, b)
+    assert not ugl._letter_tables
+
+
 def reference_invariant_letters(dims, blocks):
     """Every Cartan letter, then each block's Chevalley pairs, repeats
     kept."""
