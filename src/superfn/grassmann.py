@@ -28,7 +28,9 @@ comes from one routine, :func:`_block_inverse`: the integer
 back-substitution of SparseEchelon on Gaussian-integer rows, at lowest
 terms.  ``SMat.inverse`` clears its body once, inverts it there, sums the
 soul Neumann series on such elements and divides once per entry;
-``GroupPoint.from_matrix`` takes the integer sum as it is.  A
+``GroupPoint.from_matrix`` takes the integer sum as it is.  The series,
+``SMat.__matmul__`` and the group suite multiply cleared matrices by one
+product, :func:`_zmatmul`.  A
 :class:`GroupPoint` keeps its generator images over their least common
 denominator L, and every point operation works on them there: ``convolve``
 sums the twisted matrix product over the product of the two denominators
@@ -65,6 +67,13 @@ block diagonal and invertible, so (A, D, beta, gamma) -> T is an
 isomorphism GL_m x GL_n x A^{0|2mn} -> GL(m|n), and these points are as
 generic as arbitrary even supermatrices (Berezin, *Introduction to
 Superanalysis*, 1987, uses the same factorisation for the Berezinian).
+
+The group suite :func:`verify_group` checks these same points.  It reads
+T and T^{-1} back off each point's images and rebuilds the point by
+``from_matrix(T)``, so the closed form is checked against the series; it
+then checks convolution and the antipode against integer matrix products
+of those T and T^{-1}.  It refuses more than ``GROUP_GENERATOR_CAP`` odd
+generators.
 """
 
 from __future__ import annotations
@@ -81,6 +90,7 @@ from .superpoly import Poly, render_terms
 from .ugl import _remember
 
 _BODY_BOUND = 2 ** 20
+GROUP_GENERATOR_CAP = 12
 
 
 class GEl(LinComb):
@@ -281,12 +291,8 @@ class SMat:
         if self.dims != other.dims or self.n != other.n:
             raise ValueError("mismatched supermatrices")
         (dx, x), (dy, y) = self._cleared(), other._cleared()
-        cols = list(zip(*_split(y, self.dims.size)))
-        return SMat(self.dims, self.n, [
-            [GEl(self.n, divided(_zmul_sum(zip(row, col)), dx * dy))
-             for col in cols]
-            for row in _split(x, self.dims.size)
-        ])
+        return _smat(self.dims, self.n, dx * dy,
+                     _zmatmul(x, y, self.dims.size))
 
     def __eq__(self, other) -> bool:
         return (
@@ -304,10 +310,7 @@ class SMat:
         :meth:`_inverse_cleared`, each entry divided once.  Raises
         ValueError when the body is singular.
         """
-        den, acc = self._inverse_cleared()
-        for i, a in enumerate(acc):  # each integer entry freed once divided
-            acc[i] = GEl(self.n, divided(a, den))
-        return SMat(self.dims, self.n, _split(acc, self.dims.size))
+        return _smat(self.dims, self.n, *self._inverse_cleared())
 
     def _cleared(self) -> tuple:
         """(L, nums) with the entries, row by row, equal to nums / L."""
@@ -338,13 +341,11 @@ class SMat:
             for row in self.rows
             for entry in row
         )
-        x_rows = _split(x, size)
-        neg_sx = [_zvecmat(row, x_rows) for row in _split(neg_soul, size)]
+        neg_sx = _zmatmul(neg_soul, x, size)
         terms = [(d, x)]
         for _ in range(self.n):
             den, cur = terms[-1]
-            cur = [z for row in _split(cur, size)
-                   for z in _zvecmat(row, neg_sx)]
+            cur = _zmatmul(cur, neg_sx, size)
             if not any(re or im for re, im in cur):
                 break
             terms.append(_lowest_terms([(den * e * d, cur)]))
@@ -360,6 +361,20 @@ def _split(flat: list, size: int) -> list:
     return [flat[i:i + size] for i in range(0, len(flat), size)]
 
 
+def _smat(dims: Dims, n: int, den: int, nums: list) -> SMat:
+    """The supermatrix whose entries, row by row, are nums / den."""
+    return SMat(dims, n, _split([GEl(n, divided(z, den)) for z in nums],
+                                dims.size))
+
+
+def _zmatmul(x: list, y: list, size: int) -> list:
+    """x y, on size x size matrices of Gaussian-integer Grassmann elements
+    listed row by row: the one cleared matrix product."""
+    cols = list(zip(*_split(y, size)))
+    return [_zmul_sum(zip(row, col)) for row in _split(x, size)
+            for col in cols]
+
+
 def _zneg(num: tuple) -> tuple:
     """-num, for a Gaussian-integer element num."""
     re, im = num
@@ -373,46 +388,6 @@ def _zconj(num: tuple) -> tuple:
     re, im = num
     return ({m: -c if m.bit_count() & 2 else c for m, c in re.items()},
             {m: c if m.bit_count() & 2 else -c for m, c in im.items()})
-
-
-def _zvecmat(row: list, mat: list) -> list:
-    """row * mat, on Gaussian-integer Grassmann elements."""
-    return [_zmul_sum(zip(row, col)) for col in zip(*mat)]
-
-
-def random_even_invertible(dims: Dims, rng: random.Random) -> SMat:
-    """A random even supermatrix with invertible body.
-
-    Even entries are random integers bounded by 2**20; each odd slot gets
-    its own Grassmann generator (N = 2mn covers them all) with a random
-    nonzero integer coefficient.
-    """
-    n_gen = 2 * dims.m * dims.n
-    size = dims.size
-    while True:
-        rows = []
-        gen_index = 1
-        for a in dims.indices():
-            row = []
-            for b in dims.indices():
-                if dims.letter_par(a, b):
-                    coeff = rng.randint(1, _BODY_BOUND) * rng.choice((1, -1))
-                    row.append(GEl.gen(n_gen, gen_index).scale(coeff))
-                    gen_index += 1
-                else:
-                    row.append(
-                        GEl.scalar(
-                            n_gen, rng.randint(-_BODY_BOUND, _BODY_BOUND)
-                        )
-                    )
-            rows.append(row)
-        mat = SMat(dims, n_gen, rows)
-        body = SparseEchelon()
-        if all(
-            body.insert({j: c for j, c in enumerate(row) if c}) is not None
-            for row in mat.body_matrix()
-        ):
-            return mat
 
 
 def _block_inverse(rows: list) -> tuple:
@@ -458,6 +433,25 @@ def _random_block(k: int, rng: random.Random) -> tuple:
             return rows, (d, x)
         except ValueError:
             pass
+
+
+def random_even_invertible(dims: Dims, rng: random.Random) -> SMat:
+    """A random even supermatrix with invertible body.
+
+    The even blocks A and then D are drawn by :func:`_random_block`; then
+    each odd slot, row by row, gets its own Grassmann generator (N = 2mn
+    covers them all) with a random nonzero coefficient bounded by 2**20.
+    """
+    n_gen = 2 * dims.m * dims.n
+    a, _ = _random_block(dims.m, rng)
+    d, _ = _random_block(dims.n, rng)
+    body = [r + [0] * dims.n for r in a] + [[0] * dims.m + r for r in d]
+    gens = iter(range(1, n_gen + 1))
+    return SMat(dims, n_gen, [[
+        GEl.gen(n_gen, next(gens)).scale(
+            rng.randint(1, _BODY_BOUND) * rng.choice((1, -1)))
+        if dims.letter_par(a, b) else GEl.scalar(n_gen, body[a - 1][b - 1])
+        for b in dims.indices()] for a in dims.indices()])
 
 
 def random_gauss_point(dims: Dims, rng: random.Random) -> "GroupPoint":
@@ -524,6 +518,16 @@ def _gauss_point(dims: Dims, a_block: tuple, d_block: tuple) -> "GroupPoint":
     return GroupPoint._new(dims, 2 * m * n, den, num)
 
 
+def _relaid(dims: Dims, mat: list, inv: list) -> tuple:
+    """The t and tbar images, in (a, b) order, of T and T^{-1} listed row by
+    row: T twisted by eta and T^{-1} transposed.  Both are involutions, so
+    the same call reads T and T^{-1} back off the images."""
+    keys = [(a, b) for a in dims.indices() for b in dims.indices()]
+    return ([_zneg(x) if dims.par(a) > dims.par(b) else x  # eta(a, b) = -1
+             for (a, b), x in zip(keys, mat)],
+            [inv[(b - 1) * dims.size + a - 1] for a, b in keys])
+
+
 def eta(dims: Dims, a: int, b: int) -> Scalar:
     """The group-point twist (-1)^{[a][b]+[a]}."""
     return sign_pow(dims.par(a) * dims.par(b) + dims.par(a))
@@ -574,8 +578,8 @@ class GroupPoint:
         return self._images("tb")
 
     @staticmethod
-    def from_matrix(dims: Dims, mat: SMat, validate: bool = True) -> "GroupPoint":
-        """The point of an even invertible supermatrix.
+    def from_matrix(dims: Dims, mat: SMat) -> "GroupPoint":
+        """The point of an even invertible supermatrix, validated.
 
         The tbar images come from the integer series of
         ``mat._inverse_cleared`` and go over the point's least common
@@ -586,31 +590,33 @@ class GroupPoint:
         point = GroupPoint._from_cleared(
             dims, mat.n, mat._cleared(), mat._inverse_cleared()
         )
-        if validate:
-            point.validate()
+        point.validate()
         return point
 
     @staticmethod
     def _from_cleared(dims: Dims, n: int, mat: tuple,
                       inv: tuple) -> "GroupPoint":
         """The point of T from cleared parts (den, nums) of T and of T^{-1},
-        nums their Gaussian-integer entries row by row: the t images are
-        the twisted entries of T and the tbar images the transpose of
-        T^{-1}, over one least common denominator (:func:`_lowest_terms`).
+        nums their Gaussian-integer entries row by row, laid out by
+        :func:`_relaid` over one least common denominator
+        (:func:`_lowest_terms`).
         """
-        size = dims.size
-        keys = [(a, b) for a in dims.indices() for b in dims.indices()]
-        mat_den, mat_nums = mat
-        inv_den, inv_nums = inv
-        t_nums = [  # eta(a, b) = -1 exactly when [a] = 1 and [b] = 0
-            _zneg(num) if dims.par(a) and not dims.par(b) else num
-            for (a, b), num in zip(keys, mat_nums)
-        ]
-        tb_nums = [inv_nums[(b - 1) * size + a - 1] for a, b in keys]
+        (mat_den, mat_nums), (inv_den, inv_nums) = mat, inv
+        t_nums, tb_nums = _relaid(dims, mat_nums, inv_nums)
         den, nums = _lowest_terms([(mat_den, t_nums), (inv_den, tb_nums)])
+        keys = [(a, b) for a in dims.indices() for b in dims.indices()]
         return GroupPoint._new(dims, n, den, dict(zip(
             [("t",) + k for k in keys] + [("tb",) + k for k in keys], nums
         )))
+
+    def _matrices(self) -> tuple:
+        """((den, nums) of T, (den, nums) of T^{-1}), nums row by row, read
+        back off the images by :func:`_relaid` at the point's den."""
+        keys = [(a, b) for a in self.dims.indices()
+                for b in self.dims.indices()]
+        mat, inv = _relaid(self.dims, [self.num[("t", *k)] for k in keys],
+                           [self.num[("tb", *k)] for k in keys])
+        return (self.den, mat), (self.den, inv)
 
     @staticmethod
     def _new(dims: Dims, n: int, den: int, num: dict) -> "GroupPoint":
@@ -792,76 +798,63 @@ def verify_group(dims: Dims, count: int = 20, seed: int = 0) -> dict:
     """The supergroup suite: point construction, convolution vs matrix
     product, inverses via the antipode, and the real-form duality.
 
-    The product cases check consecutive pairs and the associativity case
-    consecutive triples of the ``count`` points, so ``count`` must be at
-    least 3: with fewer, those cases would pass without checking anything.
+    Its points are the generic oracle's, the first ``count`` that
+    :func:`random_gauss_point` draws from ``random.Random(seed)``, checked
+    as the module docstring says.  The product cases check consecutive
+    pairs and the associativity case consecutive triples, so ``count``
+    must be at least 3: with fewer, those cases would pass without
+    checking anything.  Raises DimCapError, before any point is drawn,
+    when 2mn exceeds ``GROUP_GENERATOR_CAP``.
     """
-    from .cg import CG, _case, _report
+    from .cg import CG, DimCapError, _case, _report
 
     if count < 3:
         raise ValueError("count must be at least 3")
-
+    nn = 2 * dims.m * dims.n
+    if nn > GROUP_GENERATOR_CAP:
+        raise DimCapError(f"group suite needs {nn} odd generators, over "
+                          f"cap {GROUP_GENERATOR_CAP}")
     rng = random.Random(seed)
+    points = [random_gauss_point(dims, rng) for _ in range(count)]
+    mats = [p._matrices() for p in points]
     cases = []
 
-    mats = []
-    points = []
     ok = True
-    for _ in range(count):
+    for p, ((den, mat), _) in zip(points, mats):
         try:
-            mat = random_even_invertible(dims, rng)
-            point = GroupPoint.from_matrix(dims, mat)
+            ok = ok and GroupPoint.from_matrix(
+                dims, _smat(dims, nn, den, mat)) == p
         except ValueError:
             ok = False
-            break
-        mats.append(mat)
-        points.append(point)
     cases.append(
         _case("random supermatrices define group points", ok, count=count)
     )
 
     ok = True
-    for j in range(0, len(mats) - 1, 2):
-        prod = GroupPoint.from_matrix(dims, mats[j] @ mats[j + 1],
-                                      validate=False)
-        if points[j].convolve(points[j + 1]) != prod:
-            ok = False
+    for j in range(0, count - 1, 2):
+        ((d1, t1), (_, i1)), ((d2, t2), (_, i2)) = mats[j:j + 2]
+        ok = ok and points[j].convolve(points[j + 1]) == (
+            GroupPoint._from_cleared(
+                dims, nn, (d1 * d2, _zmatmul(t1, t2, dims.size)),
+                (d1 * d2, _zmatmul(i2, i1, dims.size))))
     cases.append(_case("convolution matches the supermatrix product", ok))
 
-    ok = True
-    for j in range(0, len(points) - 2, 3):
-        a, b, c = points[j:j + 3]
-        if a.convolve(b).convolve(c) != a.convolve(b.convolve(c)):
-            ok = False
+    ok = all(a.convolve(b).convolve(c) == a.convolve(b.convolve(c))
+             for a, b, c in zip(points[::3], points[1::3], points[2::3]))
     cases.append(_case("convolution is associative", ok))
 
-    ok = True
-    for mat, p in zip(mats, points):
-        # the point of T^{-1}, whose own inverse is the known T
-        q = GroupPoint._from_cleared(
-            dims, mat.n, mat._inverse_cleared(), mat._cleared()
-        )
-        if p.inverse_point() != q:
-            ok = False
-    cases.append(
-        _case("antipode precomposition inverts the point", ok)
-    )
+    ok = all(p.inverse_point() == GroupPoint._from_cleared(dims, nn, inv, mat)
+             for p, (mat, inv) in zip(points, mats))
+    cases.append(_case("antipode precomposition inverts the point", ok))
 
-    ok = True
-    for j in range(0, len(points) - 1, 2):
-        a, b = points[j], points[j + 1]
-        lhs = a.convolve(b).inverse_point()
-        rhs = b.inverse_point().convolve(a.inverse_point())
-        if lhs != rhs:
-            ok = False
+    ok = all(a.convolve(b).inverse_point()
+             == b.inverse_point().convolve(a.inverse_point())
+             for a, b in zip(points[::2], points[1::2]))
     cases.append(_case("inverse reverses the product", ok))
 
-    nn = 2 * dims.m * dims.n
     ident = GroupPoint.identity(dims, nn)
-    ok = True
-    if points:
-        p = points[0]
-        ok = p.convolve(ident) == p and ident.convolve(p) == p
+    p = points[0]
+    ok = p.convolve(ident) == p and ident.convolve(p) == p
     sample = [CG.t(dims, a, b) for a in dims.indices() for b in dims.indices()]
     sample.append(CG.t(dims, 1, 1) * CG.tbar(dims, 1, 1))
     for f in sample:

@@ -131,8 +131,10 @@ def invariant_subspace(dims: Dims, k: int, l: int) -> list:
     has a term at that key.  The columns handed to :func:`kernel_dense` run
     through the index tuples in decreasing order, so each solution's own
     free column is its least key; inserting the basis into an echelon then
-    takes no elimination step.
+    takes no elimination step.  Raises ValueError when k or l is negative.
     """
+    if k < 0 or l < 0:
+        raise ValueError(f"tensor degrees ({k},{l}) must be non-negative")
     _check_subspace_cap(dims, k + l)
     factors = ("v",) * k + ("vb",) * l
     letters = invariant_letters(dims, ((1, dims.size),))

@@ -92,8 +92,7 @@ def test_criterion_2_relations_suite():
         rels = relations(dims)
         assert len(rels) == 2 * dims.size ** 2
         for _ in range(10):
-            p = GroupPoint.from_matrix(
-                dims, random_even_invertible(dims, rng), validate=False)
+            p = GroupPoint.from_matrix(dims, random_even_invertible(dims, rng))
             ok = ok and all(p.evaluate(rel).is_zero() for rel in rels)
         letters = [(a, b) for a in dims.indices() for b in dims.indices()]
         words = [()]

@@ -325,7 +325,7 @@ def test_relations_vanish_at_random_points():
         assert len(rels) == 2 * dims.size ** 2
         for _ in range(5):
             mat = random_even_invertible(dims, rng)
-            point = GroupPoint.from_matrix(dims, mat, validate=False)
+            point = GroupPoint.from_matrix(dims, mat)
             for rel in rels:
                 assert point.evaluate(rel).is_zero()
 
@@ -671,6 +671,21 @@ def test_verify_hopf_both_modes():
     assert rep["passed"], rep
     rep = verify_hopf(D11, mode="generic")
     assert rep["passed"], rep
+
+
+@pytest.mark.parametrize("dims", [D21, D12, Dims(2, 2), Dims(3, 2)],
+                         ids=["21", "12", "22", "32"])
+def test_verify_hopf_pairing_passes(dims):
+    rep = verify_hopf(dims, mode="pairing")
+    assert rep["passed"], rep
+
+
+@pytest.mark.parametrize("dims", [D11, D21, D12, Dims(2, 2), Dims(3, 2)],
+                         ids=["11", "21", "12", "22", "32"])
+def test_relations_are_zero_under_the_pairing_oracle(dims):
+    # exact on both sides: every defining relation lies in J
+    for rel in relations(dims):
+        assert is_zero_mod_j(rel, mode="pairing").is_zero, rel
 
 
 # ------------------------------------------------------------ oracle cases

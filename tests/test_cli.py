@@ -417,6 +417,13 @@ def test_bad_profile_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("m, n", [("3", "3"), ("4", "2")])
+def test_group_cap_exits_3(capsys, m, n):
+    code, out, err = run(capsys, "--m", m, "--n", n, "group")
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap:")
+
+
 def test_degree_cap_exits_3(capsys):
     code, _, err = run(capsys, "--m", "1", "--n", "1", "eval", "E[1,1]^9")
     assert code == 3

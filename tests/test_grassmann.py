@@ -1,14 +1,16 @@
+import inspect
 import itertools
 import math
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superfn import grassmann
+from superfn import cg, grassmann
 from superfn import scalar as scalar_module
-from superfn.cg import CG, is_zero_mod_j, relations
+from superfn.cg import CG, DimCapError, is_zero_mod_j, relations
 from superfn.grading import Dims
 from superfn.grassmann import (
     GEl,
@@ -200,7 +202,7 @@ def test_convolution_matches_matrix_product():
         y = random_even_invertible(dims, rng)
         left = GroupPoint.from_matrix(dims, x).convolve(
             GroupPoint.from_matrix(dims, y))
-        assert left == GroupPoint.from_matrix(dims, x @ y, validate=False)
+        assert left == GroupPoint.from_matrix(dims, x @ y)
 
 
 def test_inverse_point_is_matrix_inverse():
@@ -209,7 +211,7 @@ def test_inverse_point_is_matrix_inverse():
         mat = random_even_invertible(dims, rng)
         p = GroupPoint.from_matrix(dims, mat)
         assert p.inverse_point() == GroupPoint.from_matrix(
-            dims, mat.inverse(), validate=False)
+            dims, mat.inverse())
         ident = GroupPoint.identity(dims, p.n)
         assert p.convolve(p.inverse_point()) == ident
         assert p.inverse_point().convolve(p) == ident
@@ -393,7 +395,7 @@ def test_evaluate_matches_fraction_reference_at_random_points():
         for _ in range(2):
             mat = random_even_invertible(dims, rng)
             t_img, tb_img = matrix_images(dims, mat)
-            p = GroupPoint.from_matrix(dims, mat, validate=False)
+            p = GroupPoint.from_matrix(dims, mat)
             assert p.t_img == t_img and p.tb_img == tb_img
             # from_matrix reaches the same least common denominator
             assert p == GroupPoint(dims, p.n, t_img, tb_img)
@@ -405,7 +407,7 @@ def test_evaluate_matches_reference_on_rational_soul_points():
     for dims in (D11, D21, D22):
         inv = random_even_invertible(dims, rng).inverse()
         t_img, tb_img = matrix_images(dims, inv)
-        p = GroupPoint.from_matrix(dims, inv, validate=False)
+        p = GroupPoint.from_matrix(dims, inv)
         assert p.den > 1
         assert p.t_img == t_img and p.tb_img == tb_img
         assert p == GroupPoint(dims, p.n, t_img, tb_img)
@@ -868,9 +870,114 @@ def test_verify_group_inverts_each_matrix_once_for_the_antipode(monkeypatch):
     monkeypatch.setattr(grassmann, "_block_inverse", counting)
     rep = verify_group(D11, count=20, seed=0)
     assert rep["passed"], rep
-    # 20 points, 10 products, 20 antipode points (one series each, T^{-1}'s
-    # own inverse being the known T), 5 real points, 1 non-unitary diagonal
-    assert len(calls) == 20 + 10 + 20 + 5 + 1
+    # 20 Gauss points of two block inverses each, one series for each
+    # point's from_matrix cross-check, 5 real points and 1 non-unitary
+    # diagonal: the product and antipode cases invert nothing
+    assert len(calls) == 2 * 20 + 20 + 5 + 1
+
+
+def test_verify_group_checks_the_oracle_points(monkeypatch):
+    drawn = []
+    draw = grassmann.random_gauss_point
+
+    def spy(dims, rng):
+        drawn.append(draw(dims, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(grassmann, "random_gauss_point", spy)
+    assert verify_group(D21, count=5, seed=3)["passed"]
+    monkeypatch.setattr(grassmann, "random_gauss_point", draw)
+    monkeypatch.setattr(cg, "_point_memo", {})
+    oracle = cg._oracle_points(D21, 3)
+    assert drawn == [next(oracle) for _ in range(5)]
+
+
+class Drew(Exception):
+    pass
+
+
+def no_draw(dims, rng):
+    raise Drew
+
+
+@pytest.mark.parametrize("dims", [Dims(3, 3), Dims(4, 2), Dims(7, 1)],
+                         ids=["33", "42", "71"])
+def test_verify_group_cap_fires_before_any_point(monkeypatch, dims):
+    monkeypatch.setattr(grassmann, "random_gauss_point", no_draw)
+    with pytest.raises(DimCapError, match="over cap 12"):
+        verify_group(dims, count=20, seed=0)
+
+
+@pytest.mark.parametrize("dims", [Dims(3, 2), Dims(2, 3), Dims(6, 1)],
+                         ids=["32", "23", "61"])
+def test_verify_group_cap_admits_twelve_generators(monkeypatch, dims):
+    monkeypatch.setattr(grassmann, "random_gauss_point", no_draw)
+    with pytest.raises(Drew):
+        verify_group(dims, count=20, seed=0)
+
+
+def delta_sign_xor_c(monkeypatch):
+    sign = grassmann.delta_sign
+
+    def xor_c(dims, a, c, b):
+        return sign(dims, a, c, b) ^ dims.par(c)
+
+    monkeypatch.setattr(grassmann, "delta_sign", xor_c)
+
+
+def precomposed_unsigned(monkeypatch):
+    def unsigned(self, *maps):
+        num = {}
+        for key in self.num:
+            image = key
+            for gen_map in maps:
+                _, image = gen_map(self.dims, *image)
+            num[key] = self.num[image]
+        return GroupPoint._new(self.dims, self.n, self.den, num)
+
+    monkeypatch.setattr(GroupPoint, "_precomposed", unsigned)
+
+
+def series_cut_after_one_term(monkeypatch):
+    src = textwrap.dedent(inspect.getsource(SMat._inverse_cleared))
+    assert src.count("range(self.n)") == 1
+    ns = {}
+    exec(src.replace("range(self.n)", "range(1)"), vars(grassmann), ns)
+    monkeypatch.setattr(SMat, "_inverse_cleared", ns["_inverse_cleared"])
+
+
+@pytest.mark.parametrize("mutate", [delta_sign_xor_c, precomposed_unsigned,
+                                    series_cut_after_one_term],
+                         ids=lambda f: f.__name__)
+def test_verify_group_fails_on_mutants(monkeypatch, mutate):
+    assert verify_group(D21, count=8, seed=0)["passed"]
+    mutate(monkeypatch)
+    assert not verify_group(D21, count=8, seed=0)["passed"]
+
+
+@pytest.mark.parametrize("dims", [D11, D21, D22, D31, Dims(2, 0), Dims(0, 2)],
+                         ids=["11", "21", "22", "31", "20", "02"])
+def test_random_even_invertible_contract(dims):
+    rng = random.Random(7)
+    n_gen = 2 * dims.m * dims.n
+    for _ in range(3):
+        mat = random_even_invertible(dims, rng)
+        assert mat.n == n_gen
+        body = SparseEchelon()
+        assert all(body.insert({j: c for j, c in enumerate(row) if c})
+                   is not None for row in mat.body_matrix())
+        gens = []
+        for a in dims.indices():
+            for b in dims.indices():
+                terms = mat.entry(a, b).terms
+                if dims.letter_par(a, b):
+                    (mask, c), = terms.items()
+                    assert mask.bit_count() == 1
+                    assert c.im == 0 and 1 <= abs(c.re) <= 2 ** 20
+                    gens.append(mask)
+                else:
+                    assert set(terms) <= {0}
+        assert sorted(gens) == [1 << j for j in range(n_gen)]
 
 
 # ------------------------------- references for the integer product kernel
@@ -1043,8 +1150,8 @@ def test_sign_mask_memo_stays_under_its_cap(monkeypatch):
                          ids=["11", "21", "12", "22"])
 def test_point_operations_match_gel_references(dims):
     rng = random.Random(32)
-    p, q = (GroupPoint.from_matrix(dims, random_even_invertible(dims, rng),
-                                   validate=False) for _ in range(2))
+    p, q = (GroupPoint.from_matrix(dims, random_even_invertible(dims, rng))
+            for _ in range(2))
     p_inv, q_inv = p.inverse_point(), q.inverse_point()
     assert p_inv.den > 1 and q_inv.den > 1  # rational souls
     reals = real_sample_points(dims)

@@ -191,6 +191,14 @@ def test_mixed_powers_have_no_invariants():
         assert invariant_subspace(D11, k, l) == []
 
 
+@pytest.mark.parametrize("dims, k, l", [(D11, -1, 1), (D11, 1, -1),
+                                        (D11, -1, -1), (Dims(3, 3), -1, 8)])
+def test_invariant_subspace_rejects_negative_degrees(dims, k, l):
+    # refused at the call, before the cap: (3,3) with k + l = 7 is over it
+    with pytest.raises(ValueError, match="must be non-negative"):
+        invariant_subspace(dims, k, l)
+
+
 def test_rejects_permutation_errors():
     try:
         sergeev_invariant(D11, (1, 1), 2)
