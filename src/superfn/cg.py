@@ -393,11 +393,11 @@ def pair(f: CG, u: UEl) -> Scalar:
     data = _pair_data(f)
     total = ZERO
     for w, cu in u.terms.items():
-        val = ZERO
+        val = None  # seeded by the first nonzero term
         for kinds, rows, cols, c in data:
             x = _word_image(dims, kinds, cols, w).get(rows)
             if x:
-                val = val + c * x
+                val = c * x if val is None else val + c * x
         if val:
             total = total + cu * val
     return total

@@ -73,7 +73,7 @@ T and T^{-1} back off each point's images and rebuilds the point by
 ``from_matrix(T)``, so the closed form is checked against the series; it
 then checks convolution and the antipode against integer matrix products
 of those T and T^{-1}.  It refuses more than ``GROUP_GENERATOR_CAP`` odd
-generators.
+generators, and an even work (m+n)^3 above ``GROUP_EVEN_CAP``.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ from .ugl import _remember
 
 _BODY_BOUND = 2 ** 20
 GROUP_GENERATOR_CAP = 12
+GROUP_EVEN_CAP = 8000
 
 
 class GEl(LinComb):
@@ -804,7 +805,8 @@ def verify_group(dims: Dims, count: int = 20, seed: int = 0) -> dict:
     pairs and the associativity case consecutive triples, so ``count``
     must be at least 3: with fewer, those cases would pass without
     checking anything.  Raises DimCapError, before any point is drawn,
-    when 2mn exceeds ``GROUP_GENERATOR_CAP``.
+    when 2mn exceeds ``GROUP_GENERATOR_CAP`` or (m+n)^3, the even work of
+    its matrix products, exceeds ``GROUP_EVEN_CAP``.
     """
     from .cg import CG, DimCapError, _case, _report
 
@@ -814,6 +816,10 @@ def verify_group(dims: Dims, count: int = 20, seed: int = 0) -> dict:
     if nn > GROUP_GENERATOR_CAP:
         raise DimCapError(f"group suite needs {nn} odd generators, over "
                           f"cap {GROUP_GENERATOR_CAP}")
+    even = dims.size ** 3
+    if even > GROUP_EVEN_CAP:
+        raise DimCapError(f"group suite needs even work (m+n)^3 = {even}, "
+                          f"over cap {GROUP_EVEN_CAP}")
     rng = random.Random(seed)
     points = [random_gauss_point(dims, rng) for _ in range(count)]
     mats = [p._matrices() for p in points]

@@ -37,18 +37,21 @@ class Scalar:
     def __init__(self, re=0, im=0):
         if re.__class__ is int and im.__class__ is int:
             # plain ints are canonical parts already
-            _set(self, "re", re)
-            _set(self, "im", im)
+            _set_re(self, re)
+            _set_im(self, im)
             return
         if isinstance(re, _INEXACT) or isinstance(im, _INEXACT):
             raise TypeError(
                 f"Scalar parts must be exact, got {type(re).__name__} "
                 f"and {type(im).__name__}"
             )
-        _set(self, "re", _part(_rat(re)))
-        _set(self, "im", _part(_rat(im)))
+        _set_re(self, _part(_rat(re)))
+        _set_im(self, _part(_rat(im)))
 
     def __setattr__(self, name, value):
+        raise AttributeError("Scalar is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Scalar is immutable")
 
     @staticmethod
@@ -71,7 +74,8 @@ class Scalar:
         return hash((self.re, self.im))
 
     def __add__(self, other) -> "Scalar":
-        other = _coerce(other)
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
         re = self.re + other.re
         if re.__class__ is not int:
             re = _part(re)
@@ -82,7 +86,8 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Scalar":
-        other = _coerce(other)
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
         re = self.re - other.re
         if re.__class__ is not int:
             re = _part(re)
@@ -97,7 +102,8 @@ class Scalar:
         return _mk(-self.re, -self.im)
 
     def __mul__(self, other) -> "Scalar":
-        other = _coerce(other)
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
         if not self.im and not other.im:
             re = self.re * other.re
             if re.__class__ is not int:
@@ -165,15 +171,18 @@ class Scalar:
         return f"{_rat_str(self.re)} {op} {im_part}"
 
 
+# The slots are set through their member descriptors, which skip the
+# refusing __setattr__ without a call to object.__setattr__ by name.
 _new = object.__new__
-_set = object.__setattr__
+_set_re = Scalar.re.__set__
+_set_im = Scalar.im.__set__
 
 
 def _mk(re, im) -> Scalar:
     """The Scalar re + im*i from parts that are already canonical."""
     s = _new(Scalar)
-    _set(s, "re", re)
-    _set(s, "im", im)
+    _set_re(s, re)
+    _set_im(s, im)
     return s
 
 

@@ -38,6 +38,7 @@ full solve.
 from __future__ import annotations
 
 from itertools import permutations, product as _iproduct
+from math import comb
 
 from .cg import DimCapError, _case, _report
 from .grading import Dims
@@ -46,16 +47,33 @@ from .scalar import ONE, MINUS_ONE
 from .ugl import TVec, invariant_letters, letter_table
 
 SUBSPACE_CAP = 10000
+WEIGHT_ZERO_CAP = 2500
 MIXED_TOTAL = 4
 COMMUTANT_D = 2
 
 
-def _check_subspace_cap(dims: Dims, slots: int):
-    total = dims.size ** slots
-    if total > SUBSPACE_CAP:
-        raise DimCapError(
-            f"tensor space dimension {total} exceeds cap {SUBSPACE_CAP}"
-        )
+def _solve_cap(dims: Dims, k: int, l: int) -> tuple:
+    """(columns, cap) for the solve of :func:`invariant_subspace` at (k, l).
+
+    For k != l the columns are the whole basis, (m+n)^(k+l), under
+    ``SUBSPACE_CAP``.  For k == l they are the weight-zero tensors, the sum
+    over the index counts of a k-tuple of its squared multinomial
+    coefficient, counted one index at a time, under ``WEIGHT_ZERO_CAP``: a
+    weight-zero column costs about three times a mixed one.
+    """
+    size = dims.size
+    if k != l:
+        return size ** (k + l), SUBSPACE_CAP
+    counts = [1] + [0] * k
+    for _ in range(size):
+        counts = [sum(counts[t - c] * comb(t, c) ** 2 for c in range(t + 1))
+                  for t in range(k + 1)]
+    return counts[k], WEIGHT_ZERO_CAP
+
+
+def _check_cap(count: int, cap: int, what: str):
+    if count > cap:
+        raise DimCapError(f"{count} {what} exceed cap {cap}")
 
 
 def rho(sigma: tuple, tv: TVec) -> TVec:
@@ -98,11 +116,12 @@ def sergeev_invariant(dims: Dims, sigma, d: int) -> TVec:
     """The signed diagonal invariant P_sigma in V^{(x)d} (x) V*^{(x)d}.
 
     ``sigma`` is a permutation of {1..d} given 1-based (tuple of images).
+    Raises DimCapError when its (m+n)^d terms exceed ``SUBSPACE_CAP``.
     """
     sigma0 = tuple(s - 1 for s in sigma)
     if sorted(sigma0) != list(range(d)):
         raise ValueError(f"{sigma!r} is not a permutation of 1..{d}")
-    _check_subspace_cap(dims, 2 * d)
+    _check_cap(dims.size ** d, SUBSPACE_CAP, "Sergeev element terms")
     factors = ("v",) * d + ("vb",) * d
     out = {}
     for a in _iproduct(dims.indices(), repeat=d):
@@ -131,11 +150,13 @@ def invariant_subspace(dims: Dims, k: int, l: int) -> list:
     has a term at that key.  The columns handed to :func:`kernel_dense` run
     through the index tuples in decreasing order, so each solution's own
     free column is its least key; inserting the basis into an echelon then
-    takes no elimination step.  Raises ValueError when k or l is negative.
+    takes no elimination step.  Raises ValueError when k or l is negative,
+    and DimCapError, before any row is built, when its columns exceed their
+    cap (see :func:`_solve_cap`).
     """
     if k < 0 or l < 0:
         raise ValueError(f"tensor degrees ({k},{l}) must be non-negative")
-    _check_subspace_cap(dims, k + l)
+    _check_cap(*_solve_cap(dims, k, l), "invariant-solve columns")
     factors = ("v",) * k + ("vb",) * l
     letters = invariant_letters(dims, ((1, dims.size),))
     if k == l:

@@ -134,7 +134,15 @@ def _normalize_word(dims: Dims, word: Word) -> dict:
 
 
 def word_parity(dims: Dims, word: Word) -> int:
-    return sum(dims.letter_par(a, b) for a, b in word) & 1
+    """Parity of a word: E_ab is odd exactly when one of a, b exceeds m.
+    Raises ValueError on an index outside 1..m+n."""
+    m, size = dims.m, dims.size
+    odd = 0
+    for a, b in word:
+        if not 0 < a <= size >= b > 0:
+            dims.par(a), dims.par(b)  # raises the index range error
+        odd ^= (a > m) ^ (b > m)
+    return odd
 
 
 class UEl(LinComb):
@@ -185,22 +193,30 @@ class UEl(LinComb):
         return UEl(dims, dict(_normalize_word(dims, w)))
 
     def __mul__(self, other: "UEl") -> "UEl":
-        """The product, straightened through the memoised normal forms;
-        a coefficient product of 1 adds their Scalars as they are."""
+        """The product, straightened through the memoised normal forms.
+
+        The first term pair's normal form seeds the result, as a copy: the
+        result never shares a dict with the memo.  A coefficient that is
+        ``ONE`` is never multiplied.
+        """
         self._check(other)
         dims, t1, t2 = self.dims, self.terms, other.terms
-        if t1 and t2:
-            _check_cap(max(map(len, t1)) + max(map(len, t2)))
-        out = {}
+        if not (t1 and t2):
+            return UEl(dims)
+        _check_cap(max(map(len, t1)) + max(map(len, t2)))
+        out = None
         for w1, c1 in t1.items():
             for w2, c2 in t2.items():
-                c = c1 * c2
-                normal = _normalize_word(dims, w1 + w2).items()
-                if c == 1:
-                    for w, cc in normal:
+                c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
+                normal = _normalize_word(dims, w1 + w2)
+                if out is None:
+                    out = (dict(normal) if c is ONE
+                           else {w: c * cc for w, cc in normal.items()})
+                elif c is ONE:
+                    for w, cc in normal.items():
                         add_term(out, w, cc)
                 else:
-                    for w, cc in normal:
+                    for w, cc in normal.items():
                         add_term(out, w, c * cc)
         return UEl(dims, out)
 

@@ -13,11 +13,15 @@ import itertools
 import random
 import time
 
+import pytest
+
 from conftest import record_criterion
 
 from superfn.actions import act, act_word
 from superfn.cg import (
     CG,
+    Verdict,
+    antipode_convolution,
     is_zero_mod_j,
     pair,
     pair_word,
@@ -104,6 +108,36 @@ def test_criterion_2_relations_suite():
     report(2, "defining relations", ok and elapsed < 60, elapsed, 60)
     assert ok
     assert elapsed < 60
+
+
+# Exact pairing-mode proofs of what criteria 1 and 2 sample: the generic
+# oracle's antipode defects and the relations paired with short words.
+# They add to the gate; the criterion lines stay as they are.
+PAIRING_DIMS = [D11, D21, Dims(1, 2)]
+PROVED = Verdict("zero", "pairing", 0, None, "0")
+
+
+def assert_proved_in_j(dims, elems):
+    # each element is proved in J; the same element plus t[1,1] - 1, which
+    # is not in J although its counit is 0, is refused, so the proofs
+    # cannot pass by construction
+    off = CG.t(dims, 1, 1) - CG.one(dims)
+    for f in elems:
+        assert not f.is_zero()
+        assert is_zero_mod_j(f, mode="pairing") == PROVED, f
+        assert not is_zero_mod_j(f + off, mode="pairing").is_zero, f
+
+
+@pytest.mark.parametrize("dims", PAIRING_DIMS, ids=["11", "21", "12"])
+def test_criterion_1_antipode_defects_proved_by_pairing(dims):
+    assert_proved_in_j(dims, [
+        antipode_convolution(g, side) - CG.from_scalar(dims, g.counit())
+        for side in ("left", "right") for g in all_gens(dims)])
+
+
+@pytest.mark.parametrize("dims", PAIRING_DIMS, ids=["11", "21", "12"])
+def test_criterion_2_relations_proved_by_pairing(dims):
+    assert_proved_in_j(dims, relations(dims))
 
 
 def test_criterion_3_supergroup_suite():

@@ -417,11 +417,25 @@ def test_bad_profile_exits_2(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("m, n", [("3", "3"), ("4", "2")])
+@pytest.mark.parametrize("m, n", [("3", "3"), ("4", "2"), ("21", "0")])
 def test_group_cap_exits_3(capsys, m, n):
     code, out, err = run(capsys, "--m", m, "--n", n, "group")
     assert (code, out) == (3, "")
     assert err.startswith("resource cap:")
+
+
+def test_sergeev_cap_measures_the_columns_solved(capsys):
+    # (3,2) d=3 solves over 545 weight-zero columns and reports; (2,2) d=4
+    # needs 2716 and exits 3 before any row is built
+    code, out, _ = run(capsys, "--m", "3", "--n", "2", "sergeev", "--d", "3")
+    assert code == 0
+    assert "PASS d=3: Sergeev rank 6 = invariant dim 6" in out
+    assert out.endswith("suite fft: PASSED\n")
+    code, out, err = run(capsys, "--m", "2", "--n", "2", "sergeev", "--d",
+                         "4")
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap: 2716 invariant-solve columns exceed"
+                          " cap 2500")
 
 
 def test_degree_cap_exits_3(capsys):

@@ -908,6 +908,24 @@ def test_verify_group_cap_fires_before_any_point(monkeypatch, dims):
         verify_group(dims, count=20, seed=0)
 
 
+@pytest.mark.parametrize("dims", [Dims(21, 0), Dims(0, 21), Dims(30, 0)],
+                         ids=["21-0", "0-21", "30-0"])
+def test_verify_group_even_cap_fires_before_any_point(monkeypatch, dims):
+    # no odd generators, but (m+n)^3 above GROUP_EVEN_CAP = 8000 = 20^3
+    monkeypatch.setattr(grassmann, "random_gauss_point", no_draw)
+    with pytest.raises(DimCapError, match=r"\(m\+n\)\^3 = \d+, over cap 8000"):
+        verify_group(dims, count=20, seed=0)
+
+
+def test_verify_group_even_cap_admits_twenty_indices(monkeypatch):
+    monkeypatch.setattr(grassmann, "random_gauss_point", no_draw)
+    with pytest.raises(Drew):
+        verify_group(Dims(20, 0), count=20, seed=0)
+    monkeypatch.undo()
+    rep = verify_group(Dims(8, 0), count=3, seed=0)
+    assert rep["passed"], rep
+
+
 @pytest.mark.parametrize("dims", [Dims(3, 2), Dims(2, 3), Dims(6, 1)],
                          ids=["32", "23", "61"])
 def test_verify_group_cap_admits_twelve_generators(monkeypatch, dims):

@@ -338,6 +338,36 @@ def test_cleared_integer_pairs_insert_like_their_scalar_dicts(field):
         assert ech_int.payloads == ech.payloads
 
 
+def reference_cleared(elems):
+    """cleared through Fraction: every part rescaled to the least common
+    denominator."""
+    elems = list(elems)
+    den = math.lcm(*(Fraction(q).denominator for terms in elems
+                     for c in terms.values() for q in (c.re, c.im)))
+    return den, [
+        tuple({k: int(Fraction(getattr(c, part)) * den)
+               for k, c in terms.items() if getattr(c, part)}
+              for part in ("re", "im"))
+        for terms in elems
+    ]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_cleared_matches_the_rescaling_reference(field):
+    # all-int (integer, gaussian), rational and complex inputs, as int parts
+    rng = random.Random(5 + FIELDS.index(field))
+    for _ in range(40):
+        elems = _sparse_rows(rng, field, rng.randint(1, 6))
+        got = cleared(iter(elems))
+        assert got == reference_cleared(elems)
+        for num in got[1]:
+            assert all(type(x) is int and x for part in num
+                       for x in part.values())
+    assert cleared([]) == (1, [])
+    assert cleared([{}, {0: Scalar(2, -1)}]) == (1, [({}, {}),
+                                                     ({0: 2}, {0: -1})])
+
+
 # ------------------------------------------------------------- graded core
 
 D11, D21 = Dims(1, 1), Dims(2, 1)

@@ -221,3 +221,22 @@ def test_integral_products_of_fractions_are_ints():
     for r in (half * 2, 2 * half, half + half, Scalar(Fraction(3, 2)) - half):
         _check_result(r, (1, 0))
         assert r == ONE and hash(r) == hash(ONE) == hash(1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Scalar(1, 2), lambda: Scalar(Fraction(1, 3)), lambda: ONE + ONE,
+    lambda: Scalar(2) * Scalar.rational(1, 2), lambda: -I,
+    lambda: Scalar(1) / 3, lambda: ONE,
+], ids=["init", "init-fraction", "add", "mul", "neg", "div", "constant"])
+def test_scalars_stay_immutable(make):
+    # operator results are built through the slots' member descriptors,
+    # which must not open the slots to assignment or deletion
+    s = make()
+    before = (s.re, s.im)
+    for name in ("re", "im", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(s, name, 1)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(s, name)
+    assert (s.re, s.im) == before
+

@@ -215,12 +215,66 @@ def test_rejects_permutation_errors():
         rho_operator(D11, (0, 0), 2)
 
 
-def test_dimension_cap():
-    try:
-        invariant_subspace(Dims(3, 3), 3, 3)
-        assert False, "expected DimCapError"
-    except DimCapError:
-        pass
+def _refuse_letter_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a letter table was read before the cap check")
+    monkeypatch.setattr(tensorinv, "letter_table", refuse)
+
+
+def test_dimension_cap(monkeypatch):
+    # the cap fires before any row is built, on the columns solved: the
+    # weight-zero tensors under WEIGHT_ZERO_CAP for k == l, the whole basis
+    # (m+n)^(k+l) under SUBSPACE_CAP otherwise
+    _refuse_letter_tables(monkeypatch)
+    for dims, k, l, columns, cap in ((D22, 4, 4, 2716, 2500),
+                                     (D21, 5, 5, 4653, 2500),
+                                     (Dims(6, 2), 4, 4, 66424, 2500),
+                                     (Dims(6, 5), 1, 3, 14641, 10000)):
+        with pytest.raises(DimCapError, match=f"^{columns} invariant-solve "
+                                              f"columns exceed cap {cap}$"):
+            invariant_subspace(dims, k, l)
+
+
+@pytest.mark.parametrize("dims,k,l", [
+    (Dims(3, 2), 3, 3), (Dims(3, 3), 3, 3), (Dims(4, 3), 3, 3),
+    (Dims(4, 3), 1, 3), (Dims(7, 1), 1, 3), (Dims(5, 5), 1, 3),
+], ids=["32-d3", "33-d3", "43-d3", "43-k1l3", "71-k1l3", "55-k1l3"])
+def test_the_cap_admits_solves_within_its_measure(dims, k, l, monkeypatch):
+    # a measure of (m+n)^(k+l) against 10000 would refuse the first three
+    # (15625, 46656, 117649); the 545, 996 and 1645 weight-zero columns
+    # they solve fit, and so do the 2401, 4096 and 10000 columns of the
+    # mixed solves, as before
+    _refuse_letter_tables(monkeypatch)
+    with pytest.raises(AssertionError, match="letter table was read"):
+        invariant_subspace(dims, k, l)
+
+
+def test_solve_cap_counts_the_columns_handed_to_the_solver(monkeypatch):
+    # the cap's measure agrees with the solve it guards, on every case that
+    # fits; _solve_cap counts the weight-zero tensors by formula
+    sizes = []
+    _spy_solves(monkeypatch, lambda factors, letters, rows, ncols:
+                sizes.append(ncols))
+    for dims in (D11, D21, D22, Dims(3, 2)):
+        for k in range(4):
+            for l in range(4):
+                columns, cap = tensorinv._solve_cap(dims, k, l)
+                assert cap == (tensorinv.WEIGHT_ZERO_CAP if k == l
+                               else tensorinv.SUBSPACE_CAP)
+                if columns > cap:
+                    continue
+                invariant_subspace(dims, k, l)
+                assert sizes.pop() == columns, (dims, k, l)
+
+
+def test_sergeev_invariant_is_capped_by_its_own_terms():
+    # (m+n)^d terms under SUBSPACE_CAP: 3125 at (3,2) d=5 fit, 16807 at
+    # (4,3) d=5 do not
+    assert len(sergeev_invariant(Dims(3, 2), (2, 3, 1, 5, 4), 5).terms) \
+        == 3125
+    with pytest.raises(DimCapError,
+                       match="^16807 Sergeev element terms exceed cap 10000$"):
+        sergeev_invariant(Dims(4, 3), (1, 2, 3, 4, 5), 5)
 
 
 def test_supercommutant_equals_group_algebra_image():
@@ -387,6 +441,32 @@ def test_every_mixed_case_solves_a_nonempty_system(dims, monkeypatch):
         assert size == dims.size ** (k + l) and nonempty_rows, (k, l)
 
 
+@pytest.mark.parametrize("dims,totals", [(Dims(7, 1), 4), (Dims(13, 1), 3)],
+                         ids=["71", "131"])
+def test_verify_fft_runs_the_mixed_cases_within_the_full_basis_cap(
+        dims, totals, monkeypatch):
+    # a mixed case runs while (m+n)^(k+l) <= 10000: every k+l <= 4 at m+n=8
+    # (8^4 = 4096), and k+l <= 3 at m+n=14 (14^3 = 2744, 14^4 = 38416);
+    # the mixed solves are recorded, not run
+    real = tensorinv.invariant_subspace
+    mixed = []
+
+    def spy(dims, k, l):
+        if k == l:
+            return real(dims, k, l)
+        mixed.append((k, l))
+        return []
+
+    monkeypatch.setattr(tensorinv, "invariant_subspace", spy)
+    rep = verify_fft(dims, 1)
+    assert rep["passed"], rep
+    want = [(k, l) for k in range(5) for l in range(5 - k)
+            if k != l and k + l <= totals]
+    assert mixed == want
+    names = [c["name"] for c in rep["cases"] if c["name"].startswith("mixed")]
+    assert names == [f"mixed ({k},{l}) invariants vanish" for k, l in want]
+
+
 @pytest.mark.parametrize("dims,dmax", [(D11, 4), (D21, 3), (D22, 2)],
                          ids=["11", "21", "22"])
 def test_weight_zero_solves_skip_the_cartan_letters(dims, dmax, monkeypatch):
@@ -453,8 +533,9 @@ def hook_dimension(dims, d):
     return total
 
 
-@pytest.mark.parametrize("dims,d,dim", [(D11, 5, 70), (D22, 3, 6)],
-                         ids=["11-d5", "22-d3"])
+@pytest.mark.parametrize("dims,d,dim",
+                         [(D11, 5, 70), (D22, 3, 6), (Dims(3, 2), 3, 6)],
+                         ids=["11-d5", "22-d3", "32-d3"])
 def test_invariant_dimension_is_the_hook_formula(dims, d, dim):
     invs = invariant_subspace(dims, d, d)
     assert len(invs) == hook_dimension(dims, d) == dim

@@ -558,3 +558,79 @@ def test_normal_form_memo_stays_under_its_cap(monkeypatch):
         sizes.append(len(ugl._normalize_cache))
     assert max(sizes) <= 256
     assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the cap fired
+
+
+# ------------------------------------------- product kernel regressions
+
+
+@pytest.mark.parametrize("dims", ALL_DIMS, ids=["11", "21", "12", "22"])
+def test_product_edge_cases_match_the_reference(dims):
+    # zero operands, a first term pair whose normal form is empty (an odd
+    # square) followed by pairs that are not, and coefficients equal to 1
+    # that are not the ONE object
+    odd = next((a, b) for a in dims.indices() for b in dims.indices()
+               if dims.letter_par(a, b))
+    even = (1, 1)
+    zero = UEl.zero(dims)
+    x = UEl.letter(dims, *odd)
+    cases = [(zero, x), (x, zero), (zero, zero), (UEl.one(dims), zero)]
+    unit_like = Scalar(2) * Scalar.rational(1, 2)
+    assert unit_like == 1 and unit_like is not ONE
+    for c1, c2 in itertools.product(
+            (ONE, unit_like, MINUS_ONE, Scalar.rational(2, 3), I,
+             Scalar(1, -2)), repeat=2):
+        u = UEl(dims, {(odd,): c1, (even,): c2})
+        v = UEl(dims, {(odd,): c2, (even, odd): c1})
+        cases += [(u, v), (v, u), (u, u)]
+    for u, v in cases:
+        got = u * v
+        assert got == reference_mul(u, v), (u, v)
+        assert all(type(c) is Scalar and c for c in got.terms.values())
+    assert (x * x).is_zero()
+
+
+def test_product_refuses_other_dims():
+    with pytest.raises(ValueError, match="mismatched UEl operands"):
+        UEl.letter(D11, 1, 1) * UEl.letter(D21, 1, 1)
+
+
+def test_results_never_share_a_dict_with_the_normal_form_memo(monkeypatch):
+    # products seed their result from the memo's normal form, words copy
+    # it: editing the result must leave the memo as it was
+    monkeypatch.setattr(ugl, "_normalize_cache", {})
+    dims = D21
+    x, y = UEl.letter(dims, 3, 1), UEl.letter(dims, 1, 3)
+    word = UEl.word(dims, ((3, 1), (1, 3)))
+    results = [word, x * y, UEl.one(dims) * word, word * UEl.one(dims),
+               x.scale(Scalar(2)) * y]
+    memo = {key: dict(normal) for key, normal in ugl._normalize_cache.items()}
+    assert memo and all(r.terms for r in results)
+    for r in results:
+        for w in list(r.terms):
+            r.terms[w] = Scalar(99)
+        r.terms[((2, 2),)] = Scalar(7)
+    assert ugl._normalize_cache == memo
+    assert x * y == UEl.word(dims, ((3, 1), (1, 3)))
+
+
+@pytest.mark.parametrize("dims", ALL_DIMS, ids=["11", "21", "12", "22"])
+def test_word_parity_is_the_index_rule(dims):
+    letters = [(a, b) for a in dims.indices() for b in dims.indices()]
+    for k in range(3):
+        for w in itertools.product(letters, repeat=k):
+            want = sum(dims.par(a) ^ dims.par(b) for a, b in w) & 1
+            assert word_parity(dims, w) == want
+            u = UEl(dims, {w: ONE})
+            assert u.parity() == want
+
+
+@pytest.mark.parametrize("word", [((5, 1),), ((1, 1), (1, 3)), ((0, 2),),
+                                  ((2, -1),)],
+                         ids=["a-high", "b-high-second", "a-zero", "b-neg"])
+def test_word_parity_refuses_an_out_of_range_index(word):
+    # UEl(dims, terms) does not check its words, so parity does
+    dims = Dims(1, 1)
+    with pytest.raises(ValueError, match="out of range 1..2"):
+        word_parity(dims, word)
+    with pytest.raises(ValueError, match="out of range 1..2"):
+        UEl(dims, {word: ONE}).parity()
