@@ -50,14 +50,7 @@ from .grassmann import (
     real_sample_points,
     verify_group,
 )
-from .actions import (
-    act,
-    is_invariant,
-    jmath,
-    letter_action,
-    slot_action,
-    x_gen,
-)
+from .actions import act, is_invariant, letter_action
 from .tensorinv import (
     invariant_subspace,
     rho,
@@ -91,8 +84,8 @@ __all__ = [
     "verify_hopf", "GEl", "GroupPoint", "SMat", "eta",
     "real_sample_points", "verify_group", "random_even_invertible",
     "random_gauss_point", "act", "invariant_letters", "is_invariant",
-    "jmath", "letter_action", "slot_action", "x_gen", "invariant_subspace",
-    "rho", "sergeev_invariant", "supercommutant_basis", "verify_fft",
+    "letter_action", "invariant_subspace", "rho", "sergeev_invariant",
+    "supercommutant_basis", "verify_fft",
     "LeviProfile", "c_block", "c_pair", "corner_invariant",
     "laplacian_apply", "q_func", "r_func", "theta", "theta_eigenvalue",
     "verify_invariance", "verify_maxrank", "verify_t51", "z", "zbar",

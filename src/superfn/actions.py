@@ -12,18 +12,6 @@ leading minus in dL).  Letters act as superderivations of parity [x]; a
 word acts by composing its letters with the rightmost letter applied
 first.  The two actions supercommute:
 dL_x dR_y = (-1)^{[x][y]} dR_y dL_x.
-
-The free coefficient algebra on tags ``x``/``xb`` carries the slot actions
-
-    phi(u)(x_ab)  = (-1)^{[u]} x_{a, u.b}          (u acting in V)
-    psi(u)(x_ab)  = (-1)^{[u][b]} x_{u.a, b}       (u acting in V*)
-    phi(u)(xb_ab) = (-1)^{[u]} xb_{a, u.b}         (u acting in V*)
-    psi(u)(xb_ab) = (-1)^{[u]([u]+[b])} xb_{u.a, b} (u acting in V)
-
-and the tag-renaming isomorphism :func:`jmath` onto t/tbar intertwines
-psi with dL and phi with dR.  :func:`slot_action` is built that way: it
-renames the generator images of :func:`letter_action`, the one place
-where the signs of the translation actions are written.
 """
 
 from __future__ import annotations
@@ -107,55 +95,6 @@ def act(side: str, u: UEl, f: CG) -> CG:
     for w, c in u.terms.items():
         out = out + act_word(u.dims, side, w, f).scale(c)
     return out
-
-
-# --------------------------------------------------------- free coefficients
-
-
-_TO_FREE = {"t": "x", "tb": "xb"}
-_TO_FUNCTION = {"x": "t", "xb": "tb"}
-
-
-def _rename(s, tags: dict):
-    return (tags[s[0]],) + s[1:]
-
-
-def _renamed(terms: dict, tags: dict) -> dict:
-    """terms with every symbol's tag renamed by tags.  Tag order is kept
-    (t < tb, x < xb), so canonical monomials stay canonical."""
-    return {
-        tuple((_rename(s, tags), e) for s, e in mono): c
-        for mono, c in terms.items()
-    }
-
-
-def slot_action(dims: Dims, kind: str, a: int, b: int) -> DerivationSpec:
-    """phi(E_ab) (kind="phi") or psi(E_ab) ("psi") on the x/xb alphabet:
-    dR_{E_ab} or dL_{E_ab} read through the renaming t -> x, tb -> xb."""
-    if kind not in ("phi", "psi"):
-        raise ValueError(f"bad slot action {kind!r}")
-    spec = letter_action(dims, "right" if kind == "phi" else "left", a, b)
-    return DerivationSpec(spec.parity, {
-        _rename(s, _TO_FREE): Poly(_renamed(img.terms, _TO_FREE))
-        for s, img in spec.images.items()
-    })
-
-
-def x_gen(dims: Dims, tag: str, a: int, b: int) -> Poly:
-    if tag not in ("x", "xb"):
-        raise ValueError(f"bad free tag {tag!r}")
-    return Poly.from_symbol(symbol(tag, a, b, dims.letter_par(a, b)))
-
-
-def jmath(dims: Dims, p: Poly) -> CG:
-    """Rename x -> t, xb -> tbar; an isomorphism onto the function algebra.
-    Raises ValueError unless each renamed symbol passes CG.from_symbol."""
-    for mono in p.terms:
-        for s, _ in mono:
-            if s[0] not in _TO_FUNCTION:
-                raise ValueError(f"{s!r} is not an x or xb symbol")
-            CG.from_symbol(dims, _rename(s, _TO_FUNCTION))
-    return CG(dims, _renamed(p.terms, _TO_FUNCTION))
 
 
 # ------------------------------------------------------------- invariance

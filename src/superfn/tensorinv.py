@@ -38,7 +38,7 @@ full solve.
 from __future__ import annotations
 
 from itertools import permutations, product as _iproduct
-from math import comb
+from math import comb, factorial
 
 from .cg import DimCapError, _case, _report
 from .grading import Dims
@@ -242,9 +242,19 @@ def verify_fft(dims: Dims, dmax: int) -> dict:
     """The invariant-theory suite: Sergeev spanning, mixed vanishing up to
     total degree MIXED_TOTAL, and the double-centralizer equality at
     d = COMMUTANT_D.  Raises ValueError when dmax < 1, which would drop
-    every Sergeev case."""
+    every Sergeev case.
+
+    The whole run is priced before any work: DimCapError is raised when
+    the weight-zero columns of any d <= max(dmax, COMMUTANT_D) exceed
+    their cap (see :func:`_solve_cap`), or when the suite's Sergeev terms,
+    the sum over d <= dmax of d! (m+n)^d, exceed ``SUBSPACE_CAP``, the cap
+    on one element's terms.  The mixed cases run only within their cap."""
     if dmax < 1:
         raise ValueError("dmax must be at least 1")
+    for d in range(1, max(dmax, COMMUTANT_D) + 1):
+        _check_cap(*_solve_cap(dims, d, d), "invariant-solve columns")
+    _check_cap(sum(factorial(d) * dims.size ** d for d in range(1, dmax + 1)),
+               SUBSPACE_CAP, "suite Sergeev terms")
     cases = []
     for d in range(1, dmax + 1):
         invs = invariant_subspace(dims, d, d)

@@ -7,15 +7,27 @@ polynomials through one derivation per letter.  The functions here reach
 the same values the other way, by splitting words through the coproduct
 Delta(E) = E (x) 1 + 1 (x) E and by applying letters one at a time, so
 they are an independent check on both.
+
+The free coefficient algebra on tags ``x``/``xb`` carries the slot actions
+
+    phi(u)(x_ab)  = (-1)^{[u]} x_{a, u.b}          (u acting in V)
+    psi(u)(x_ab)  = (-1)^{[u][b]} x_{u.a, b}       (u acting in V*)
+    phi(u)(xb_ab) = (-1)^{[u]} xb_{a, u.b}         (u acting in V*)
+    psi(u)(xb_ab) = (-1)^{[u]([u]+[b])} xb_{u.a, b} (u acting in V)
+
+and the tag renaming x -> t, xb -> tbar onto the function algebra
+intertwines psi with dL and phi with dR.  :func:`slot_action` reads
+``actions.letter_action`` through the inverse renaming, so a test of its
+images against these formulas checks the signs of dL and dR.
 """
 
 from itertools import product
 
-from superfn.actions import slot_action
+from superfn.actions import letter_action
 from superfn.cg import CG, _module_kind
 from superfn.grading import Dims
 from superfn.scalar import Scalar, ZERO, ONE
-from superfn.superpoly import Poly
+from superfn.superpoly import DerivationSpec, Poly
 from superfn.ugl import TVec, UEl, word_parity
 
 
@@ -85,11 +97,22 @@ def _pair_factors(dims: Dims, factors: list, word: tuple) -> Scalar:
     return total
 
 
-def slot_act_word(dims: Dims, kind: str, word: tuple, p: Poly) -> Poly:
-    """A word acting on a free polynomial through the slot derivation
-    ``kind`` ("psi" or "phi"), one letter at a time, the last letter
-    first."""
-    out = p
-    for a, b in reversed(word):
-        out = slot_action(dims, kind, a, b).apply(out)
-    return out
+_TO_FREE = {"t": "x", "tb": "xb"}
+
+
+def _free(s):
+    """The symbol s with its tag renamed t -> x, tb -> xb."""
+    return (_TO_FREE[s[0]],) + s[1:]
+
+
+def slot_action(dims: Dims, kind: str, a: int, b: int) -> DerivationSpec:
+    """phi(E_ab) (kind="phi") or psi(E_ab) ("psi") on the x/xb alphabet:
+    dR_{E_ab} or dL_{E_ab} read through the renaming t -> x, tb -> xb.
+    The renaming keeps tag order (t < tb, x < xb), so canonical monomials
+    stay canonical."""
+    spec = letter_action(dims, "right" if kind == "phi" else "left", a, b)
+    return DerivationSpec(spec.parity, {
+        _free(s): Poly({tuple((_free(x), e) for x, e in mono): c
+                        for mono, c in img.terms.items()})
+        for s, img in spec.images.items()
+    })

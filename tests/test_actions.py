@@ -3,17 +3,14 @@ import random
 
 import pytest
 
-from coproduct_reference import slot_act_word
+from coproduct_reference import slot_action
 from superfn import actions
 from superfn.actions import (
     act,
     act_word,
     invariant_letters,
     is_invariant,
-    jmath,
     letter_action,
-    slot_action,
-    x_gen,
 )
 from superfn.cg import CG, is_zero_mod_j, pair, relations
 from superfn.grading import Dims
@@ -148,8 +145,8 @@ def _act_vb_reference(dims, c, d, idx):
 
 
 def _slot_action_reference(dims, kind, a, b):
-    """Generator images of phi(E_ab) / psi(E_ab), as in the actions module
-    docstring."""
+    """Generator images of phi(E_ab) / psi(E_ab), as in the
+    coproduct_reference module docstring."""
     upar = dims.letter_par(a, b)
     images = {}
     for r, cc in itertools.product(dims.indices(), repeat=2):
@@ -277,31 +274,6 @@ def test_word_action_composes_outermost_first():
             assert via_word == nested
             u = UEl.letter(D21, *w1) * UEl.letter(D21, *w2)
             assert act(side, u, f).poly == via_word
-
-
-def test_slot_actions_intertwine_with_renaming():
-    # jmath((psi(x) (x) phi(y)) p) = (dL_x (x) dR_y) jmath(p)
-    for dims in (D11, D21):
-        letters = [(a, b) for a in dims.indices() for b in dims.indices()]
-        polys = [x_gen(dims, "x", a, b) for a, b in letters]
-        polys += [x_gen(dims, "xb", a, b) for a, b in letters]
-        for p in polys:
-            for xl in letters:
-                got = jmath(dims, slot_act_word(dims, "psi", (xl,), p))
-                want = act_word(dims, "left", (xl,), jmath(dims, p).poly)
-                assert got.poly == want, ("psi", xl, p)
-                got = jmath(dims, slot_act_word(dims, "phi", (xl,), p))
-                want = act_word(dims, "right", (xl,), jmath(dims, p).poly)
-                assert got.poly == want, ("phi", xl, p)
-
-
-def test_jmath_refuses_a_symbol_that_is_no_free_generator_of_its_dims():
-    for p in (x_gen(D21, "x", 3, 3),  # index outside 1..2
-              CG.t(D11, 1, 1),  # a t symbol, not x
-              Poly.from_symbol(symbol("xb", 1, 2, 0))):  # parity not 1
-        with pytest.raises(ValueError):
-            jmath(D11, p)
-    assert jmath(D11, x_gen(D11, "xb", 1, 2)) == CG.tbar(D11, 1, 2)
 
 
 def test_invariant_letters_layout():

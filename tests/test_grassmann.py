@@ -870,10 +870,10 @@ def test_verify_group_inverts_each_matrix_once_for_the_antipode(monkeypatch):
     monkeypatch.setattr(grassmann, "_block_inverse", counting)
     rep = verify_group(D11, count=20, seed=0)
     assert rep["passed"], rep
-    # 20 Gauss points of two block inverses each, one series for each
-    # point's from_matrix cross-check, 5 real points and 1 non-unitary
-    # diagonal: the product and antipode cases invert nothing
-    assert len(calls) == 2 * 20 + 20 + 5 + 1
+    # 20 Gauss points of two block inverses each, 5 real points and 1
+    # non-unitary diagonal: the relations, product and antipode cases
+    # invert nothing
+    assert len(calls) == 2 * 20 + 5 + 1
 
 
 def test_verify_group_checks_the_oracle_points(monkeypatch):
@@ -956,6 +956,17 @@ def precomposed_unsigned(monkeypatch):
     monkeypatch.setattr(GroupPoint, "_precomposed", unsigned)
 
 
+def gauss_inverse_without_gamma_beta(monkeypatch):
+    # T^{-1}'s D block loses its (gamma beta) D^{-1} term
+    src = textwrap.dedent(inspect.getsource(grassmann._gauss_point))
+    term = "(gamma(i, k) | beta(k, l), -kd * xd[l][j])"
+    assert src.count(term) == 1
+    ns = {}
+    exec(src.replace(term, "(gamma(i, k) | beta(k, l), 0)"), vars(grassmann),
+         ns)
+    monkeypatch.setattr(grassmann, "_gauss_point", ns["_gauss_point"])
+
+
 def series_cut_after_one_term(monkeypatch):
     src = textwrap.dedent(inspect.getsource(SMat._inverse_cleared))
     assert src.count("range(self.n)") == 1
@@ -965,12 +976,42 @@ def series_cut_after_one_term(monkeypatch):
 
 
 @pytest.mark.parametrize("mutate", [delta_sign_xor_c, precomposed_unsigned,
-                                    series_cut_after_one_term],
+                                    gauss_inverse_without_gamma_beta],
                          ids=lambda f: f.__name__)
 def test_verify_group_fails_on_mutants(monkeypatch, mutate):
     assert verify_group(D21, count=8, seed=0)["passed"]
     mutate(monkeypatch)
     assert not verify_group(D21, count=8, seed=0)["passed"]
+
+
+def test_gauss_mutant_fails_only_the_relations_case(monkeypatch):
+    gauss_inverse_without_gamma_beta(monkeypatch)
+    failed = [c["name"] for c in verify_group(D21, count=8, seed=0)["cases"]
+              if not c["passed"]]
+    assert failed == ["random supermatrices define group points"]
+
+
+def test_series_mutant_breaks_the_supermatrix_inverse(monkeypatch):
+    mat = random_even_invertible(D21, random.Random(4))
+    ident = SMat.identity(D21, mat.n)
+    assert mat @ mat.inverse() == ident
+    series_cut_after_one_term(monkeypatch)
+    assert mat @ mat.inverse() != ident
+
+
+@pytest.mark.parametrize("dims", [D21, D22], ids=["21", "22"])
+def test_verify_group_runs_no_series_on_a_point_with_odd_generators(
+        monkeypatch, dims):
+    series = SMat._inverse_cleared
+
+    def even_only(self):
+        if self.n > 0:
+            raise AssertionError("series inverse of a matrix with a soul")
+        return series(self)
+
+    monkeypatch.setattr(SMat, "_inverse_cleared", even_only)
+    rep = verify_group(dims, count=20, seed=0)
+    assert rep["passed"], rep
 
 
 @pytest.mark.parametrize("dims", [D11, D21, D22, D31, Dims(2, 0), Dims(0, 2)],

@@ -277,6 +277,39 @@ def test_sergeev_invariant_is_capped_by_its_own_terms():
         sergeev_invariant(Dims(4, 3), (1, 2, 3, 4, 5), 5)
 
 
+@pytest.mark.parametrize("dims,dmax,count,what,cap", [
+    (Dims(1, 0), 8, 46233, "suite Sergeev terms", 10000),
+    (Dims(1, 0), 9, 409113, "suite Sergeev terms", 10000),
+    (D11, 6, 50362, "suite Sergeev terms", 10000),
+    (D11, 7, 3432, "invariant-solve columns", 2500),
+    (Dims(36, 0), 1, 2556, "invariant-solve columns", 2500),
+], ids=["10-d8", "10-d9", "11-d6", "11-d7", "36-0-d1"])
+def test_verify_fft_prices_its_whole_run_before_any_work(
+        dims, dmax, count, what, cap, monkeypatch):
+    # every degree's weight-zero columns under their cap, then the sum over
+    # d <= dmax of d! (m+n)^d Sergeev terms under SUBSPACE_CAP, checked
+    # before the first solve: 1! + ... + 8! = 46233 at m+n = 1, and
+    # 3432 = C(14, 7) columns at (1,1) d=7; the commutant's d = 2 is priced
+    # too, 2 * 36^2 - 36 = 2556 columns at m+n = 36
+    def refuse(*args):
+        raise AssertionError("the suite worked before its price was checked")
+
+    monkeypatch.setattr(tensorinv, "invariant_subspace", refuse)
+    monkeypatch.setattr(tensorinv, "sergeev_invariant", refuse)
+    with pytest.raises(DimCapError, match=f"^{count} {what} exceed cap {cap}$"):
+        verify_fft(dims, dmax)
+
+
+@pytest.mark.parametrize("dims,dmax", [(Dims(1, 0), 7), (D11, 5)],
+                         ids=["10-d7", "11-d5"])
+def test_verify_fft_runs_the_largest_priced_case(dims, dmax):
+    # 5913 and 4282 Sergeev terms, the largest dmax under the cap
+    rep = verify_fft(dims, dmax)
+    assert rep["passed"], rep
+    assert f"d={dmax}: Sergeev elements are invariant" in \
+        [c["name"] for c in rep["cases"]]
+
+
 def test_supercommutant_equals_group_algebra_image():
     for dims in (D11, D21):
         d = 2
