@@ -8,16 +8,22 @@ spliced mechanically out of the coproduct and the duality pairing:
 
 with ``sign(c,e,d) = (-1)^{([e]+[c])([e]+[d])}`` the coproduct sign of
 :func:`grading.delta_sign` (the antipode S(x) = -x accounts for the
-leading minus in dL).  Letters act as superderivations of parity [x]; a
-word acts by composing its letters with the rightmost letter applied
-first.  The two actions supercommute:
-dL_x dR_y = (-1)^{[x][y]} dR_y dL_x.
+leading minus in dL).  A letter pairs nonzero with one generator per tag,
+t_ab and tbar_ba, and each such val = <g_rs, x> adds, for every index o,
+
+    (-1)^{[x][g_os]} sign(o,r,s) val g_or    to dR_x(g_os)
+    -(-1)^{[x]}      sign(r,s,o) val g_so    to dL_x(g_ro).
+
+Letters act as superderivations of parity [x]; a word acts by composing
+its letters with the rightmost letter applied first.  The two actions
+supercommute: dL_x dR_y = (-1)^{[x][y]} dR_y dL_x.
 """
 
 from __future__ import annotations
 
 from .cg import CG, is_zero_mod_j
 from .grading import Dims, delta_sign
+from .linalg import add_term
 from .scalar import sign_pow
 from .superpoly import DerivationSpec, Poly, symbol
 from .ugl import UEl, _remember, invariant_letters, letter_column
@@ -36,43 +42,24 @@ def letter_action(dims: Dims, side: str, a: int, b: int) -> DerivationSpec:
     if side not in ("left", "right"):
         raise ValueError(f"bad side {side!r}")
     xpar = dims.letter_par(a, b)
-    letter = (a, b)
-    # <g_rs, E_ab> = (E_ab . e_s)[r] in g's own module (V for t, V* for tb)
-    pairs = {}
-    for tag, kind in (("t", "v"), ("tb", "vb")):
-        for s in dims.indices():
-            for (r,), k in letter_column(dims, (kind,), letter, (s,)):
-                pairs[tag, r, s] = k
-    images = {}
-    for tag in ("t", "tb"):
-        for c in dims.indices():
-            for d in dims.indices():
-                gsym = symbol(tag, c, d, dims.letter_par(c, d))
-                img = Poly.zero()
-                for e in dims.indices():
-                    if side == "right":
-                        val = pairs.get((tag, e, d))
-                        if not val:
-                            continue
-                        coeff = val * sign_pow(delta_sign(dims, c, e, d))
-                        if xpar and dims.letter_par(c, d):
-                            coeff = -coeff
-                        img = img + Poly.from_symbol(
-                            symbol(tag, c, e, dims.letter_par(c, e))
-                        ).scale(coeff)
-                    else:
-                        val = pairs.get((tag, c, e))
-                        if not val:
-                            continue
-                        coeff = -val * sign_pow(delta_sign(dims, c, e, d))
-                        if xpar:
-                            coeff = -coeff
-                        img = img + Poly.from_symbol(
-                            symbol(tag, e, d, dims.letter_par(e, d))
-                        ).scale(coeff)
-                if not img.is_zero():
-                    images[gsym] = img
-    spec = DerivationSpec(xpar, images)
+    # the nonzero <g_rs, E_ab> = (E_ab . e_s)[r] in g's module (V, V*)
+    pairings = [(tag, r, s, val) for tag, kind in (("t", "v"), ("tb", "vb"))
+                for s in dims.indices()
+                for (r,), val in letter_column(dims, (kind,), (a, b), (s,))]
+    terms = {}
+    for tag, r, s, val in pairings:
+        for o in dims.indices():  # the side picks source, target and sign
+            if side == "right":
+                src, tgt = (o, s), (o, r)
+                e = delta_sign(dims, o, r, s) + xpar * dims.letter_par(o, s)
+            else:
+                src, tgt = (r, o), (s, o)
+                e = delta_sign(dims, r, s, o) + xpar + 1
+            add_term(terms.setdefault(
+                symbol(tag, *src, dims.letter_par(*src)), {}),
+                ((symbol(tag, *tgt, dims.letter_par(*tgt)), 1),),
+                sign_pow(e) * val)
+    spec = DerivationSpec(xpar, {g: Poly(t) for g, t in terms.items() if t})
     _remember(_letter_cache, _LETTER_CACHE_CAP, key, spec)
     return spec
 

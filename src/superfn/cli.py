@@ -254,9 +254,8 @@ class ExprContext:
             if kind == "a" and not 1 <= i <= dims.size:
                 raise CliError(f"index {i} out of range for m+n = "
                                f"{dims.size}")
-            if kind == "b" and not 1 <= i <= len(self.profile.refined()):
-                raise CliError(f"block index {i} out of range for profile "
-                               f"{self.profile.blocks}")
+            if kind == "b":
+                self.profile.refined_block(i)  # refuses a bad block index
         if name == "E":
             return "u", UEl.letter(dims, *args)
         if name == "t":
@@ -274,10 +273,7 @@ class ExprContext:
         if name == "CP":
             return "cg", c_pair(self.profile, *args)
         if name == "theta":
-            try:
-                return "cg", theta(dims, *args)
-            except ValueError as exc:
-                raise CliError(str(exc)) from exc
+            return "cg", theta(dims, *args)
         raise CliError(f"unknown generator {name!r}")
 
     def evaluate(self, node):
@@ -468,11 +464,11 @@ def _cmd_laplacian(args, ctx: ExprContext) -> int:
     k = args.k
     if k < 0:
         raise CliError("--k must be nonnegative")
+    lam = theta_eigenvalue(dims, k)  # refuses n = 0
     r = r_func(dims)
     rk = r ** k
     image = laplacian_apply(rk)
-    predicted = rk.scale(Scalar(k * (dims.m - dims.n - k + 1))) \
-        + (r ** max(k - 1, 0)).scale(Scalar(k * k))
+    predicted = rk.scale(lam) + (r ** max(k - 1, 0)).scale(Scalar(k * k))
     v = is_zero_mod_j(image - predicted, mode=args.mode, trials=args.trials,
                       seed=args.seed)
     case = _oracle_case(f"radial Laplacian power identity at k={k}", [v],

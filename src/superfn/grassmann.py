@@ -69,8 +69,8 @@ generic as arbitrary even supermatrices (Berezin, *Introduction to
 Superanalysis*, 1987, uses the same factorisation for the Berezinian).
 
 The group suite :func:`verify_group` checks these same points.  Each must
-satisfy the defining relations (``validate``), that is T T^{-1} = T^{-1} T
-= I; an inverse is unique, so that proves the closed form without a second
+satisfy the defining relations, built once per run: T T^{-1} = T^{-1} T =
+I.  An inverse is unique, so that proves the closed form without a second
 inverse by the series.  The suite reads T and T^{-1} back off each point's
 images and checks convolution and the antipode against integer matrix
 products of them, the antipode case at lowest terms.  It refuses more than
@@ -588,15 +588,19 @@ class GroupPoint:
         The tbar images come from the integer series of
         ``mat._inverse_cleared`` and go over the point's least common
         denominator without a pass through Fraction.  The group suite does
-        not call it on its Gauss points, which it checks by the relations.
+        not call it: it checks its points by relations it builds once.
         """
-        if mat.dims != dims:
-            raise ValueError("mismatched gl(m|n) dimensions")
-        point = GroupPoint._from_cleared(
-            dims, mat.n, mat._cleared(), mat._inverse_cleared()
-        )
+        point = GroupPoint._of_matrix(dims, mat)
         point.validate()
         return point
+
+    @staticmethod
+    def _of_matrix(dims: Dims, mat: SMat) -> "GroupPoint":
+        """:meth:`from_matrix` without :meth:`validate`."""
+        if mat.dims != dims:
+            raise ValueError("mismatched gl(m|n) dimensions")
+        return GroupPoint._from_cleared(
+            dims, mat.n, mat._cleared(), mat._inverse_cleared())
 
     @staticmethod
     def _from_cleared(dims: Dims, n: int, mat: tuple,
@@ -641,10 +645,12 @@ class GroupPoint:
         """Check the defining relations; raises ValueError on failure."""
         from .cg import relations
 
-        for rel in relations(self.dims):
-            val = self.evaluate(rel)
-            if not val.is_zero():
-                raise ValueError("matrix does not define a group point")
+        if not self._kills(relations(self.dims)):
+            raise ValueError("matrix does not define a group point")
+
+    def _kills(self, rels) -> bool:
+        """Whether every polynomial in rels evaluates to zero here."""
+        return all(self.evaluate(rel).is_zero() for rel in rels)
 
     def evaluate(self, f) -> GEl:
         """Evaluate a function-algebra element: a CG of this point's dims,
@@ -775,7 +781,7 @@ def _scalar_diag(dims: Dims, entries) -> SMat:
 
 def real_sample_points(dims: Dims) -> list:
     """Constructed points of the real form: unit-modulus diagonals and a
-    parity-preserving permutation when one exists."""
+    parity-preserving permutation when one exists; not validated."""
     u1 = Scalar(Fraction(3, 5), Fraction(4, 5))
     u2 = Scalar(Fraction(5, 13), Fraction(12, 13))
     size = dims.size
@@ -796,7 +802,7 @@ def real_sample_points(dims: Dims) -> list:
         mats.append(SMat(dims, 0, rows))
     else:
         mats.append(_scalar_diag(dims, [-ONE] * size))
-    return [GroupPoint.from_matrix(dims, mat) for mat in mats]
+    return [GroupPoint._of_matrix(dims, mat) for mat in mats]
 
 
 def verify_group(dims: Dims, count: int = 20, seed: int = 0) -> dict:
@@ -814,7 +820,7 @@ def verify_group(dims: Dims, count: int = 20, seed: int = 0) -> dict:
     when 2mn exceeds ``GROUP_GENERATOR_CAP`` or (m+n)^3, the even work of
     its matrix products, exceeds ``GROUP_EVEN_CAP``.
     """
-    from .cg import CG, DimCapError, _case, _report
+    from .cg import CG, DimCapError, _case, _report, relations
 
     if count < 3:
         raise ValueError("count must be at least 3")
@@ -829,14 +835,10 @@ def verify_group(dims: Dims, count: int = 20, seed: int = 0) -> dict:
     rng = random.Random(seed)
     points = [random_gauss_point(dims, rng) for _ in range(count)]
     mats = [p._matrices() for p in points]
+    rels = relations(dims)  # built once; every point below is checked by them
     cases = []
 
-    ok = True
-    for p in points:
-        try:
-            p.validate()
-        except ValueError:
-            ok = False
+    ok = all(p._kills(rels) for p in points)
     cases.append(
         _case("random supermatrices define group points", ok, count=count)
     )
@@ -875,16 +877,16 @@ def verify_group(dims: Dims, count: int = 20, seed: int = 0) -> dict:
     cases.append(_case("identity point is neutral and counit-valued", ok))
 
     reals = real_sample_points(dims)
-    ok = all(p.is_real() for p in reals)
+    ok = all(p._kills(rels) and p.is_real() for p in reals)
     ok = ok and all(p.theta_dual() == p.inverse_point() for p in reals)
     cases.append(
         _case("conjugate dual inverts the constructed real points", ok,
               points=len(reals))
     )
 
-    bad = GroupPoint.from_matrix(
-        dims, _scalar_diag(dims, [Scalar(2)] + [ONE] * (dims.size - 1))
-    )
-    cases.append(_case("non-unitary diagonal is not real", not bad.is_real()))
+    bad = GroupPoint._of_matrix(dims, _scalar_diag(
+        dims, [Scalar(2)] + [ONE] * (dims.size - 1)))
+    cases.append(_case("non-unitary diagonal is not real",
+                       bad._kills(rels) and not bad.is_real()))
 
     return _report("group", cases)

@@ -15,7 +15,7 @@ and on the (2|2(m+n))-sphere side, with z_a = t_{m+n,a}:
     r = z_{m+n} zbar_{m+n},
     Q_ab = sum_{c < m+n} (-1)^{[b][c]+[c]} tbar_ca t_cb.
 
-The radial part of the invariant Laplacian acts on powers of r by
+For n >= 1 the radial part of the invariant Laplacian acts on r^k by
 
     dR_{nabla^2}(r^k) = k (m - n - k + 1) r^k + k^2 r^{k-1}
 
@@ -137,10 +137,16 @@ class LeviProfile:
     def refined_sizes(self) -> list:
         return [hi - lo + 1 for lo, hi in self.refined()]
 
+    def refined_block(self, i: int) -> tuple:
+        """(lo, hi) of refined block i, 1-based; ValueError out of range."""
+        if not 1 <= i <= len(self.refined()):
+            raise ValueError(f"block index {i} out of range for profile "
+                             f"{self.blocks}")
+        return self.refined()[i - 1]
+
     def block_parity(self, i: int) -> int:
         """Parity of refined block i (refined blocks are pure)."""
-        lo, _ = self.refined()[i - 1]
-        return self.dims.par(lo)
+        return self.dims.par(self.refined_block(i)[0])
 
     def __repr__(self):
         return f"LeviProfile({self.blocks})"
@@ -157,15 +163,14 @@ def _row_sum(dims: Dims, rows, a: int, b: int) -> CG:
 
 def c_block(profile: LeviProfile, i: int, a: int, b: int) -> CG:
     """C^{(i)}_ab = sum over rows c in refined block i of t_ca tbar_cb."""
-    lo, hi = profile.refined()[i - 1]
+    lo, hi = profile.refined_block(i)
     return _row_sum(profile.dims, range(lo, hi + 1), a, b)
 
 
 def c_pair(profile: LeviProfile, i: int, j: int) -> CG:
     """C^{(i,j)} = sum_{a in refined block j} C^{(i)}_aa."""
-    dims = profile.dims
-    lo, hi = profile.refined()[j - 1]
-    out = CG.zero(dims)
+    lo, hi = profile.refined_block(j)
+    out = CG.zero(profile.dims)
     for a in range(lo, hi + 1):
         out = out + c_block(profile, i, a, a)
     return out
@@ -210,8 +215,14 @@ def _gbinom(nu: int, i: int) -> Fraction:
     return num / factorial(i)
 
 
+def _nu(dims: Dims, k: int) -> int:
+    if dims.n < 1:
+        raise ValueError("the radial Laplacian identity needs n >= 1")
+    return dims.n - dims.m + 2 * k - 2
+
+
 def theta_exists(dims: Dims, k: int) -> bool:
-    nu = dims.n - dims.m + 2 * k - 2
+    nu = _nu(dims, k)
     return all(_gbinom(nu, i) != 0 for i in range(k + 1))
 
 
@@ -223,7 +234,7 @@ def theta(dims: Dims, k: int) -> CG:
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    nu = dims.n - dims.m + 2 * k - 2
+    nu = _nu(dims, k)
     rr = r_func(dims)
     out = CG.zero(dims)
     for i in range(k + 1):
@@ -241,6 +252,7 @@ def theta(dims: Dims, k: int) -> CG:
 
 
 def theta_eigenvalue(dims: Dims, k: int) -> Scalar:
+    _nu(dims, k)  # refuses n = 0
     return Scalar(k * (dims.m - dims.n - k + 1))
 
 

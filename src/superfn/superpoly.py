@@ -1,10 +1,10 @@
 """Supercommutative polynomials in tagged generators.
 
 A generator symbol is a tuple ``(tag, row, col, par)`` with ``tag`` a short
-string (``"t"``, ``"tb"``, ``"x"``, ``"xb"``), 1-based indices, and ``par``
-the symbol's parity.  Monomials are tuples of ``(symbol, exponent)`` pairs
-with symbols strictly increasing in tuple order; odd symbols square to zero,
-so their exponent is always 1.  Reordering two factors costs the Koszul sign
+string (``"t"`` or ``"tb"``), 1-based indices, and ``par`` the symbol's
+parity.  Monomials are tuples of ``(symbol, exponent)`` pairs with symbols
+strictly increasing in tuple order; odd symbols square to zero, so their
+exponent is always 1.  Reordering two factors costs the Koszul sign
 ``(-1)^{[f][g]}``.
 
 A :class:`Poly` is a finite Scalar-linear combination of monomials.  The

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from superfn import cli, ugl
-from superfn.cg import CG, relations
+from superfn.cg import CG, is_zero_mod_j, relations
 from superfn.cli import CliError, ExprContext, main, parse_expr, tokenize
 from superfn.grading import Dims
 from superfn.scalar import Scalar
-from superfn.spherical import LeviProfile, c_block, c_pair, r_func, z, zbar
+from superfn.spherical import (LeviProfile, c_block, c_pair, laplacian_apply,
+                                r_func, theta, theta_eigenvalue, theta_exists,
+                                z, zbar)
 from superfn.ugl import UEl
 
 def run(capsys, *argv):
@@ -341,6 +343,30 @@ def test_theta_verb(capsys):
     code, out, _ = run(capsys, "--m", "1", "--n", "1", "theta", "--k", "1")
     assert code == 0
     assert "no radial eigenfunction" in out
+
+
+def test_radial_verbs_refuse_n_zero(capsys):
+    # the identity k(m-n-k+1) r^k + k^2 r^(k-1) needs m+n odd; at n = 0
+    # the Laplacian gives -k(m+k-1) r^k + k^2 r^(k-1), so both verbs
+    # refuse before any work, also where pairing mode would hit its cap
+    want = "error: the radial Laplacian identity needs n >= 1"
+    for m in ("1", "2", "3"):
+        for mode in ("generic", "pairing"):
+            for verb, k in (("laplacian", "1"), ("laplacian", "2"),
+                            ("laplacian", "3"), ("theta", "1")):
+                code, out, err = run(capsys, "--m", m, "--n", "0", "--mode",
+                                     mode, verb, "--k", k)
+                assert (code, out, err.strip()) == (2, "", want), \
+                    (m, mode, verb, k)
+        for call in (theta_exists, theta, theta_eigenvalue):
+            with pytest.raises(ValueError, match="needs n >= 1"):
+                call(Dims(int(m), 0), 1)
+    d20 = Dims(2, 0)
+    rr = r_func(d20)
+    for k in (1, 2):
+        defect = laplacian_apply(rr ** k) - (rr ** k).scale(
+            Scalar(-k * (2 + k - 1))) - (rr ** (k - 1)).scale(Scalar(k * k))
+        assert is_zero_mod_j(defect, "generic", 3, 1).is_zero, k
 
 
 def test_suite_verbs(capsys):

@@ -27,6 +27,7 @@ from superfn.spherical import (
 )
 from superfn.ugl import casimir
 from superfn.actions import act
+from superfn.cli import main
 
 D11 = Dims(1, 1)
 D12 = Dims(1, 2)
@@ -55,6 +56,28 @@ def test_profile_parsing():
     prof = LeviProfile.projective(D12)
     assert prof.blocks == [(1, 2), (3, 3)]
     assert prof.super_pair() == (1, 2)
+
+
+def test_refined_block_index_is_checked(capsys):
+    # "1,1|1,1" at (2,2) has four refined blocks; 0 and -1 must not wrap
+    # round to blocks 4 and 3 as negative list indices do
+    prof = LeviProfile.parse(D22, "1,1|1,1")
+    for i in (0, -1, 5):
+        want = f"block index {i} out of range for profile {prof.blocks}"
+        for call in (lambda: c_block(prof, i, 1, 1),
+                     lambda: c_pair(prof, i, 1), lambda: c_pair(prof, 1, i),
+                     lambda: prof.block_parity(i),
+                     lambda: prof.refined_block(i)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == want
+    assert prof.refined_block(4) == (4, 4)
+    # the CLI reads the block index before the row indices
+    for expr in ("C[5;1,1]", "C[5;9,9]", "CP[5,9]"):
+        assert main(["--m", "2", "--n", "2", "--profile", "1,1|1,1", "eval",
+                     expr]) == 2
+        assert capsys.readouterr().err == (
+            f"error: block index 5 out of range for profile {prof.blocks}\n")
 
 
 def test_profile_parse_errors():
